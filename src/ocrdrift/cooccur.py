@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -90,16 +89,16 @@ def count_cooccurrences(
     )
 
 
-_TRIPLE = struct.Struct("<IId")
+_TRIPLE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f8")])
 
 
 def save_matrix(matrix: CooccurrenceMatrix, path: str | Path) -> None:
     """Binary (word id, context id, weight) triples plus a JSON sidecar."""
     path = Path(path)
     coo = matrix.counts.tocoo()
-    with open(path, "wb") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(_TRIPLE.pack(int(i), int(j), float(v)))
+    triples = np.empty(coo.nnz, dtype=_TRIPLE)
+    triples["row"], triples["col"], triples["value"] = coo.row, coo.col, coo.data
+    triples.tofile(path)
     sidecar = {
         "vocab_size": matrix.size,
         "window_size": matrix.window_size,
@@ -115,16 +114,13 @@ def load_matrix(path: str | Path, vocabulary: Vocabulary) -> CooccurrenceMatrix:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
     raw = path.read_bytes()
-    if len(raw) % _TRIPLE.size:
+    if len(raw) % _TRIPLE.itemsize:
         raise ValueError(f"{path}: truncated triple stream")
-    n = len(raw) // _TRIPLE.size
-    rows = np.empty(n, dtype=np.int64)
-    cols = np.empty(n, dtype=np.int64)
-    vals = np.empty(n, dtype=np.float64)
-    for k, (i, j, v) in enumerate(_TRIPLE.iter_unpack(raw)):
-        rows[k], cols[k], vals[k] = i, j, v
+    triples = np.frombuffer(raw, dtype=_TRIPLE)
+    rows = triples["row"].astype(np.int64)
+    cols = triples["col"].astype(np.int64)
     size = int(sidecar["vocab_size"])
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    matrix = sp.coo_matrix((triples["value"], (rows, cols)), shape=(size, size)).tocsr()
     return CooccurrenceMatrix(
         counts=matrix,
         window_size=int(sidecar["window_size"]),

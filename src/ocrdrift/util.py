@@ -23,9 +23,17 @@ def log_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 def _group_csr(rows: np.ndarray, n_cols: int, data: np.ndarray, cols: np.ndarray):
     """CSR matrix whose row g selects the entries with the g-th distinct
     value of `rows`; returns (unique_rows, matrix)."""
-    order = np.argsort(rows, kind="stable")
+    keys = rows
+    if len(rows) and 0 <= rows.min() and rows.max() < 1 << 16:
+        # numpy's stable sort of 16-bit keys is a radix sort; a stable
+        # sort has exactly one result, so the grouping is unchanged
+        keys = rows.astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
     sorted_rows = rows[order]
-    starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+    boundary = np.empty(len(order), dtype=bool)
+    boundary[:1] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
     indptr = np.append(starts, len(order)).astype(np.int64)
     matrix = sp.csr_matrix(
         (data[order], cols[order], indptr), shape=(len(starts), n_cols)

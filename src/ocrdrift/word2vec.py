@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,11 +80,43 @@ def cbow_gradients(
 
 def _negative_cdf(frequencies: np.ndarray) -> np.ndarray:
     weights = frequencies.astype(np.float64) ** NEGATIVE_POWER
-    return np.cumsum(weights / weights.sum())
+    cdf = np.cumsum(weights / weights.sum())
+    # rounding can leave the sum just below 1, and a draw above it would
+    # map to the out-of-range id V; draws below it are unaffected
+    cdf[-1] = 1.0
+    return cdf
 
 
-def _draw_negatives(rng: np.random.Generator, cdf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.int32)
+class _NegativeTable(NamedTuple):
+    """Guide table for exact inverse-CDF sampling of negatives.
+
+    The unit interval is cut into M equal buckets. guide[m] is the id that
+    every u in [m/M, (m+1)/M) maps to, or -1 when a CDF value falls inside
+    the bucket, so that only draws in those (at most V of M) buckets need
+    a binary search.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+
+
+def _negative_table(frequencies: np.ndarray) -> _NegativeTable:
+    cdf = _negative_cdf(frequencies)
+    # a power of two keeps u * M and m / M exact in float64
+    size = max(1 << 16, 1 << (4 * len(cdf) - 1).bit_length())
+    edges = np.arange(size + 1, dtype=np.float64) / size
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    hi = np.searchsorted(cdf, edges[1:], side="left")
+    return _NegativeTable(cdf, np.where(lo == hi, lo, -1).astype(np.int32))
+
+
+def _draw_negatives(rng: np.random.Generator, table: _NegativeTable, shape: tuple[int, ...]) -> np.ndarray:
+    """Ids equal to searchsorted(cdf, rng.random(shape), "right")."""
+    u = rng.random(shape)
+    ids = table.guide[(u * len(table.guide)).astype(np.intp)]
+    unresolved = ids < 0
+    ids[unresolved] = np.searchsorted(table.cdf, u[unresolved], side="right")
+    return ids
 
 
 def _skipgram_pairs(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +310,7 @@ def train_sgns(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0)
     vocab = corpus.vocabulary
     W, C = _init_matrices(vocab.words, config.dim, config.seed)
     centers, contexts = _skipgram_pairs(corpus.documents, config.window)
-    cdf = _negative_cdf(vocab.frequencies)
+    negative_table = _negative_table(vocab.frequencies)
     rng = np.random.default_rng(config.seed)
 
     batches_per_epoch = math.ceil(len(centers) / config.batch_size)
@@ -286,7 +319,7 @@ def train_sgns(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0)
         order = rng.permutation(len(centers))
         for start in range(0, len(order), config.batch_size):
             sel = order[start:start + config.batch_size]
-            negatives = _draw_negatives(rng, cdf, (len(sel), config.negative_samples))
+            negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
             sgns_batch_step(W, C, centers[sel], contexts[sel], negatives, rate.next())
         log.debug("sgns epoch %d/%d done", epoch + 1, config.epochs)
 
@@ -304,7 +337,7 @@ def train_cbow(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0)
     vocab = corpus.vocabulary
     W, C = _init_matrices(vocab.words, config.dim, config.seed)
     centers, table, mask = _context_table(corpus.documents, config.window)
-    cdf = _negative_cdf(vocab.frequencies)
+    negative_table = _negative_table(vocab.frequencies)
     rng = np.random.default_rng(config.seed)
 
     batches_per_epoch = math.ceil(len(centers) / config.batch_size)
@@ -313,7 +346,7 @@ def train_cbow(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0)
         order = rng.permutation(len(centers))
         for start in range(0, len(order), config.batch_size):
             sel = order[start:start + config.batch_size]
-            negatives = _draw_negatives(rng, cdf, (len(sel), config.negative_samples))
+            negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
             cbow_batch_step(W, C, centers[sel], table[sel], mask[sel], negatives, rate.next())
         log.debug("cbow epoch %d/%d done", epoch + 1, config.epochs)
 

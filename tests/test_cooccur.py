@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,21 @@ class TestDump:
         np.testing.assert_allclose(reloaded.counts.toarray(), m.counts.toarray())
         assert reloaded.window_size == 2
         assert reloaded.weighting is Weighting.HARMONIC
+
+    def test_bytes_match_per_triple_struct_packing(self, tmp_path):
+        docs = [["a", "b", "c", "a", "d", "b"] * 7, ["c", "e", "a"]]
+        tc = tokenized(docs)
+        m = count_cooccurrences(tc, 3, Weighting.HARMONIC)
+        path = tmp_path / "counts.bin"
+        save_matrix(m, path)
+        coo = m.counts.tocoo()
+        expected = b"".join(
+            struct.pack("<IId", int(i), int(j), float(v))
+            for i, j, v in zip(coo.row, coo.col, coo.data)
+        )
+        assert path.read_bytes() == expected
+        reloaded = load_matrix(path, tc.vocabulary)
+        assert (reloaded.counts != m.counts).nnz == 0
 
     def test_truncated_stream_rejected(self, tmp_path):
         tc = tokenized([["a", "b"]])
