@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--deterministic",
             action="store_true",
-            help="pin the sequential bit-reproducible training path (the default mode)",
+            help="deprecated, has no effect: training is always bit-reproducible",
         )
     return parser
 
@@ -236,7 +236,6 @@ def _train_one(
         window=spec.window,
         epochs=spec.epochs,
         negative_samples=spec.negative_samples,
-        min_count=spec.min_count,
         seed=seed,
         rate_profile=spec.rate_profile,
         learning_rate=spec.learning_rate,
@@ -299,11 +298,7 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
                         }
                     )
                     print(f"{src.language.name}/{stem}: trained in {wall:.1f}s")
-        manifest = {
-            "language": src.language.name,
-            "deterministic": config.deterministic,
-            "entries": entries,
-        }
+        manifest = {"language": src.language.name, "entries": entries}
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return 0
 
@@ -440,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        config = apply_overrides(config, args.out, args.seed, args.deterministic)
+        config = apply_overrides(config, args.out, args.seed)
         return _COMMANDS[args.command](config, args.lang)
     except (ConfigError, CorpusError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,7 +65,6 @@ class ExperimentConfig:
     languages: tuple[LanguageSource, ...] = ()
     models: tuple[ModelSpec, ...] = ()
     noise: NoiseConfig | None = None
-    deterministic: bool = True
 
     def for_language(self, code: str | None) -> tuple[LanguageSource, ...]:
         if code is None:
@@ -193,6 +192,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return validate_config(config)
 
 
+def _check_file_name(kind: str, name) -> None:
+    # the name becomes a file or directory name under out_dir
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"{kind} {name!r} is not usable as a file name")
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.runs < 1:
         raise ConfigError("runs must be >= 1")
@@ -202,10 +207,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("bootstrap_resamples must be >= 1")
     seen = set()
     for spec in config.models:
+        _check_file_name("model label", spec.label)
         if spec.label in seen:
             raise ConfigError(f"duplicate model label {spec.label!r}")
         seen.add(spec.label)
     for src in config.languages:
+        _check_file_name("language name", src.language.name)
         if not src.path.is_dir():
             raise ConfigError(f"corpus path does not exist: {src.path}")
     for spec in config.models:
@@ -214,6 +221,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                 raise ConfigError(f"embedding file does not exist: {p}")
     if config.noise is not None:
         noise = config.noise
+        _check_file_name("noise out_name", noise.out_name)
         if noise.source_text is not None and not noise.source_text.is_file():
             raise ConfigError(f"noise source text does not exist: {noise.source_text}")
         for level in noise.levels:
@@ -226,7 +234,6 @@ def apply_overrides(
     config: ExperimentConfig,
     out_dir: str | None = None,
     seed: int | None = None,
-    deterministic: bool = False,
 ) -> ExperimentConfig:
     """Command-line flags win over config file fields."""
     changes = {}
@@ -234,6 +241,4 @@ def apply_overrides(
         changes["out_dir"] = Path(out_dir)
     if seed is not None:
         changes["seed"] = seed
-    if deterministic:
-        changes["deterministic"] = True
     return replace(config, **changes) if changes else config

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .preprocess import TokenizedCorpus, Vocabulary
+from .preprocess import TokenizedCorpus, Vocabulary, window_pairs
 
 
 class Weighting(Enum):
@@ -59,20 +59,14 @@ def count_cooccurrences(
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     weights: list[np.ndarray] = []
-    for doc in corpus.documents:
-        n = len(doc)
-        if n < 2:
-            continue
-        for distance in range(1, min(window_size, n - 1) + 1):
-            left = doc[:-distance].astype(np.int64)
-            right = doc[distance:].astype(np.int64)
-            w = 1.0 if weighting is Weighting.FLAT else 1.0 / distance
-            # each ordered pair is counted once per direction
-            rows.append(left)
-            cols.append(right)
-            rows.append(right)
-            cols.append(left)
-            weights.append(np.full(2 * len(left), w))
+    for _, distance, left, right in window_pairs(corpus.documents, window_size):
+        left = left.astype(np.int64)
+        right = right.astype(np.int64)
+        w = 1.0 if weighting is Weighting.FLAT else 1.0 / distance
+        # each ordered pair is counted once per direction
+        rows += (left, right)
+        cols += (right, left)
+        weights.append(np.full(2 * len(left), w))
 
     if not rows:
         raise ValueError("no token pairs inside the window (documents too short)")

@@ -40,12 +40,6 @@ class Language:
 
     name: str
 
-    KNOWN = ("dutch", "english", "french", "german")
-
-    @property
-    def is_known(self) -> bool:
-        return self.name in self.KNOWN
-
     @classmethod
     def parse(cls, value: "str | Language") -> "Language":
         if isinstance(value, Language):
@@ -122,12 +116,6 @@ class Corpus:
     def texts(self, version: Version | None = None) -> list[str]:
         v = version or self.version
         return [doc.text(v) for doc in self.documents]
-
-    def with_version(self, version: Version) -> "Corpus":
-        return replace(self, version=version)
-
-    def aligned_only(self) -> "Corpus":
-        return replace(self, documents=tuple(d for d in self.documents if d.is_aligned))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ class TrainConfig:
     learning_rate: float | None = None
     epochs: int = 5
     negative_samples: int = 5
-    min_count: int = 5
     seed: int = 0
     rate_profile: RateProfile | None = None
     batch_size: int = 8192
@@ -107,9 +106,6 @@ class EmbeddingMatrix:
     def row(self, word: str) -> np.ndarray:
         i = self.word_to_row[word]
         return self.vectors[i] if self.is_dense else self.vectors.getrow(i)
-
-    def take(self, rows: np.ndarray) -> "np.ndarray | sp.csr_matrix":
-        return self.vectors[rows]
 
     def with_metadata(self, **changes) -> "EmbeddingMatrix":
         return replace(self, metadata=replace(self.metadata, **changes))

@@ -186,6 +186,17 @@ def bootstrap_ci(
     return low, high
 
 
+def _bootstrap_bands(
+    per_word: np.ndarray, confidence: float, resamples: int, seed_prefix: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """bootstrap_ci per grid row, seeded (*seed_prefix, row index)."""
+    low = np.empty(len(per_word))
+    high = np.empty(len(per_word))
+    for gi in range(len(per_word)):
+        low[gi], high[gi] = bootstrap_ci(per_word[gi], confidence, resamples, (*seed_prefix, gi))
+    return low, high
+
+
 @dataclass(frozen=True)
 class OverlapCurve:
     """Mean overlap with confidence band per neighborhood fraction.
@@ -247,10 +258,7 @@ def evaluate_pair(
             per_word[:, start + i] = shared / ks
 
     means = per_word.mean(axis=1)
-    low = np.empty(len(grid))
-    high = np.empty(len(grid))
-    for gi in range(len(grid)):
-        low[gi], high[gi] = bootstrap_ci(per_word[gi], confidence, resamples, (seed, gi))
+    low, high = _bootstrap_bands(per_word, confidence, resamples, (seed,))
     return OverlapCurve(
         n_values=grid,
         k_values=tuple(int(k) for k in ks),
@@ -280,14 +288,9 @@ def average_runs(curves: Sequence[OverlapCurve]) -> OverlapCurve:
         return head
     pooled = np.concatenate([c.per_word for c in curves], axis=1)
     means = np.mean([c.means for c in curves], axis=0)
-    low = np.empty(len(head.n_values))
-    high = np.empty(len(head.n_values))
-    for gi in range(len(head.n_values)):
-        # the extra stream component keeps pooled draws distinct from the
-        # single-run draws at the same grid point
-        low[gi], high[gi] = bootstrap_ci(
-            pooled[gi], head.confidence, head.resamples, (head.seed, 1, gi)
-        )
+    # the extra stream component keeps pooled draws distinct from the
+    # single-run draws at the same grid point
+    low, high = _bootstrap_bands(pooled, head.confidence, head.resamples, (head.seed, 1))
     return replace(
         head,
         means=means,

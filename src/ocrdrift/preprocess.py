@@ -6,7 +6,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,6 +99,27 @@ class TokenizedCorpus:
 
     documents: tuple[np.ndarray, ...]
     vocabulary: Vocabulary
+
+
+def window_pairs(
+    documents: Iterable[np.ndarray], window: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Every in-window token pair, as aligned slices per document and distance.
+
+    Yields (start, distance, left, right) where left[i] and right[i] sit
+    `distance` positions apart in one document, for distances 1..window
+    (capped at the document length). Documents shorter than two tokens are
+    skipped; `start` is the document's offset in the concatenation of the
+    documents that are not. Pairs never cross document boundaries.
+    """
+    start = 0
+    for doc in documents:
+        n = len(doc)
+        if n < 2:
+            continue
+        for distance in range(1, min(window, n - 1) + 1):
+            yield start, distance, doc[:-distance], doc[distance:]
+        start += n
 
 
 def encode_documents(documents: Iterable[Sequence[str]], vocabulary: Vocabulary) -> TokenizedCorpus:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .embeddings import EmbeddingMatrix, EmbeddingMetadata, Model, TrainConfig
-from .preprocess import TokenizedCorpus
+from .preprocess import TokenizedCorpus, window_pairs
 from .util import log_sigmoid, scatter_add, seeded_matrix, segment_weighted_sums, sigmoid
 
 log = logging.getLogger(__name__)
@@ -122,17 +122,9 @@ def _draw_negatives(rng: np.random.Generator, table: _NegativeTable, shape: tupl
 def _skipgram_pairs(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.ndarray, np.ndarray]:
     centers: list[np.ndarray] = []
     contexts: list[np.ndarray] = []
-    for doc in documents:
-        n = len(doc)
-        if n < 2:
-            continue
-        for distance in range(1, min(window, n - 1) + 1):
-            left = doc[:-distance]
-            right = doc[distance:]
-            centers.append(left)
-            contexts.append(right)
-            centers.append(right)
-            contexts.append(left)
+    for _, _, left, right in window_pairs(documents, window):
+        centers += (left, right)
+        contexts += (right, left)
     if not centers:
         raise ValueError("corpus has no token pairs inside the window")
     return (
@@ -144,28 +136,20 @@ def _skipgram_pairs(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.
 def _context_table(
     documents: tuple[np.ndarray, ...], window: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per position: center id, fixed-width context ids (-1 padded), mask."""
-    offsets = [s for s in range(-window, window + 1) if s != 0]
-    center_parts: list[np.ndarray] = []
-    table_parts: list[np.ndarray] = []
-    for doc in documents:
-        n = len(doc)
-        if n < 2:
-            continue
-        table = np.full((n, len(offsets)), -1, dtype=np.int32)
-        for slot, s in enumerate(offsets):
-            if abs(s) >= n:
-                continue
-            if s < 0:
-                table[-s:, slot] = doc[: n + s]
-            else:
-                table[: n - s, slot] = doc[s:]
-        center_parts.append(doc.astype(np.int32))
-        table_parts.append(table)
-    if not center_parts:
+    """Per position: center id, fixed-width context ids (-1 padded), mask.
+
+    Slots are the offsets -window..-1 then 1..window; documents shorter
+    than two tokens contribute no positions.
+    """
+    kept = [doc for doc in documents if len(doc) >= 2]
+    if not kept:
         raise ValueError("corpus has no token pairs inside the window")
-    centers = np.concatenate(center_parts)
-    table = np.concatenate(table_parts, axis=0)
+    centers = np.concatenate(kept).astype(np.int32)
+    table = np.full((len(centers), 2 * window), -1, dtype=np.int32)
+    for start, distance, left, right in window_pairs(kept, window):
+        stop = start + len(left) + distance
+        table[start + distance:stop, window - distance] = left
+        table[start:stop - distance, window + distance - 1] = right
     return centers, table, table >= 0
 
 
@@ -179,6 +163,29 @@ class _LinearRate:
         progress = self.step / self.total
         self.step += 1
         return self.initial * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
+
+
+def _update_outputs(
+    C: np.ndarray,
+    targets: np.ndarray,
+    negatives: np.ndarray,
+    pos_coef: np.ndarray,
+    neg_coef: np.ndarray,
+    hidden: np.ndarray,
+) -> None:
+    """C[targets[i]] += pos_coef[i] * hidden[i], and likewise for each negative.
+
+    Every output-side update is a coefficient times one batch row of
+    `hidden`: one grouped pass covers positives and negatives together.
+    """
+    b, k = negatives.shape
+    rows = np.concatenate([targets, negatives.ravel()])
+    weights = np.concatenate([pos_coef, neg_coef.ravel()])
+    pair_of_update = np.concatenate(
+        [np.arange(b, dtype=np.int64), np.repeat(np.arange(b, dtype=np.int64), k)]
+    )
+    unique, sums = segment_weighted_sums(rows, weights, pair_of_update, hidden)
+    C[unique] += sums
 
 
 def sgns_batch_loss(
@@ -205,8 +212,6 @@ def sgns_batch_step(
     scatter phase runs as grouped rank-one sums instead of materializing
     per-pair outer products.
     """
-    b = len(centers)
-    k = negatives.shape[1]
     w = W[centers]
     cp = C[contexts]
     cn = C[negatives]
@@ -214,15 +219,7 @@ def sgns_batch_step(
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
     d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
     scatter_add(W, centers, d_w)
-    # every output-side update is coef * w[pair]: one grouped pass over
-    # positives and negatives together
-    rows = np.concatenate([contexts, negatives.ravel()])
-    weights = np.concatenate([pos_coef, neg_coef.ravel()])
-    pair_of_update = np.concatenate(
-        [np.arange(b, dtype=np.int64), np.repeat(np.arange(b, dtype=np.int64), k)]
-    )
-    unique, sums = segment_weighted_sums(rows, weights, pair_of_update, w)
-    C[unique] += sums
+    _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w)
 
 
 def cbow_batch_loss(
@@ -249,8 +246,6 @@ def cbow_batch_step(
     negatives: np.ndarray,
     rate: float,
 ) -> None:
-    b = len(centers)
-    k = negatives.shape[1]
     counts = mask.sum(axis=1)
     batch_idx, slot_idx = np.nonzero(mask)
     members = table[batch_idx, slot_idx]
@@ -258,7 +253,7 @@ def cbow_batch_step(
     # h[b] = mean of the context vectors, as a grouped weighted gather;
     # alignment with the batch requires every position to keep a context
     _, h = segment_weighted_sums(batch_idx, inv_counts[batch_idx], members, W)
-    if len(h) != b:
+    if len(h) != len(centers):
         raise ValueError("every position must have at least one context word")
     o = C[centers]
     cn = C[negatives]
@@ -267,13 +262,7 @@ def cbow_batch_step(
     d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
     unique, sums = segment_weighted_sums(members, inv_counts[batch_idx], batch_idx, d_h)
     W[unique] += sums
-    rows = np.concatenate([centers, negatives.ravel()])
-    weights = np.concatenate([pos_coef, neg_coef.ravel()])
-    pair_of_update = np.concatenate(
-        [np.arange(b, dtype=np.int64), np.repeat(np.arange(b, dtype=np.int64), k)]
-    )
-    unique, sums = segment_weighted_sums(rows, weights, pair_of_update, h)
-    C[unique] += sums
+    _update_outputs(C, centers, negatives, pos_coef, neg_coef, h)
 
 
 def _init_matrices(
@@ -299,55 +288,51 @@ def _metadata(corpus: TokenizedCorpus, config: TrainConfig, run_index: int) -> E
     )
 
 
-def train_sgns(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0) -> EmbeddingMatrix:
-    """Train skip-gram vectors; returns the target-side (input) matrix."""
-    if config.model is not Model.SGNS:
-        raise ValueError(f"config.model must be SGNS, got {config.model}")
+def _train(
+    corpus: TokenizedCorpus,
+    config: TrainConfig,
+    run_index: int,
+    model: Model,
+    build_examples: Callable[[tuple[np.ndarray, ...], int], tuple[np.ndarray, ...]],
+    step: Callable[..., None],
+) -> EmbeddingMatrix:
+    """The SGD loop both models share.
+
+    build_examples(documents, window) returns aligned per-example arrays;
+    every batch passes their selected rows, then the negatives and the
+    rate, to step(W, C, ...), which updates W and C in place.
+    """
+    if config.model is not model:
+        raise ValueError(f"config.model must be {model.name}, got {config.model}")
     config.validated()
     if config.negative_samples < 1:
         raise ValueError("negative_samples must be >= 1")
 
     vocab = corpus.vocabulary
     W, C = _init_matrices(vocab.words, config.dim, config.seed)
-    centers, contexts = _skipgram_pairs(corpus.documents, config.window)
+    examples = build_examples(corpus.documents, config.window)
     negative_table = _negative_table(vocab.frequencies)
     rng = np.random.default_rng(config.seed)
 
-    batches_per_epoch = math.ceil(len(centers) / config.batch_size)
+    count = len(examples[0])
+    batches_per_epoch = math.ceil(count / config.batch_size)
     rate = _LinearRate(config.resolved_rate(), config.epochs * batches_per_epoch)
     for epoch in range(config.epochs):
-        order = rng.permutation(len(centers))
-        for start in range(0, len(order), config.batch_size):
+        order = rng.permutation(count)
+        for start in range(0, count, config.batch_size):
             sel = order[start:start + config.batch_size]
             negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
-            sgns_batch_step(W, C, centers[sel], contexts[sel], negatives, rate.next())
-        log.debug("sgns epoch %d/%d done", epoch + 1, config.epochs)
+            step(W, C, *(array[sel] for array in examples), negatives, rate.next())
+        log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
     return EmbeddingMatrix(words=vocab.words, vectors=W, metadata=_metadata(corpus, config, run_index))
+
+
+def train_sgns(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0) -> EmbeddingMatrix:
+    """Train skip-gram vectors; returns the target-side (input) matrix."""
+    return _train(corpus, config, run_index, Model.SGNS, _skipgram_pairs, sgns_batch_step)
 
 
 def train_cbow(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0) -> EmbeddingMatrix:
     """Train CBOW vectors: averaged context predicts the center word."""
-    if config.model is not Model.CBOW:
-        raise ValueError(f"config.model must be CBOW, got {config.model}")
-    config.validated()
-    if config.negative_samples < 1:
-        raise ValueError("negative_samples must be >= 1")
-
-    vocab = corpus.vocabulary
-    W, C = _init_matrices(vocab.words, config.dim, config.seed)
-    centers, table, mask = _context_table(corpus.documents, config.window)
-    negative_table = _negative_table(vocab.frequencies)
-    rng = np.random.default_rng(config.seed)
-
-    batches_per_epoch = math.ceil(len(centers) / config.batch_size)
-    rate = _LinearRate(config.resolved_rate(), config.epochs * batches_per_epoch)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(centers))
-        for start in range(0, len(order), config.batch_size):
-            sel = order[start:start + config.batch_size]
-            negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
-            cbow_batch_step(W, C, centers[sel], table[sel], mask[sel], negatives, rate.next())
-        log.debug("cbow epoch %d/%d done", epoch + 1, config.epochs)
-
-    return EmbeddingMatrix(words=vocab.words, vectors=W, metadata=_metadata(corpus, config, run_index))
+    return _train(corpus, config, run_index, Model.CBOW, _context_table, cbow_batch_step)

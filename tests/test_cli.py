@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,41 @@ class TestConfigAndExitCodes:
         config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out")
         assert main(["evaluate", "--config", str(config)]) == 3
         assert "manifest" in capsys.readouterr().err
+
+
+UNSAFE_NAMES = ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"]
+
+
+class TestNamesStayInsideOutDir:
+    @staticmethod
+    def files_under(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+    @pytest.mark.parametrize("name", UNSAFE_NAMES)
+    @pytest.mark.parametrize("field", ["language", "label"])
+    def test_unsafe_name_is_rejected_before_writing(self, tmp_path, corpus_dir, capsys, field, name):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "a" / "b" / "out")
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        if field == "language":
+            payload["languages"][0]["language"] = name
+        else:
+            payload["models"][1]["name"] = name
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        before = self.files_under(tmp_path)
+        for command in ("error-rates", "train", "evaluate"):
+            assert main([command, "--config", str(config)]) == 2
+            assert "file name" in capsys.readouterr().err
+        assert self.files_under(tmp_path) == before
+
+    def test_noise_out_name_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "noise": {"levels": [0.1], "synthetic_chars": 2000, "out_name": "../../escaped"},
+        }), encoding="utf-8")
+        assert main(["noise", "--config", str(config)]) == 2
+        assert "file name" in capsys.readouterr().err
+        assert self.files_under(tmp_path) == [Path("c.json")]
 
 
 class TestStatsCommand:

@@ -13,6 +13,7 @@ from ocrdrift.preprocess import (
     preprocess_corpus,
     read_vocabulary,
     tokenize,
+    window_pairs,
     write_vocabulary,
 )
 from ocrdrift.corpus import Version
@@ -104,6 +105,23 @@ class TestBuildVocabulary:
         tc = encode_documents([["a", "zzz", "b"]], vocab)
         decoded = [vocab.words[i] for i in tc.documents[0]]
         assert decoded == ["a", "b"]
+
+
+class TestWindowPairs:
+    def test_yields_slices_in_document_then_distance_order(self):
+        docs = [np.array([1, 2, 3]), np.array([7]), np.array([], dtype=np.int64), np.array([4, 5])]
+        got = [(start, d, left.tolist(), right.tolist())
+               for start, d, left, right in window_pairs(docs, window=5)]
+        # short documents are skipped and do not advance the offset
+        assert got == [
+            (0, 1, [1, 2], [2, 3]),
+            (0, 2, [1], [3]),
+            (3, 1, [4], [5]),
+        ]
+
+    def test_window_caps_the_distance(self):
+        distances = [d for _, d, _, _ in window_pairs([np.arange(10)], window=3)]
+        assert distances == [1, 2, 3]
 
 
 class TestIntersections:

@@ -3,7 +3,9 @@
 Grouping sorts small ids as uint16 (numpy's radix sort) and negative
 sampling resolves most draws through a guide table. Both must give exactly
 what an int64 stable argsort and a binary search on every draw give, so
-trained vectors stay byte-identical.
+trained vectors stay byte-identical. The skip-gram pairs, the CBOW context
+table and the co-occurrence counts all come from one window enumerator and
+must equal what a window loop of their own gives.
 """
 
 import numpy as np
@@ -14,10 +16,18 @@ from ocrdrift import util, word2vec
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.embeddings import Model, RateProfile, TrainConfig
 from ocrdrift.glove import train_glove
-from ocrdrift.preprocess import build_vocabulary, encode_documents
+from ocrdrift.preprocess import TokenizedCorpus, Vocabulary, build_vocabulary, encode_documents
 from ocrdrift.synthetic import synthetic_documents
 from ocrdrift.util import _group_csr
-from ocrdrift.word2vec import NEGATIVE_POWER, _draw_negatives, _negative_table, train_cbow, train_sgns
+from ocrdrift.word2vec import (
+    NEGATIVE_POWER,
+    _context_table,
+    _draw_negatives,
+    _negative_table,
+    _skipgram_pairs,
+    train_cbow,
+    train_sgns,
+)
 
 
 def reference_group_csr(rows, n_cols, data, cols):
@@ -155,3 +165,150 @@ def test_training_matches_reference_paths(monkeypatch, model):
     monkeypatch.setattr(word2vec, "_draw_negatives", reference_draw_negatives)
     reference = _train(model)
     assert np.array_equal(fast, reference)
+
+
+# ----------------------------------------------------------------------
+# window enumeration: each consumer against its own window loop
+# ----------------------------------------------------------------------
+
+def reference_skipgram_pairs(documents, window):
+    centers, contexts = [], []
+    for doc in documents:
+        n = len(doc)
+        if n < 2:
+            continue
+        for distance in range(1, min(window, n - 1) + 1):
+            left = doc[:-distance]
+            right = doc[distance:]
+            centers.append(left)
+            contexts.append(right)
+            centers.append(right)
+            contexts.append(left)
+    if not centers:
+        raise ValueError("corpus has no token pairs inside the window")
+    return np.concatenate(centers).astype(np.int32), np.concatenate(contexts).astype(np.int32)
+
+
+def reference_context_table(documents, window):
+    offsets = [s for s in range(-window, window + 1) if s != 0]
+    center_parts, table_parts = [], []
+    for doc in documents:
+        n = len(doc)
+        if n < 2:
+            continue
+        table = np.full((n, len(offsets)), -1, dtype=np.int32)
+        for slot, s in enumerate(offsets):
+            if abs(s) >= n:
+                continue
+            if s < 0:
+                table[-s:, slot] = doc[: n + s]
+            else:
+                table[: n - s, slot] = doc[s:]
+        center_parts.append(doc.astype(np.int32))
+        table_parts.append(table)
+    if not center_parts:
+        raise ValueError("corpus has no token pairs inside the window")
+    table = np.concatenate(table_parts, axis=0)
+    return np.concatenate(center_parts), table, table >= 0
+
+
+def reference_cooccurrences(corpus, window_size, weighting):
+    if window_size < 1:
+        raise ValueError("window_size must be >= 1")
+    if not any(len(doc) for doc in corpus.documents):
+        raise ValueError("cannot count co-occurrences of an empty corpus")
+    size = len(corpus.vocabulary)
+    rows, cols, weights = [], [], []
+    for doc in corpus.documents:
+        n = len(doc)
+        if n < 2:
+            continue
+        for distance in range(1, min(window_size, n - 1) + 1):
+            left = doc[:-distance].astype(np.int64)
+            right = doc[distance:].astype(np.int64)
+            w = 1.0 if weighting is Weighting.FLAT else 1.0 / distance
+            rows.append(left)
+            cols.append(right)
+            rows.append(right)
+            cols.append(left)
+            weights.append(np.full(2 * len(left), w))
+    if not rows:
+        raise ValueError("no token pairs inside the window (documents too short)")
+    matrix = sp.coo_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    ).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+VOCAB_SIZE = 15
+VOCAB = Vocabulary(word_to_id={f"w{i}": i for i in range(VOCAB_SIZE)},
+                   frequencies=np.arange(VOCAB_SIZE, 0, -1), min_count=1)
+
+
+def random_documents(seed):
+    """0-6 documents of 0-9 tokens, so empty and one-token documents are common."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        rng.integers(0, VOCAB_SIZE, int(rng.integers(0, 10))).astype(np.int32)
+        for _ in range(int(rng.integers(0, 7)))
+    )
+
+
+def outcome(fn, *args):
+    """The returned arrays, or the ValueError's message."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return result if isinstance(result, tuple) else (result.indptr, result.indices, result.data)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def assert_consumers_match(docs, window):
+    assert_same_outcome(outcome(_skipgram_pairs, docs, window),
+                        outcome(reference_skipgram_pairs, docs, window))
+    assert_same_outcome(outcome(_context_table, docs, window),
+                        outcome(reference_context_table, docs, window))
+    corpus = TokenizedCorpus(documents=docs, vocabulary=VOCAB)
+    for weighting in Weighting:
+        assert_same_outcome(
+            outcome(lambda *a: count_cooccurrences(*a).counts, corpus, window, weighting),
+            outcome(reference_cooccurrences, corpus, window, weighting),
+        )
+
+
+FIXED_CORPORA = {
+    "empty": (),
+    "all_short": (np.array([], dtype=np.int32), np.array([3], dtype=np.int32)),
+    "two_tokens": (np.array([1, 2], dtype=np.int32),),
+    "mixed": (np.array([4], dtype=np.int32), np.arange(7, dtype=np.int32),
+              np.array([], dtype=np.int32), np.array([9, 9, 1], dtype=np.int32)),
+}
+
+
+class TestWindowEnumeration:
+    @pytest.mark.parametrize("window", [1, 2, 6, 7, 50])
+    @pytest.mark.parametrize("name", FIXED_CORPORA)
+    def test_fixed_corpora(self, name, window):
+        assert_consumers_match(FIXED_CORPORA[name], window)
+
+    def test_random_corpora(self):
+        raised = 0
+        for seed in range(300):
+            docs, window = random_documents(seed), 1 + seed % 11
+            assert_consumers_match(docs, window)
+            raised += isinstance(outcome(_skipgram_pairs, docs, window), str)
+        # both the error path and the array path are exercised
+        assert 0 < raised < 300
