@@ -6,6 +6,8 @@ document counts, alignment, character statistics, and 500-character
 splitting.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -20,12 +22,13 @@ from ocrdrift import (
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 
 workdir = Path(tempfile.mkdtemp(prefix="ocrdrift-demo-"))
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 
 # a corpus of ~60k characters with 8% character noise on the OCR side
 docs = synthetic_documents(60_000, seed=42, n_types=300, doc_chars=1200)
 corpus = noisy_corpus(docs, NoiseSpec(target_cer=0.08, seed=7))
 save_paired_files(corpus, workdir / "demo_corpus")
-print(f"wrote {len(corpus)} document pairs under {workdir / 'demo_corpus'}")
+print(f"wrote {len(corpus)} document pairs in the paired file layout")
 
 # loading reports anything it had to skip, and keeps documents sorted
 corpus = load_corpus(workdir / "demo_corpus", "paired", "other")

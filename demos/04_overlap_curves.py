@@ -7,6 +7,8 @@ Renders the curves (with bootstrap confidence bands and the small-N
 inset) to an SVG.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from ocrdrift.svg import CurveSeries, render_overlap_svg
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 
 workdir = Path(tempfile.mkdtemp(prefix="ocrdrift-demo-"))
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 docs = synthetic_documents(200_000, seed=17, n_types=400, n_topics=20,
                            doc_chars=900, min_len=2, max_len=5)
 
@@ -62,5 +65,6 @@ for level in (0.05, 0.15, 0.30):
     print(f"CER {level:.2f}: overlap@N=0.05 (k={k5}) = {curve.means[4]:.3f} "
           f"[{curve.ci_low[4]:.3f}, {curve.ci_high[4]:.3f}]")
 
-render_overlap_svg(series, workdir / "overlap.svg", title="OCR noise vs neighbor overlap")
-print(f"\ncurves and figure written under {workdir}")
+figure = workdir / "overlap.svg"
+render_overlap_svg(series, figure, title="OCR noise vs neighbor overlap")
+print(f"\nrendered {len(series)} curves with bands to a {figure.stat().st_size:,}-byte SVG")

@@ -7,13 +7,16 @@ a noisy corpus, then runs stats -> error-rates -> train -> evaluate on
 it, producing tables, curves, and the final figure.
 """
 
+import atexit
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
 from ocrdrift.cli import main
 
 workdir = Path(tempfile.mkdtemp(prefix="ocrdrift-demo-"))
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 
 # stage 1: synthesize an aligned corpus at 10% character noise
 noise_config = workdir / "noise.json"

@@ -188,6 +188,9 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
                 raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
         if len(words) != count:
             raise ValueError(f"{path}: header declares {count} rows, found {len(words)}")
+    bad_rows = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")
     return EmbeddingMatrix(
         words=tuple(words),
         vectors=vectors,

@@ -24,6 +24,10 @@ from .preprocess import VocabIntersection
 
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_RESAMPLES = 1000
+# Ranking works in blocks of query rows; each (rows, intersection) array
+# of a block takes at most this many bytes, so ranking memory stays
+# bounded whatever the vocabulary size.
+BLOCK_BYTES = 1 << 20
 
 
 def default_n_grid() -> tuple[float, ...]:
@@ -51,7 +55,11 @@ def _intersection_words(intersection: VocabIntersection | Iterable[str]) -> tupl
 def _normalized_rows(
     emb: EmbeddingMatrix, words: Sequence[str]
 ) -> tuple[np.ndarray | sp.csr_matrix, np.ndarray]:
-    """Unit-normalized intersection rows plus a mask of zero vectors."""
+    """Unit-normalized intersection rows plus a mask of zero vectors.
+
+    A NaN or infinite value would make the ranking meaningless, so it is
+    an error that names the word.
+    """
     rows = []
     for w in words:
         if w not in emb.word_to_row:
@@ -59,50 +67,75 @@ def _normalized_rows(
         rows.append(emb.word_to_row[w])
     sub = emb.vectors[np.array(rows, dtype=np.int64)]
     if isinstance(sub, np.ndarray):
+        bad_rows = np.flatnonzero(~np.isfinite(sub).all(axis=1))
         norms = np.linalg.norm(sub, axis=1)
-        zero = norms == 0.0
-        safe = np.where(zero, 1.0, norms)
-        return sub / safe[:, None], zero
-    sq = np.asarray(sub.multiply(sub).sum(axis=1)).ravel()
-    norms = np.sqrt(sq)
+    else:
+        bad_rows = np.searchsorted(sub.indptr, np.flatnonzero(~np.isfinite(sub.data)), side="right") - 1
+        norms = np.sqrt(np.asarray(sub.multiply(sub).sum(axis=1)).ravel())
+    if bad_rows.size:
+        raise ValueError(f"intersection word {words[bad_rows[0]]!r} has a non-finite vector value")
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
+    if isinstance(sub, np.ndarray):
+        return sub / safe[:, None], zero
     return sp.diags(1.0 / safe) @ sub, zero
 
 
-def _order_block(
+def _block_rows(*widths: int) -> int:
+    """Query rows per block: a (rows, width) array of 8-byte values fits
+    in BLOCK_BYTES for each width given (the intersection size, and each
+    space's vector width, since a sparse query block is densified)."""
+    return max(1, BLOCK_BYTES // (8 * max(widths)))
+
+
+def _similarities(
     normalized: np.ndarray | sp.csr_matrix,
     zero_mask: np.ndarray,
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Similarity orderings for query words [start, stop).
+    """Cosines of query words [start, stop) against every candidate.
 
-    Row q lists all candidate indices by descending cosine, ties broken by
-    candidate index (the words are alphabetical, so ties resolve
-    alphabetically). Zero vectors score -1 against everything; the query
-    itself is forced to the final position.
+    Zero vectors score -1 against everything; the query itself scores
+    -inf, so it sorts to the final position.
     """
-    block = normalized[start:stop]
-    sims = block @ normalized.T
-    if not isinstance(sims, np.ndarray):
-        sims = sims.toarray()
+    if isinstance(normalized, np.ndarray):
+        sims = normalized[start:stop] @ normalized.T
+    else:
+        # the product is nearly dense, so the sparse rows times a dense
+        # query block take about half the time of a sparse-by-sparse
+        # product; both add the same nonzero terms in the same order
+        sims = np.ascontiguousarray((normalized @ normalized[start:stop].toarray().T).T)
     sims[:, zero_mask] = -1.0
     sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-    return np.argsort(-sims, axis=1, kind="stable")
+    return sims
 
 
-def _rank_block(
-    normalized: np.ndarray | sp.csr_matrix,
-    zero_mask: np.ndarray,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """0-based rank of every candidate for query words [start, stop)."""
-    order = _order_block(normalized, zero_mask, start, stop)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(order.shape[1]), order.shape), axis=1)
-    return ranks
+def _descending_order(sims: np.ndarray) -> np.ndarray:
+    """Candidate indices per row by descending similarity, ties broken by
+    index: exactly `np.argsort(-sims, axis=1, kind="stable")`. Overwrites
+    `sims`.
+
+    The words are alphabetical, so ties resolve alphabetically. The
+    default (SIMD) argsort does the sorting; rows that hold equal values
+    then get each run of equal values put back in index order by sorting
+    (run number, index) keys.
+    """
+    np.negative(sims, out=sims)
+    order = np.argsort(sims, axis=1)
+    sims.sort(axis=1)
+    new_run = sims[:, 1:] != sims[:, :-1]
+    tied = np.flatnonzero(~new_run.all(axis=1))
+    if tied.size:
+        size = order.shape[1]
+        keys = np.zeros((tied.size, size), dtype=np.int64)
+        np.cumsum(new_run[tied], axis=1, out=keys[:, 1:])
+        keys *= size
+        keys += order[tied]
+        keys.sort(axis=1)
+        np.remainder(keys, size, out=keys)
+        order[tied] = keys
+    return order
 
 
 @dataclass(frozen=True)
@@ -123,19 +156,24 @@ class NeighborSet:
 def neighbor_sets(
     emb: EmbeddingMatrix,
     intersection: VocabIntersection | Iterable[str],
-    block_size: int = 1024,
+    block_size: int | None = None,
 ) -> list[NeighborSet]:
-    """Exact cosine neighbor ranking of every intersection word."""
+    """Exact cosine neighbor ranking of every intersection word.
+
+    `block_size` query rows are ranked at a time; by default as many as
+    BLOCK_BYTES allows.
+    """
     words = _intersection_words(intersection)
     if len(words) < 2:
         raise ValueError("intersection must hold at least two words")
     normalized, zero = _normalized_rows(emb, words)
     out: list[NeighborSet] = []
     size = len(words)
+    block_size = block_size or _block_rows(size, normalized.shape[1])
     for start in range(0, size, block_size):
         stop = min(start + block_size, size)
         # the query itself always occupies the final position; drop it
-        order = _order_block(normalized, zero, start, stop)[:, :-1]
+        order = _descending_order(_similarities(normalized, zero, start, stop))[:, :-1]
         for i in range(stop - start):
             out.append(NeighborSet(word=start + i, neighbors=order[i].astype(np.int32)))
     return out
@@ -162,38 +200,49 @@ def bootstrap_ci(
 
     Words are resampled with replacement `resamples` times; the interval
     is the central `confidence` mass of the resampled means. Deterministic
-    for a given seed.
+    for a given seed. This is the one-row case of `_bootstrap_bands`.
     """
-    values = np.asarray(per_word_overlaps, dtype=np.float64)
-    if values.size == 0:
+    values = np.asarray(per_word_overlaps, dtype=np.float64).reshape(1, -1)
+    low, high = _bootstrap_bands(values, confidence, resamples, seed)
+    return float(low[0]), float(high[0])
+
+
+def _bootstrap_bands(
+    per_word: np.ndarray, confidence: float, resamples: int, seed: int | tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Percentile bootstrap band for the mean of every row of `per_word`.
+
+    One resample set serves every row (Efron & Tibshirani 1993): each
+    resample draws the columns with replacement once, as counts, and all
+    rows' resampled means come from one product with those counts, so the
+    band is coherent across the grid. A row whose values are all equal
+    gets a zero-width band at exactly its `mean(axis=1)`, the value
+    `evaluate_pair` reports, so product rounding cannot put the mean
+    outside its band.
+    """
+    if per_word.shape[1] == 0:
         raise ValueError("cannot bootstrap an empty sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     rng = np.random.default_rng(seed)
-    n = values.size
-    means = np.empty(resamples, dtype=np.float64)
+    n = per_word.shape[1]
+    means = np.empty((resamples, len(per_word)), dtype=np.float64)
     chunk = max(1, 4_000_000 // n)
-    done = 0
-    while done < resamples:
+    for done in range(0, resamples, chunk):
         take = min(chunk, resamples - done)
         idx = rng.integers(0, n, size=(take, n))
-        means[done:done + take] = values[idx].mean(axis=1)
-        done += take
-    low = float(np.percentile(means, (1.0 - confidence) / 2.0 * 100.0))
-    high = float(np.percentile(means, (1.0 + confidence) / 2.0 * 100.0))
-    return low, high
-
-
-def _bootstrap_bands(
-    per_word: np.ndarray, confidence: float, resamples: int, seed_prefix: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """bootstrap_ci per grid row, seeded (*seed_prefix, row index)."""
-    low = np.empty(len(per_word))
-    high = np.empty(len(per_word))
-    for gi in range(len(per_word)):
-        low[gi], high[gi] = bootstrap_ci(per_word[gi], confidence, resamples, (*seed_prefix, gi))
+        # offset each resample's draws into its own row of counts
+        idx += np.arange(0, take * n, n)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=take * n).reshape(take, n)
+        del idx
+        means[done:done + take] = counts.astype(np.float64) @ per_word.T / n
+    low, high = np.percentile(
+        means, [(1.0 - confidence) / 2.0 * 100.0, (1.0 + confidence) / 2.0 * 100.0], axis=0
+    )
+    constant = np.all(per_word == per_word[:, :1], axis=1)
+    low[constant] = high[constant] = per_word[constant].mean(axis=1)
     return low, high
 
 
@@ -227,14 +276,21 @@ def evaluate_pair(
     confidence: float = DEFAULT_CONFIDENCE,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
-    block_size: int = 1024,
+    block_size: int | None = None,
 ) -> OverlapCurve:
     """Overlap curve between two spaces over their shared vocabulary.
 
-    Works in query blocks so the two full rank tables are never held at
-    once: a candidate is in both top-k sets exactly when the larger of its
-    two ranks is at most k, so per-word overlaps for the whole fraction
-    grid come from one sorted pass over the combined ranks.
+    Works in query blocks (sized by BLOCK_BYTES unless `block_size` is
+    given) so the two full rank tables are never held at once: a
+    candidate is in both top-k sets exactly when the larger of its two
+    ranks is at most k, so per-word overlaps for the whole fraction grid
+    come from one cumulative count of the combined ranks.
+
+    Memory budget: besides the inputs and the returned curve it holds two
+    normalized copies of each space's intersection rows, at most six
+    block arrays of at most BLOCK_BYTES each while ranking, and at most
+    two bootstrap chunks of min(4M, resamples * size) 8-byte values while
+    resampling.
     """
     words = _intersection_words(intersection)
     size = len(words)
@@ -247,15 +303,23 @@ def evaluate_pair(
     norm_b, zero_b = _normalized_rows(emb_truth, words)
 
     per_word = np.empty((len(grid), size), dtype=np.float64)
+    positions = np.arange(size)
+    block_size = block_size or _block_rows(size, norm_a.shape[1], norm_b.shape[1])
     for start in range(0, size, block_size):
         stop = min(start + block_size, size)
-        ranks_a = _rank_block(norm_a, zero_a, start, stop)
-        ranks_b = _rank_block(norm_b, zero_b, start, stop)
-        combined = np.maximum(ranks_a, ranks_b) + 1
-        combined.sort(axis=1)
-        for i in range(stop - start):
-            shared = np.searchsorted(combined[i], ks, side="right")
-            per_word[:, start + i] = shared / ks
+        rows = stop - start
+        combined = np.zeros((rows, size), dtype=np.int64)
+        for normalized, zero in ((norm_a, zero_a), (norm_b, zero_b)):
+            order = _descending_order(_similarities(normalized, zero, start, stop))
+            ranks = np.empty_like(order)
+            np.put_along_axis(ranks, order, np.broadcast_to(positions, order.shape), axis=1)
+            np.maximum(combined, ranks, out=combined)
+            del order, ranks
+        # shared[q, k - 1]: candidates whose larger 0-based rank is below k
+        combined += np.arange(0, rows * size, size)[:, None]
+        shared = np.bincount(combined.ravel(), minlength=rows * size).reshape(rows, size)
+        np.cumsum(shared, axis=1, out=shared)
+        per_word[:, start:stop] = (shared[:, ks - 1] / ks).T
 
     means = per_word.mean(axis=1)
     low, high = _bootstrap_bands(per_word, confidence, resamples, (seed,))
@@ -288,8 +352,8 @@ def average_runs(curves: Sequence[OverlapCurve]) -> OverlapCurve:
         return head
     pooled = np.concatenate([c.per_word for c in curves], axis=1)
     means = np.mean([c.means for c in curves], axis=0)
-    # the extra stream component keeps pooled draws distinct from the
-    # single-run draws at the same grid point
+    # the extra stream component keeps the pooled resample set distinct
+    # from the single-run one
     low, high = _bootstrap_bands(pooled, head.confidence, head.resamples, (head.seed, 1))
     return replace(
         head,
@@ -318,7 +382,7 @@ def write_curve_json(curve: OverlapCurve, path: str | Path, metadata: dict | Non
         "intersection_size": curve.intersection_size,
         "confidence": curve.confidence,
         "resamples": curve.resamples,
-        "bootstrap_unit": "per-word overlaps pooled across runs",
+        "bootstrap_unit": "per-word overlaps pooled across runs; one resample set shared across the grid",
         "points": [
             {"N": n, "k": k, "mean": m, "ci_low": lo, "ci_high": hi}
             for n, k, m, lo, hi in zip(

@@ -80,6 +80,13 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2"):
             import_embeddings(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "v.txt"
+        path.write_text(f"4 2\na 1 2\nb 3 4\nc 5 {value}\nd 7 8\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-finite value at line 4"):
+            import_embeddings(path)
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2\na 1 2\nb 3 4\n", encoding="utf-8")

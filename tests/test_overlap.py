@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ocrdrift.embeddings import EmbeddingMatrix, EmbeddingMetadata, Model
 from ocrdrift.overlap import (
@@ -250,6 +251,28 @@ class TestEvaluatePair:
         b = random_embedding(rng, 10, 4, prefix="x")
         with pytest.raises(KeyError):
             evaluate_pair(a, b, a.words, n_grid=[0.5])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_names_word(self, value):
+        rng = np.random.default_rng(15)
+        a = random_embedding(rng, 6, 3)
+        vectors = a.vectors.copy()
+        vectors[4, 1] = value
+        bad = embedding(a.words, vectors)
+        with pytest.raises(ValueError, match="'w0004' has a non-finite"):
+            evaluate_pair(a, bad, a.words, n_grid=[0.5])
+        with pytest.raises(ValueError, match="'w0004' has a non-finite"):
+            neighbor_sets(bad, a.words)
+
+    def test_non_finite_sparse_vector_names_word(self):
+        words = ("a", "b", "c", "d")
+        vectors = sp.csr_matrix(np.array([[1.0, 0, 0], [0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]]))
+        vectors.data[-1] = np.nan
+        emb = EmbeddingMatrix(words=words, vectors=vectors, metadata=EmbeddingMetadata(model=Model.PPMI))
+        with pytest.raises(ValueError, match="'d' has a non-finite"):
+            neighbor_sets(emb, words)
+        # words outside the intersection are not checked
+        assert len(neighbor_sets(emb, words[:3])) == 3
 
     def test_too_small_intersection(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,15 @@ what an int64 stable argsort and a binary search on every draw give, so
 trained vectors stay byte-identical. The skip-gram pairs, the CBOW context
 table and the co-occurrence counts all come from one window enumerator and
 must equal what a window loop of their own gives.
+
+Evaluation ranks with the default (unstable) argsort and then restores the
+stable tie order, in blocks sized by a byte budget, and bootstraps every
+grid row from one set of resample counts. The orderings must equal a
+stable argsort, the bands must equal plain per-resample means of the same
+draws, and one evaluation must stay within its stated memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +22,20 @@ import scipy.sparse as sp
 
 from ocrdrift import util, word2vec
 from ocrdrift.cooccur import Weighting, count_cooccurrences
-from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.embeddings import EmbeddingMatrix, EmbeddingMetadata, Model, RateProfile, TrainConfig
 from ocrdrift.glove import train_glove
+from ocrdrift.overlap import (
+    BLOCK_BYTES,
+    _bootstrap_bands,
+    _descending_order,
+    _normalized_rows,
+    _similarities,
+    bootstrap_ci,
+    evaluate_pair,
+    neighbor_sets,
+    overlap_at_k,
+)
+from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import TokenizedCorpus, Vocabulary, build_vocabulary, encode_documents
 from ocrdrift.synthetic import synthetic_documents
 from ocrdrift.util import _group_csr
@@ -312,3 +332,210 @@ class TestWindowEnumeration:
             raised += isinstance(outcome(_skipgram_pairs, docs, window), str)
         # both the error path and the array path are exercised
         assert 0 < raised < 300
+
+
+def reference_order(sims):
+    return np.argsort(-sims, axis=1, kind="stable")
+
+
+def reference_order_block(normalized, zero_mask, start, stop):
+    """The previous ranking of one query block: a stable argsort."""
+    sims = normalized[start:stop] @ normalized.T
+    if not isinstance(sims, np.ndarray):
+        sims = sims.toarray()
+    sims[:, zero_mask] = -1.0
+    sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+    return np.argsort(-sims, axis=1, kind="stable")
+
+
+def assert_same_order(sims):
+    expected = reference_order(sims)
+    got = _descending_order(sims.copy())
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+def external(words, vectors, model=Model.EXTERNAL):
+    return EmbeddingMatrix(words=tuple(words), vectors=vectors, metadata=EmbeddingMetadata(model=model))
+
+
+def exact_tie_vectors(rng, n):
+    """Four entries of +-1 per row (norm 2), so every cosine is a multiple
+    of 1/4, exact whatever the block shape; every seventh row is zero."""
+    signs = rng.choice([-1.0, 1.0], size=(n, 6))
+    vectors = signs * (np.argsort(rng.random((n, 6)), axis=1) < 4)
+    vectors[::7] = 0.0
+    return vectors
+
+
+def assert_blocks_match(emb, words, rows):
+    normalized, zero = _normalized_rows(emb, words)
+    size = len(words)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        got = _descending_order(_similarities(normalized, zero, start, stop))
+        np.testing.assert_array_equal(got, reference_order_block(normalized, zero, start, stop))
+        # the query itself always comes last
+        np.testing.assert_array_equal(got[:, -1], np.arange(start, stop))
+
+
+class TestDescendingOrder:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tie_heavy(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, size = int(rng.integers(1, 40)), int(rng.integers(2, 400))
+        levels = int(rng.integers(1, 6))
+        # a few distinct values per row, so long runs of ties
+        sims = rng.integers(-levels, levels + 1, size=(rows, size)) / levels
+        # every third row without ties
+        sims[::3] = rng.random((len(sims[::3]), size))
+        assert_same_order(sims)
+
+    def test_signed_zeros_tie(self):
+        sims = np.array([[0.0, -0.0, 0.5, -0.0, 0.0, -1.0, -0.0, -np.inf]])
+        assert_same_order(sims)
+        assert _descending_order(sims.copy())[0].tolist() == [2, 0, 1, 3, 4, 6, 5, 7]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 2), (5, 1)])
+    def test_tiny_shapes(self, shape):
+        assert_same_order(np.zeros(shape))
+        assert_same_order(np.random.default_rng(0).random(shape))
+
+    def test_all_rows_tied_and_none_tied(self):
+        assert_same_order(np.zeros((7, 50)))
+        assert_same_order(np.random.default_rng(1).random((7, 50)))
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_dense_ties_and_zero_vectors(self, rows):
+        rng = np.random.default_rng(rows)
+        # entries in {-1, 0, 1}, dimension 3: many repeated directions,
+        # hence tied cosines, and some all-zero vectors
+        vectors = rng.integers(-1, 2, size=(150, 3)).astype(np.float64)
+        vectors[::17] = 0.0
+        words = [f"w{i:03d}" for i in range(150)]
+        assert_blocks_match(external(words, vectors), words, rows)
+
+    @pytest.mark.parametrize("rows", [1, 9, 200])
+    def test_sparse_ppmi_exact_zero_cosines(self, rows):
+        docs = [d.split() for d in synthetic_documents(20_000, seed=3, n_types=200, doc_chars=300)]
+        corpus = encode_documents(docs, build_vocabulary(docs, min_count=2))
+        emb = train_ppmi(count_cooccurrences(corpus, 2, Weighting.FLAT))
+        words = sorted(emb.words)
+        normalized, zero = _normalized_rows(emb, words)
+        sims = (normalized @ normalized.T).toarray()
+        assert np.count_nonzero(sims == 0.0) > len(words)
+        assert_blocks_match(emb, words, rows)
+
+    def test_neighbor_sets_with_ties_match_reference(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.integers(-2, 3, size=(90, 4)).astype(np.float64)
+        words = [f"w{i:02d}" for i in range(90)]
+        emb = external(words, vectors)
+        normalized, zero = _normalized_rows(emb, words)
+        for block_size in (1, 13, 90):
+            # a block's cosines can round differently from another block
+            # size's, so the reference ranks the same blocks
+            expected = np.vstack([
+                reference_order_block(normalized, zero, start, min(start + block_size, 90))[:, :-1]
+                for start in range(0, 90, block_size)
+            ])
+            sets = neighbor_sets(emb, words, block_size=block_size)
+            np.testing.assert_array_equal(np.stack([s.neighbors for s in sets]), expected)
+
+    def test_blocked_overlaps_with_ties_match_pairwise(self):
+        rng = np.random.default_rng(6)
+        words = [f"w{i:02d}" for i in range(70)]
+        a = external(words, exact_tie_vectors(rng, 70))
+        b = external(words, exact_tie_vectors(rng, 70))
+        sets_a, sets_b = neighbor_sets(a, words), neighbor_sets(b, words)
+        for block_size in (None, 1, 8):
+            curve = evaluate_pair(a, b, words, n_grid=[0.02, 0.1, 0.5, 1.0], resamples=10,
+                                  block_size=block_size)
+            for gi, k in enumerate(curve.k_values):
+                expected = [overlap_at_k(sa, sb, k) for sa, sb in zip(sets_a, sets_b)]
+                np.testing.assert_array_equal(curve.per_word[gi], expected)
+
+
+def reference_bands(per_word, confidence, resamples, seed):
+    """Plain per-resample means of the same draws, chunked the same way."""
+    rng = np.random.default_rng(seed)
+    n = per_word.shape[1]
+    chunk = max(1, 4_000_000 // n)
+    means = np.empty((resamples, len(per_word)))
+    for done in range(0, resamples, chunk):
+        take = min(chunk, resamples - done)
+        idx = rng.integers(0, n, size=(take, n))
+        for row, values in enumerate(per_word):
+            means[done:done + take, row] = values[idx].mean(axis=1)
+    q = [(1.0 - confidence) / 2.0 * 100.0, (1.0 + confidence) / 2.0 * 100.0]
+    return np.percentile(means, q, axis=0)
+
+
+class TestBootstrapBands:
+    @pytest.mark.parametrize("n,resamples,seed", [(37, 300, (3,)), (5_000, 1_000, (3, 1)), (9_000, 7, 11)])
+    def test_matches_plain_resampled_means(self, n, resamples, seed):
+        rng = np.random.default_rng(n)
+        ks = np.array([1, 4, 25])
+        per_word = rng.integers(0, ks[:, None] + 1, size=(len(ks), n)) / ks[:, None]
+        per_word = np.vstack([per_word, rng.random(n)])
+        low, high = _bootstrap_bands(per_word, 0.9, resamples, seed)
+        ref_low, ref_high = reference_bands(per_word, 0.9, resamples, seed)
+        np.testing.assert_allclose(low, ref_low, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(high, ref_high, rtol=0, atol=1e-12)
+
+    def test_constant_rows_get_zero_width_at_the_mean(self):
+        rng = np.random.default_rng(8)
+        per_word = np.vstack([np.full(301, 0.1), rng.random(301), np.full(301, 1.0), np.full(301, 0.2)])
+        # the mean of 301 copies of 0.2 is not 0.2 itself
+        assert per_word[3].mean() != per_word[3, 0]
+        low, high = _bootstrap_bands(per_word, 0.95, 200, (1,))
+        means = per_word.mean(axis=1)
+        for row in (0, 2, 3):
+            assert low[row] == high[row] == means[row]
+        assert low[1] < means[1] < high[1]
+
+    def test_bootstrap_ci_is_the_one_row_case(self):
+        values = np.random.default_rng(9).random(400)
+        low, high = _bootstrap_bands(values[None, :], 0.8, 250, 4)
+        assert bootstrap_ci(values, 0.8, 250, seed=4) == (low[0], high[0])
+        ref_low, ref_high = reference_bands(values[None, :], 0.8, 250, 4)
+        assert abs(low[0] - ref_low[0]) <= 1e-12 and abs(high[0] - ref_high[0]) <= 1e-12
+
+
+def _stored_bytes(vectors):
+    if isinstance(vectors, np.ndarray):
+        return vectors.nbytes
+    return vectors.data.nbytes + vectors.indices.nbytes + vectors.indptr.nbytes
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_evaluate_pair_memory_stays_within_budget(kind):
+    """Working memory, as evaluate_pair's docstring states it: two
+    normalized copies of each space, the score table, six block arrays of
+    BLOCK_BYTES while ranking and two bootstrap draw chunks."""
+    size, grid, resamples = 3_000, [0.01, 0.1], 20
+    words = [f"w{i:05d}" for i in range(size)]
+    if kind == "dense":
+        rng = np.random.default_rng(12)
+        a = external(words, rng.normal(size=(size, 8)))
+        b = external(words, np.round(rng.normal(size=(size, 8))))
+    else:
+        # wider than the intersection, like PPMI rows over a model's vocabulary
+        a, b = (external(words, sp.random(size, 2 * size, density=0.01, format="csr", random_state=seed),
+                         Model.PPMI) for seed in (1, 2))
+    budget = (
+        2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
+        + len(grid) * size * 8
+        + 6 * BLOCK_BYTES
+        + 2 * min(4_000_000, resamples * size) * 8
+    )
+    # one (rows, size) array of a fixed 1024-row block alone exceeds it
+    assert 1024 * size * 8 > budget
+    tracemalloc.start()
+    try:
+        curve = evaluate_pair(a, b, words, n_grid=grid, resamples=resamples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.per_word.shape == (len(grid), size)
+    assert peak <= budget, f"peak {peak} bytes, budget {budget}"
