@@ -18,10 +18,16 @@ import argparse
 import csv
 import json
 import logging
+import multiprocessing
+import os
 import sys
+import threading
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,6 +260,114 @@ def _train_one(
     raise ConfigError(f"model {spec.label!r} cannot be trained locally")
 
 
+class _TrainJob(NamedTuple):
+    """One (model, version, run) to train; `out` is the language's output directory."""
+
+    spec: ModelSpec
+    version: Version
+    run: int
+    seed: int
+    tokenized: TokenizedCorpus
+    out: Path
+
+    @property
+    def stem(self) -> str:
+        return f"{self.spec.label}_{self.version.value}_run{self.run}"
+
+
+def _train_and_save(job: _TrainJob) -> dict:
+    """Train one job and write its embedding file; returns its manifest entry."""
+    started = time.perf_counter()
+    emb = _train_one(job.spec, job.tokenized, job.seed, job.run)
+    wall = time.perf_counter() - started
+    if emb.is_dense:
+        emb_path = job.out / "embeddings" / f"{job.stem}.txt"
+        export_embeddings(emb, emb_path)
+    else:
+        emb_path = job.out / "embeddings" / f"{job.stem}.npz"
+        save_sparse_embeddings(emb, emb_path)
+    return {
+        "model": job.spec.label,
+        "version": job.version.value,
+        "run": job.run,
+        "seed": job.seed,
+        "embedding_path": str(emb_path.relative_to(job.out)),
+        "train_wall_seconds": round(wall, 3),
+    }
+
+
+# The job list of the pool a training worker belongs to. Only the workers
+# set it (pool initializer); a forked worker inherits the list, corpora
+# included, so a task is sent as its index alone.
+_worker_jobs: list[_TrainJob] = []
+
+
+def _init_worker(jobs: list[_TrainJob], parent: int) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once `parent` is gone. A parent killed outright
+    cannot shut its pool down, and its workers would wait on their task
+    queue for ever."""
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
+
+
+def _run_job(index: int) -> dict:
+    return _train_and_save(_worker_jobs[index])
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _train_in_workers(jobs: list[_TrainJob], language: str) -> list[dict]:
+    """Run every job in a pool of worker processes, one per usable CPU.
+
+    Each job is a pure function of its corpus and seed, so the files are
+    the same whatever the worker count. Workers print nothing; entries and
+    progress lines come from here, in job order. A job's exception cancels
+    the jobs not yet started and is raised here; a worker killed by a
+    signal raises BrokenProcessPool.
+    """
+    # fork: workers inherit the imported modules and the corpora instead
+    # of importing and unpickling them. It is safe here because a fork-based
+    # pool starts every worker before its own manager thread, and OpenBLAS
+    # stops its threads before a fork and starts them again when next used.
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    pool = ProcessPoolExecutor(
+        min(len(jobs), _usable_cpus()),
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(jobs, os.getpid()),
+    )
+    try:
+        futures = [pool.submit(_run_job, index) for index in range(len(jobs))]
+        entries = []
+        for job, future in zip(jobs, futures):
+            entries.append(future.result())
+            print(f"{language}/{job.stem}: trained in {entries[-1]['train_wall_seconds']:.1f}s")
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return entries
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, so that `path`
+    is never left holding part of the new text."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(text, encoding="utf-8")
+    os.replace(partial, path)
+
+
 def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
     sources = config.for_language(lang)
     trainable = [m for m in config.models if m.model is not Model.EXTERNAL]
@@ -262,11 +376,10 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
     for src in sources:
         corpus = load_corpus(src.path, src.format, src.language)
         out = config.out_dir / src.language.name
-        emb_dir = out / "embeddings"
-        emb_dir.mkdir(parents=True, exist_ok=True)
+        (out / "embeddings").mkdir(parents=True, exist_ok=True)
 
         tokenized_cache: dict[tuple[Version, int], TokenizedCorpus] = {}
-        entries = []
+        jobs = []
         for spec in trainable:
             # PPMI has no stochastic state: one run covers it
             runs = 1 if spec.model is Model.PPMI else config.runs
@@ -274,32 +387,17 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
                 key = (version, spec.min_count)
                 if key not in tokenized_cache:
                     tokenized_cache[key] = preprocess_corpus(corpus, version, spec.min_count)
-                tokenized = tokenized_cache[key]
                 for run in range(runs):
-                    seed = config.seed + run
-                    started = time.perf_counter()
-                    emb = _train_one(spec, tokenized, seed, run)
-                    wall = time.perf_counter() - started
-                    stem = f"{spec.label}_{version.value}_run{run}"
-                    if emb.is_dense:
-                        emb_path = emb_dir / f"{stem}.txt"
-                        export_embeddings(emb, emb_path)
-                    else:
-                        emb_path = emb_dir / f"{stem}.npz"
-                        save_sparse_embeddings(emb, emb_path)
-                    entries.append(
-                        {
-                            "model": spec.label,
-                            "version": version.value,
-                            "run": run,
-                            "seed": seed,
-                            "embedding_path": str(emb_path.relative_to(out)),
-                            "train_wall_seconds": round(wall, 3),
-                        }
+                    jobs.append(
+                        _TrainJob(spec, version, run, config.seed + run, tokenized_cache[key], out)
                     )
-                    print(f"{src.language.name}/{stem}: trained in {wall:.1f}s")
+        # embedding files are overwritten one by one: an old manifest left
+        # in place by a failed run would list a mix of old and new files
+        manifest_path = out / "manifest.json"
+        manifest_path.unlink(missing_ok=True)
+        entries = _train_in_workers(jobs, src.language.name)
         manifest = {"language": src.language.name, "entries": entries}
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        _write_atomically(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
@@ -443,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"error: a training worker died: {exc}", file=sys.stderr)
+        return 1
     except Exception:
         traceback.print_exc()
         return 1

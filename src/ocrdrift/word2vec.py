@@ -165,6 +165,13 @@ class _LinearRate:
         return self.initial * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
 
 
+def _pair_index(b: int, k: int) -> np.ndarray:
+    """The batch row of each output-side update of a (b, k) batch: the b
+    positives, then the k negatives of each row."""
+    rows = np.arange(b, dtype=np.int64)
+    return np.concatenate([rows, np.repeat(rows, k)])
+
+
 def _update_outputs(
     C: np.ndarray,
     targets: np.ndarray,
@@ -172,19 +179,19 @@ def _update_outputs(
     pos_coef: np.ndarray,
     neg_coef: np.ndarray,
     hidden: np.ndarray,
+    pair_index: np.ndarray | None = None,
 ) -> None:
     """C[targets[i]] += pos_coef[i] * hidden[i], and likewise for each negative.
 
     Every output-side update is a coefficient times one batch row of
     `hidden`: one grouped pass covers positives and negatives together.
+    `pair_index` is _pair_index(*negatives.shape), built here if omitted.
     """
-    b, k = negatives.shape
+    if pair_index is None:
+        pair_index = _pair_index(*negatives.shape)
     rows = np.concatenate([targets, negatives.ravel()])
     weights = np.concatenate([pos_coef, neg_coef.ravel()])
-    pair_of_update = np.concatenate(
-        [np.arange(b, dtype=np.int64), np.repeat(np.arange(b, dtype=np.int64), k)]
-    )
-    unique, sums = segment_weighted_sums(rows, weights, pair_of_update, hidden)
+    unique, sums = segment_weighted_sums(rows, weights, pair_index, hidden)
     C[unique] += sums
 
 
@@ -204,13 +211,14 @@ def sgns_batch_step(
     contexts: np.ndarray,
     negatives: np.ndarray,
     rate: float,
+    pair_index: np.ndarray | None = None,
 ) -> None:
     """One SGD step on a batch of (center, context, negatives) triples.
 
     The learning rate is folded into the logistic coefficients, and every
     update is a coefficient-weighted copy of an existing row, so the
     scatter phase runs as grouped rank-one sums instead of materializing
-    per-pair outer products.
+    per-pair outer products. `pair_index` is as in _update_outputs.
     """
     w = W[centers]
     cp = C[contexts]
@@ -219,7 +227,7 @@ def sgns_batch_step(
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
     d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
     scatter_add(W, centers, d_w)
-    _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w)
+    _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w, pair_index)
 
 
 def cbow_batch_loss(
@@ -245,6 +253,7 @@ def cbow_batch_step(
     mask: np.ndarray,
     negatives: np.ndarray,
     rate: float,
+    pair_index: np.ndarray | None = None,
 ) -> None:
     counts = mask.sum(axis=1)
     batch_idx, slot_idx = np.nonzero(mask)
@@ -262,7 +271,7 @@ def cbow_batch_step(
     d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
     unique, sums = segment_weighted_sums(members, inv_counts[batch_idx], batch_idx, d_h)
     W[unique] += sums
-    _update_outputs(C, centers, negatives, pos_coef, neg_coef, h)
+    _update_outputs(C, centers, negatives, pos_coef, neg_coef, h, pair_index)
 
 
 def _init_matrices(
@@ -299,8 +308,9 @@ def _train(
     """The SGD loop both models share.
 
     build_examples(documents, window) returns aligned per-example arrays;
-    every batch passes their selected rows, then the negatives and the
-    rate, to step(W, C, ...), which updates W and C in place.
+    every batch passes their selected rows, then the negatives, the rate
+    and the output-side pair index, to step(W, C, ...), which updates W
+    and C in place.
     """
     if config.model is not model:
         raise ValueError(f"config.model must be {model.name}, got {config.model}")
@@ -315,14 +325,21 @@ def _train(
     rng = np.random.default_rng(config.seed)
 
     count = len(examples[0])
-    batches_per_epoch = math.ceil(count / config.batch_size)
+    batch = min(config.batch_size, count)
+    batches_per_epoch = math.ceil(count / batch)
     rate = _LinearRate(config.resolved_rate(), config.epochs * batches_per_epoch)
+    # the pair index depends only on the batch shape: one for the full
+    # batches, one for the last batch of each epoch
+    k = config.negative_samples
+    full_index = _pair_index(batch, k)
+    last_index = _pair_index(count - (batches_per_epoch - 1) * batch, k)
     for epoch in range(config.epochs):
         order = rng.permutation(count)
-        for start in range(0, count, config.batch_size):
-            sel = order[start:start + config.batch_size]
-            negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
-            step(W, C, *(array[sel] for array in examples), negatives, rate.next())
+        for start in range(0, count, batch):
+            sel = order[start:start + batch]
+            negatives = _draw_negatives(rng, negative_table, (len(sel), k))
+            pair_index = full_index if len(sel) == batch else last_index
+            step(W, C, *(array[sel] for array in examples), negatives, rate.next(), pair_index)
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
     return EmbeddingMatrix(words=vocab.words, vectors=W, metadata=_metadata(corpus, config, run_index))

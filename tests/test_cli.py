@@ -1,9 +1,16 @@
 import csv
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from ocrdrift import cli
 from ocrdrift.cli import main
 from ocrdrift.corpus import save_paired_files
 from ocrdrift.noise import NoiseSpec
@@ -270,6 +277,122 @@ class TestTrainEvaluateReport:
                 assert float(row["mean"]) == 1.0
                 assert float(row["ci_low"]) == 1.0
                 assert float(row["ci_high"]) == 1.0
+
+
+def cli_env():
+    """The environment for running ocrdrift as a child process."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestTrainOutput:
+    def test_progress_lines_printed_once_in_job_order(self, tmp_path, corpus_dir):
+        """stdout to a pipe is block-buffered, so the first language's lines
+        are still buffered when the second language's workers start."""
+        languages = [{"language": name, "path": str(corpus_dir), "format": "paired"}
+                     for name in ("first", "second")]
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out", runs=1,
+                              languages=languages)
+        result = subprocess.run(
+            [sys.executable, "-m", "ocrdrift.cli", "train", "--config", str(config)],
+            capture_output=True, text=True, env=cli_env(), timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        stems = ["ppmi_ocr_run0", "ppmi_gt_run0", "sgns-fast_ocr_run0", "sgns-fast_gt_run0"]
+        assert [line.split(": trained in ")[0] for line in result.stdout.splitlines()] == [
+            f"{language}/{stem}" for language in ("first", "second") for stem in stems
+        ]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched trainer reaches the workers only through fork")
+class TestFailedTrainLeavesNoManifest:
+    """A train that fails partway has overwritten some embedding files, so
+    the previous manifest must not survive it: evaluate then stops (exit 3)
+    instead of reading a mix of old and new files."""
+
+    @staticmethod
+    def previous_run(tmp_path, corpus_dir):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", corpus_dir, out)
+        assert main(["train", "--config", str(config)]) == 0
+        assert (out / "other" / "manifest.json").is_file()
+        return config, out / "other" / "manifest.json"
+
+    def test_failing_job(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        config, manifest = self.previous_run(tmp_path, corpus_dir)
+
+        def failing(*args, **kwargs):
+            raise ValueError("trainer failed on purpose")
+
+        monkeypatch.setattr(cli, "train_sgns", failing)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--seed", "99"]) == 2
+        assert "error: trainer failed on purpose" in capsys.readouterr().err
+        assert not manifest.exists()
+        assert main(["evaluate", "--config", str(config)]) == 3
+        assert sorted(p.name for p in manifest.parent.iterdir()) == ["embeddings"]
+
+    def test_killed_worker(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        config, manifest = self.previous_run(tmp_path, corpus_dir)
+        test_process = os.getpid()
+
+        def killed(*args, **kwargs):
+            if os.getpid() == test_process:
+                raise AssertionError("the trainer ran in the test process, not in a worker")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "train_sgns", killed)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--seed", "99"]) == 1
+        assert "a training worker died" in capsys.readouterr().err
+        assert not manifest.exists()
+        assert main(["evaluate", "--config", str(config)]) == 3
+
+
+def _children(pid):
+    return [int(child) for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def _running(pid):
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+def test_workers_end_when_train_is_killed(tmp_path, corpus_dir):
+    """A train killed outright cannot shut its pool down; its workers must
+    not wait on their task queue for ever."""
+    config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out")
+    driver = ("import sys, time\n"
+              "from ocrdrift import cli\n"
+              "cli.train_sgns = lambda *args, **kwargs: time.sleep(120)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    train = subprocess.Popen([sys.executable, "-c", driver, "train", "--config", str(config)],
+                             env=cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and train.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.1)
+            workers = _children(train.pid)
+        assert workers, "train started no worker"
+        train.kill()
+        train.wait(timeout=10)
+        deadline = time.monotonic() + 20
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers))
+    finally:
+        if train.poll() is None:
+            train.kill()
+            train.wait(timeout=10)
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 class TestExternalEmbeddings:

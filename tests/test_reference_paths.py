@@ -12,17 +12,32 @@ stable tie order, in blocks sized by a byte budget, and bootstraps every
 grid row from one set of resample counts. The orderings must equal a
 stable argsort, the bands must equal plain per-resample means of the same
 draws, and one evaluation must stay within its stated memory.
+
+`train` runs its (model, version, run) jobs in worker processes. Its
+files, manifest and progress lines must equal those of a plain loop that
+trains the same jobs one after another in config order.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ocrdrift import util, word2vec
+from ocrdrift import cli, util, word2vec
+from ocrdrift.config import load_config
 from ocrdrift.cooccur import Weighting, count_cooccurrences
-from ocrdrift.embeddings import EmbeddingMatrix, EmbeddingMetadata, Model, RateProfile, TrainConfig
+from ocrdrift.corpus import Version, load_corpus, save_paired_files
+from ocrdrift.embeddings import (
+    EmbeddingMatrix,
+    EmbeddingMetadata,
+    Model,
+    RateProfile,
+    TrainConfig,
+    export_embeddings,
+    save_sparse_embeddings,
+)
 from ocrdrift.glove import train_glove
 from ocrdrift.overlap import (
     BLOCK_BYTES,
@@ -35,9 +50,16 @@ from ocrdrift.overlap import (
     neighbor_sets,
     overlap_at_k,
 )
+from ocrdrift.noise import NoiseSpec
 from ocrdrift.ppmi import train_ppmi
-from ocrdrift.preprocess import TokenizedCorpus, Vocabulary, build_vocabulary, encode_documents
-from ocrdrift.synthetic import synthetic_documents
+from ocrdrift.preprocess import (
+    TokenizedCorpus,
+    Vocabulary,
+    build_vocabulary,
+    encode_documents,
+    preprocess_corpus,
+)
+from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 from ocrdrift.util import _group_csr
 from ocrdrift.word2vec import (
     NEGATIVE_POWER,
@@ -539,3 +561,95 @@ def test_evaluate_pair_memory_stays_within_budget(kind):
         tracemalloc.stop()
     assert curve.per_word.shape == (len(grid), size)
     assert peak <= budget, f"peak {peak} bytes, budget {budget}"
+
+
+# ----------------------------------------------------------------------
+# train: the worker pool against a sequential loop in config order
+# ----------------------------------------------------------------------
+
+def _write_train_config(path, corpus_dir, out_dir):
+    path.write_text(json.dumps({
+        "out_dir": str(out_dir),
+        "seed": 13,
+        "runs": 2,
+        "languages": [{"language": "other", "path": str(corpus_dir), "format": "paired"}],
+        "models": [
+            {"model": "ppmi", "window": 3, "min_count": 3},
+            {"model": "sgns", "rate_profile": "fast", "dim": 16, "window": 3,
+             "epochs": 2, "min_count": 3, "batch_size": 512},
+            {"model": "cbow", "rate_profile": "fast", "dim": 12, "window": 2,
+             "epochs": 2, "min_count": 2, "batch_size": 500},
+            {"model": "glove", "dim": 8, "window": 3, "epochs": 3, "min_count": 3},
+        ],
+    }), encoding="utf-8")
+    return path
+
+
+def reference_train(config_path):
+    """Every job trained in this process, one after another, in config
+    order: (manifest entries without wall times, progress lines without
+    times, the language's output directory)."""
+    config = load_config(config_path)
+    src = config.languages[0]
+    corpus = load_corpus(src.path, src.format, src.language)
+    out = config.out_dir / src.language.name
+    (out / "embeddings").mkdir(parents=True)
+    entries, lines = [], []
+    for spec in config.models:
+        for version in (Version.OCR, Version.GROUND_TRUTH):
+            tokenized = preprocess_corpus(corpus, version, spec.min_count)
+            for run in range(1 if spec.model is Model.PPMI else config.runs):
+                emb = cli._train_one(spec, tokenized, config.seed + run, run)
+                stem = f"{spec.label}_{version.value}_run{run}"
+                if emb.is_dense:
+                    path = out / "embeddings" / f"{stem}.txt"
+                    export_embeddings(emb, path)
+                else:
+                    path = out / "embeddings" / f"{stem}.npz"
+                    save_sparse_embeddings(emb, path)
+                entries.append({"model": spec.label, "version": version.value, "run": run,
+                                "seed": config.seed + run,
+                                "embedding_path": str(path.relative_to(out))})
+                lines.append(f"{src.language.name}/{stem}")
+    return entries, lines, out
+
+
+@pytest.fixture(scope="module")
+def cli_corpus_dir(tmp_path_factory):
+    """The corpus of tests/test_cli.py."""
+    root = tmp_path_factory.mktemp("corpora")
+    docs = synthetic_documents(40_000, seed=21, n_types=120, n_topics=6,
+                               doc_chars=700, min_len=2, max_len=5)
+    save_paired_files(noisy_corpus(docs, NoiseSpec(target_cer=0.08, seed=5)), root / "demo")
+    return root / "demo"
+
+
+@pytest.fixture(scope="module")
+def sequential_train(tmp_path_factory, cli_corpus_dir):
+    root = tmp_path_factory.mktemp("sequential")
+    return reference_train(_write_train_config(root / "c.json", cli_corpus_dir, root / "out"))
+
+
+# 1 worker, and more workers than there are jobs of one model or CPUs here
+@pytest.mark.parametrize("cpus", [1, 5])
+def test_train_pool_matches_sequential_loop(tmp_path, monkeypatch, capsys,
+                                            cli_corpus_dir, sequential_train, cpus):
+    ref_entries, ref_lines, ref_out = sequential_train
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    config = _write_train_config(tmp_path / "c.json", cli_corpus_dir, tmp_path / "out")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    out = tmp_path / "out" / "other"
+
+    assert [line.split(": trained in ")[0] for line in lines] == ref_lines
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["language"] == "other"
+    assert all(entry.pop("train_wall_seconds") >= 0 for entry in manifest["entries"])
+    assert manifest["entries"] == ref_entries
+    files = sorted(p.name for p in (out / "embeddings").iterdir())
+    assert files == sorted(p.name for p in (ref_out / "embeddings").iterdir())
+    assert len(files) == len(ref_entries) == 14
+    for name in files:
+        assert (out / "embeddings" / name).read_bytes() == (ref_out / "embeddings" / name).read_bytes(), name
+    assert sorted(p.name for p in out.iterdir()) == ["embeddings", "manifest.json"]
