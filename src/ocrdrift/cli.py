@@ -261,8 +261,9 @@ def _train_one(
 
 
 class _TrainJob(NamedTuple):
-    """One (model, version, run) to train; `out` is the language's output directory."""
+    """One (model, version, run) to train; `out` is its language's output directory."""
 
+    language: str
     spec: ModelSpec
     version: Version
     run: int
@@ -328,14 +329,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _train_in_workers(jobs: list[_TrainJob], language: str) -> list[dict]:
-    """Run every job in a pool of worker processes, one per usable CPU.
+def _train_in_workers(jobs: list[_TrainJob]) -> None:
+    """Run every job in one pool of worker processes, one per usable CPU,
+    and write each language's manifest once all of its jobs are in.
 
     Each job is a pure function of its corpus and seed, so the files are
-    the same whatever the worker count. Workers print nothing; entries and
-    progress lines come from here, in job order. A job's exception cancels
-    the jobs not yet started and is raised here; a worker killed by a
-    signal raises BrokenProcessPool.
+    the same whatever the worker count. Workers print nothing; progress
+    lines and manifests come from here, in job order. A job's exception
+    cancels the jobs not yet started and is raised here; a worker killed
+    by a signal raises BrokenProcessPool.
     """
     # fork: workers inherit the imported modules and the corpora instead
     # of importing and unpickling them. It is safe here because a fork-based
@@ -352,12 +354,15 @@ def _train_in_workers(jobs: list[_TrainJob], language: str) -> list[dict]:
     try:
         futures = [pool.submit(_run_job, index) for index in range(len(jobs))]
         entries = []
-        for job, future in zip(jobs, futures):
+        for index, (job, future) in enumerate(zip(jobs, futures)):
             entries.append(future.result())
-            print(f"{language}/{job.stem}: trained in {entries[-1]['train_wall_seconds']:.1f}s")
+            print(f"{job.language}/{job.stem}: trained in {entries[-1]['train_wall_seconds']:.1f}s")
+            if index + 1 == len(jobs) or jobs[index + 1].language != job.language:
+                manifest = {"language": job.language, "entries": entries}
+                _write_atomically(job.out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+                entries = []
     finally:
         pool.shutdown(cancel_futures=True)
-    return entries
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -373,13 +378,13 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
     trainable = [m for m in config.models if m.model is not Model.EXTERNAL]
     if not trainable:
         raise ConfigError("no trainable models configured")
+    jobs = []
     for src in sources:
         corpus = load_corpus(src.path, src.format, src.language)
         out = config.out_dir / src.language.name
         (out / "embeddings").mkdir(parents=True, exist_ok=True)
 
         tokenized_cache: dict[tuple[Version, int], TokenizedCorpus] = {}
-        jobs = []
         for spec in trainable:
             # PPMI has no stochastic state: one run covers it
             runs = 1 if spec.model is Model.PPMI else config.runs
@@ -388,16 +393,14 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
                 if key not in tokenized_cache:
                     tokenized_cache[key] = preprocess_corpus(corpus, version, spec.min_count)
                 for run in range(runs):
-                    jobs.append(
-                        _TrainJob(spec, version, run, config.seed + run, tokenized_cache[key], out)
-                    )
-        # embedding files are overwritten one by one: an old manifest left
-        # in place by a failed run would list a mix of old and new files
-        manifest_path = out / "manifest.json"
-        manifest_path.unlink(missing_ok=True)
-        entries = _train_in_workers(jobs, src.language.name)
-        manifest = {"language": src.language.name, "entries": entries}
-        _write_atomically(manifest_path, json.dumps(manifest, indent=2) + "\n")
+                    jobs.append(_TrainJob(src.language.name, spec, version, run,
+                                          config.seed + run, tokenized_cache[key], out))
+    # embedding files are overwritten one by one: an old manifest left in
+    # place by a failed run would list a mix of old and new files
+    for src in sources:
+        (config.out_dir / src.language.name / "manifest.json").unlink(missing_ok=True)
+    # one pool for every language: no language waits for another's slowest job
+    _train_in_workers(jobs)
     return 0
 
 

@@ -211,8 +211,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         if spec.label in seen:
             raise ConfigError(f"duplicate model label {spec.label!r}")
         seen.add(spec.label)
+    seen = set()
     for src in config.languages:
         _check_file_name("language name", src.language.name)
+        if src.language in seen:
+            raise ConfigError(f"duplicate language {src.language.name!r}")
+        seen.add(src.language)
         if not src.path.is_dir():
             raise ConfigError(f"corpus path does not exist: {src.path}")
     for spec in config.models:

@@ -10,6 +10,7 @@ the whole run.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from typing import Callable, NamedTuple
@@ -165,11 +166,15 @@ class _LinearRate:
         return self.initial * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
 
 
+@functools.lru_cache(maxsize=2)
 def _pair_index(b: int, k: int) -> np.ndarray:
     """The batch row of each output-side update of a (b, k) batch: the b
-    positives, then the k negatives of each row."""
+    positives, then the k negatives of each row. It depends only on the
+    batch shape, so it is cached (read-only) across batches."""
     rows = np.arange(b, dtype=np.int64)
-    return np.concatenate([rows, np.repeat(rows, k)])
+    index = np.concatenate([rows, np.repeat(rows, k)])
+    index.flags.writeable = False
+    return index
 
 
 def _update_outputs(
@@ -179,19 +184,15 @@ def _update_outputs(
     pos_coef: np.ndarray,
     neg_coef: np.ndarray,
     hidden: np.ndarray,
-    pair_index: np.ndarray | None = None,
 ) -> None:
     """C[targets[i]] += pos_coef[i] * hidden[i], and likewise for each negative.
 
     Every output-side update is a coefficient times one batch row of
     `hidden`: one grouped pass covers positives and negatives together.
-    `pair_index` is _pair_index(*negatives.shape), built here if omitted.
     """
-    if pair_index is None:
-        pair_index = _pair_index(*negatives.shape)
     rows = np.concatenate([targets, negatives.ravel()])
     weights = np.concatenate([pos_coef, neg_coef.ravel()])
-    unique, sums = segment_weighted_sums(rows, weights, pair_index, hidden)
+    unique, sums = segment_weighted_sums(rows, weights, _pair_index(*negatives.shape), hidden)
     C[unique] += sums
 
 
@@ -211,14 +212,13 @@ def sgns_batch_step(
     contexts: np.ndarray,
     negatives: np.ndarray,
     rate: float,
-    pair_index: np.ndarray | None = None,
 ) -> None:
     """One SGD step on a batch of (center, context, negatives) triples.
 
     The learning rate is folded into the logistic coefficients, and every
     update is a coefficient-weighted copy of an existing row, so the
     scatter phase runs as grouped rank-one sums instead of materializing
-    per-pair outer products. `pair_index` is as in _update_outputs.
+    per-pair outer products.
     """
     w = W[centers]
     cp = C[contexts]
@@ -227,7 +227,7 @@ def sgns_batch_step(
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
     d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
     scatter_add(W, centers, d_w)
-    _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w, pair_index)
+    _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w)
 
 
 def cbow_batch_loss(
@@ -253,7 +253,6 @@ def cbow_batch_step(
     mask: np.ndarray,
     negatives: np.ndarray,
     rate: float,
-    pair_index: np.ndarray | None = None,
 ) -> None:
     counts = mask.sum(axis=1)
     batch_idx, slot_idx = np.nonzero(mask)
@@ -271,7 +270,7 @@ def cbow_batch_step(
     d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
     unique, sums = segment_weighted_sums(members, inv_counts[batch_idx], batch_idx, d_h)
     W[unique] += sums
-    _update_outputs(C, centers, negatives, pos_coef, neg_coef, h, pair_index)
+    _update_outputs(C, centers, negatives, pos_coef, neg_coef, h)
 
 
 def _init_matrices(
@@ -308,9 +307,8 @@ def _train(
     """The SGD loop both models share.
 
     build_examples(documents, window) returns aligned per-example arrays;
-    every batch passes their selected rows, then the negatives, the rate
-    and the output-side pair index, to step(W, C, ...), which updates W
-    and C in place.
+    every batch passes their selected rows, then the negatives and the
+    rate, to step(W, C, ...), which updates W and C in place.
     """
     if config.model is not model:
         raise ValueError(f"config.model must be {model.name}, got {config.model}")
@@ -325,21 +323,14 @@ def _train(
     rng = np.random.default_rng(config.seed)
 
     count = len(examples[0])
-    batch = min(config.batch_size, count)
-    batches_per_epoch = math.ceil(count / batch)
+    batches_per_epoch = math.ceil(count / config.batch_size)
     rate = _LinearRate(config.resolved_rate(), config.epochs * batches_per_epoch)
-    # the pair index depends only on the batch shape: one for the full
-    # batches, one for the last batch of each epoch
-    k = config.negative_samples
-    full_index = _pair_index(batch, k)
-    last_index = _pair_index(count - (batches_per_epoch - 1) * batch, k)
     for epoch in range(config.epochs):
         order = rng.permutation(count)
-        for start in range(0, count, batch):
-            sel = order[start:start + batch]
-            negatives = _draw_negatives(rng, negative_table, (len(sel), k))
-            pair_index = full_index if len(sel) == batch else last_index
-            step(W, C, *(array[sel] for array in examples), negatives, rate.next(), pair_index)
+        for start in range(0, count, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
+            step(W, C, *(array[sel] for array in examples), negatives, rate.next())
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
     return EmbeddingMatrix(words=vocab.words, vectors=W, metadata=_metadata(corpus, config, run_index))

@@ -81,6 +81,14 @@ class TestConfigAndExitCodes:
         }), encoding="utf-8")
         assert main(["train", "--config", str(config)]) == 2
 
+    def test_duplicate_language_rejected(self, tmp_path, corpus_dir, capsys):
+        source = {"language": "other", "path": str(corpus_dir), "format": "paired"}
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out",
+                              languages=[source, source])
+        assert main(["train", "--config", str(config)]) == 2
+        assert "duplicate language" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_evaluate_without_manifest_is_exit_3(self, tmp_path, corpus_dir, capsys):
         config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out")
         assert main(["evaluate", "--config", str(config)]) == 3
@@ -302,6 +310,48 @@ class TestTrainOutput:
         assert [line.split(": trained in ")[0] for line in result.stdout.splitlines()] == [
             f"{language}/{stem}" for language in ("first", "second") for stem in stems
         ]
+
+
+    def test_one_pool_for_all_languages(self, tmp_path, corpus_dir, monkeypatch):
+        pools = []
+
+        class CountedPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+        languages = [{"language": name, "path": str(corpus_dir), "format": "paired"}
+                     for name in ("first", "second")]
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1, languages=languages)
+        assert main(["train", "--config", str(config)]) == 0
+        assert len(pools) == 1
+        for language in ("first", "second"):
+            manifest = json.loads((out / language / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["language"] == language
+            assert [entry["embedding_path"] for entry in manifest["entries"]] == [
+                f"embeddings/{stem}" for stem in ("ppmi_ocr_run0.npz", "ppmi_gt_run0.npz",
+                                                  "sgns-fast_ocr_run0.txt", "sgns-fast_gt_run0.txt")
+            ]
+
+    def test_unloadable_corpus_keeps_previous_outputs(self, tmp_path, corpus_dir, capsys):
+        """Every corpus is loaded before any job starts: a language whose
+        corpus fails to load stops train before it touches any file."""
+        out = tmp_path / "out"
+        first = {"language": "first", "path": str(corpus_dir), "format": "paired"}
+        config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1, languages=[first])
+        assert main(["train", "--config", str(config)]) == 0
+        before = {path: path.read_bytes() for path in (out / "first").rglob("*") if path.is_file()}
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        second = {"language": "second", "path": str(empty), "format": "paired"}
+        config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1, languages=[first, second])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--seed", "99"]) == 2
+        assert "no documents" in capsys.readouterr().err
+        after = {path: path.read_bytes() for path in (out / "first").rglob("*") if path.is_file()}
+        assert after == before
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
