@@ -6,7 +6,7 @@ models on each version, and compare the two learned spaces by how much
 their cosine nearest-neighbor sets overlap across neighborhood sizes.
 """
 
-from .cooccur import CooccurrenceMatrix, Weighting, count_cooccurrences, load_matrix, save_matrix
+from .cooccur import CooccurrenceMatrix, Weighting, count_cooccurrences
 from .corpus import (
     DUTCH,
     ENGLISH,
@@ -28,7 +28,6 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingMatrix,
-    EmbeddingMetadata,
     Model,
     RateProfile,
     TrainConfig,
@@ -62,17 +61,13 @@ from .overlap import (
 from .ppmi import train_ppmi
 from .preprocess import (
     TokenizedCorpus,
-    VocabIntersection,
     Vocabulary,
     build_vocabulary,
     encode_documents,
-    intersect_vocabularies,
     intersect_words,
     normalize,
     preprocess_corpus,
-    read_vocabulary,
     tokenize,
-    write_vocabulary,
 )
 from .synthetic import noisy_corpus, synthetic_documents, synthetic_text
 from .word2vec import train_cbow, train_sgns

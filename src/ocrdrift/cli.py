@@ -96,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--lang", default=None, help="restrict to one configured language")
         cmd.add_argument("--out", default=None, help="override the configured output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the base seed")
-        cmd.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="deprecated, has no effect: training is always bit-reproducible",
-        )
     return parser
 
 
@@ -230,12 +225,7 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
 # train
 # ----------------------------------------------------------------------
 
-def _train_one(
-    spec: ModelSpec,
-    tokenized: TokenizedCorpus,
-    seed: int,
-    run: int,
-) -> EmbeddingMatrix:
+def _train_one(spec: ModelSpec, tokenized: TokenizedCorpus, seed: int) -> EmbeddingMatrix:
     train_config = TrainConfig(
         model=spec.model,
         dim=spec.dim,
@@ -248,15 +238,15 @@ def _train_one(
         batch_size=spec.batch_size,
     )
     if spec.model is Model.SGNS:
-        return train_sgns(tokenized, train_config, run_index=run)
+        return train_sgns(tokenized, train_config)
     if spec.model is Model.CBOW:
-        return train_cbow(tokenized, train_config, run_index=run)
+        return train_cbow(tokenized, train_config)
     if spec.model is Model.GLOVE:
         matrix = count_cooccurrences(tokenized, spec.window, Weighting.HARMONIC)
-        return train_glove(matrix, train_config, run_index=run)
+        return train_glove(matrix, train_config)
     if spec.model is Model.PPMI:
         matrix = count_cooccurrences(tokenized, spec.window, Weighting.FLAT)
-        return train_ppmi(matrix).with_metadata(run_index=run)
+        return train_ppmi(matrix)
     raise ConfigError(f"model {spec.label!r} cannot be trained locally")
 
 
@@ -279,7 +269,7 @@ class _TrainJob(NamedTuple):
 def _train_and_save(job: _TrainJob) -> dict:
     """Train one job and write its embedding file; returns its manifest entry."""
     started = time.perf_counter()
-    emb = _train_one(job.spec, job.tokenized, job.seed, job.run)
+    emb = _train_one(job.spec, job.tokenized, job.seed)
     wall = time.perf_counter() - started
     if emb.is_dense:
         emb_path = job.out / "embeddings" / f"{job.stem}.txt"

@@ -82,6 +82,20 @@ def _default_label(payload: dict) -> str:
     return f"{name}-{profile}" if profile else name
 
 
+def _present(payload: dict, **converters) -> dict:
+    """Each key named in `converters` that `payload` holds, converted; a
+    missing key is left out, so the dataclass field supplies its default."""
+    return {key: convert(payload[key]) for key, convert in converters.items() if key in payload}
+
+
+def _as_given(value):
+    return value
+
+
+def _rate_profile(value) -> RateProfile | None:
+    return RateProfile(value) if value else None
+
+
 def _parse_model(payload: dict) -> ModelSpec:
     if "model" not in payload:
         raise ConfigError("model entry without a 'model' field")
@@ -89,20 +103,12 @@ def _parse_model(payload: dict) -> ModelSpec:
         model = Model(payload["model"].lower())
     except ValueError:
         raise ConfigError(f"unknown model {payload['model']!r}") from None
-    profile = payload.get("rate_profile")
     spec = ModelSpec(
         model=model,
         label=payload.get("name", _default_label(payload)),
-        dim=int(payload.get("dim", 100)),
-        window=int(payload.get("window", 5)),
-        epochs=int(payload.get("epochs", 5)),
-        negative_samples=int(payload.get("negative_samples", 5)),
-        min_count=int(payload.get("min_count", 5)),
-        batch_size=int(payload.get("batch_size", 8192)),
-        rate_profile=RateProfile(profile) if profile else None,
-        learning_rate=payload.get("learning_rate"),
-        ocr_path=Path(payload["ocr_path"]) if "ocr_path" in payload else None,
-        gt_path=Path(payload["gt_path"]) if "gt_path" in payload else None,
+        **_present(payload, dim=int, window=int, epochs=int, negative_samples=int, min_count=int,
+                   batch_size=int, rate_profile=_rate_profile, learning_rate=_as_given,
+                   ocr_path=Path, gt_path=Path),
     )
     if model in (Model.SGNS, Model.CBOW) and spec.rate_profile is None and spec.learning_rate is None:
         raise ConfigError(f"model {spec.label!r} needs a rate_profile or learning_rate")
@@ -135,17 +141,12 @@ def _parse_noise(payload: dict | None) -> NoiseConfig | None:
         return None
     if "levels" not in payload or not payload["levels"]:
         raise ConfigError("noise section needs a non-empty 'levels' list")
-    weights = payload.get("weights", {})
+    weights = _present(payload.get("weights", {}), substitution=float, deletion=float, insertion=float)
     return NoiseConfig(
         levels=tuple(float(v) for v in payload["levels"]),
-        substitution_weight=float(weights.get("substitution", 0.8)),
-        deletion_weight=float(weights.get("deletion", 0.1)),
-        insertion_weight=float(weights.get("insertion", 0.1)),
-        alphabet=payload.get("alphabet", "abcdefghijklmnopqrstuvwxyz"),
-        source_text=Path(payload["source_text"]) if "source_text" in payload else None,
-        synthetic_chars=int(payload.get("synthetic_chars", 200_000)),
-        doc_chars=int(payload.get("doc_chars", 2000)),
-        out_name=payload.get("out_name", "synthetic"),
+        **{f"{kind}_weight": weight for kind, weight in weights.items()},
+        **_present(payload, alphabet=_as_given, source_text=Path, synthetic_chars=int,
+                   doc_chars=int, out_name=_as_given),
     )
 
 
@@ -165,29 +166,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for entry in payload.get("languages", []):
         if "path" not in entry or "language" not in entry:
             raise ConfigError("each language entry needs 'language' and 'path'")
-        fmt = entry.get("format", "icdar")
         try:
-            fmt = CorpusFormat(fmt)
+            fmt = _present(entry, format=CorpusFormat)
         except ValueError:
-            raise ConfigError(f"unknown corpus format {fmt!r}") from None
+            raise ConfigError(f"unknown corpus format {entry['format']!r}") from None
         languages.append(
-            LanguageSource(
-                language=Language.parse(entry["language"]),
-                path=Path(entry["path"]),
-                format=fmt,
-            )
+            LanguageSource(language=Language.parse(entry["language"]), path=Path(entry["path"]), **fmt)
         )
 
     config = ExperimentConfig(
         out_dir=Path(payload["out_dir"]),
-        seed=int(payload.get("seed", 0)),
-        runs=int(payload.get("runs", 3)),
         n_grid=_parse_n_grid(payload.get("n_grid")),
-        bootstrap_resamples=int(payload.get("bootstrap_resamples", 1000)),
-        confidence=float(payload.get("confidence", 0.95)),
         languages=tuple(languages),
         models=tuple(_parse_model(m) for m in payload.get("models", [])),
         noise=_parse_noise(payload.get("noise")),
+        **_present(payload, seed=int, runs=int, bootstrap_resamples=int, confidence=float),
     )
     return validate_config(config)
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,42 +80,3 @@ def count_cooccurrences(
         vocabulary=corpus.vocabulary,
     )
 
-
-_TRIPLE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f8")])
-
-
-def save_matrix(matrix: CooccurrenceMatrix, path: str | Path) -> None:
-    """Binary (word id, context id, weight) triples plus a JSON sidecar."""
-    path = Path(path)
-    coo = matrix.counts.tocoo()
-    triples = np.empty(coo.nnz, dtype=_TRIPLE)
-    triples["row"], triples["col"], triples["value"] = coo.row, coo.col, coo.data
-    triples.tofile(path)
-    sidecar = {
-        "vocab_size": matrix.size,
-        "window_size": matrix.window_size,
-        "weighting": matrix.weighting.value,
-        "entries": int(coo.nnz),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_matrix(path: str | Path, vocabulary: Vocabulary) -> CooccurrenceMatrix:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    raw = path.read_bytes()
-    if len(raw) % _TRIPLE.itemsize:
-        raise ValueError(f"{path}: truncated triple stream")
-    triples = np.frombuffer(raw, dtype=_TRIPLE)
-    rows = triples["row"].astype(np.int64)
-    cols = triples["col"].astype(np.int64)
-    size = int(sidecar["vocab_size"])
-    matrix = sp.coo_matrix((triples["value"], (rows, cols)), shape=(size, size)).tocsr()
-    return CooccurrenceMatrix(
-        counts=matrix,
-        window_size=int(sidecar["window_size"]),
-        weighting=Weighting(sidecar["weighting"]),
-        vocabulary=vocabulary,
-    )

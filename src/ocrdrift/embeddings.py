@@ -1,15 +1,14 @@
-"""Word embedding matrices with provenance, and their text serialization."""
+"""Word embedding matrices and their text and sparse serializations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-
-from .corpus import Language, Version
 
 
 class Model(Enum):
@@ -60,22 +59,12 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class EmbeddingMetadata:
-    model: Model
-    language: Language | None = None
-    version: Version | None = None
-    seed: int | None = None
-    learning_rate: float | None = None
-    run_index: int = 0
-
-
-@dataclass(frozen=True)
 class EmbeddingMatrix:
     """Per-word vectors: a dense (V, dim) array or a sparse CSR matrix."""
 
     words: tuple[str, ...]
     vectors: np.ndarray | sp.csr_matrix
-    metadata: EmbeddingMetadata
+    model: Model
     word_to_row: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -103,13 +92,6 @@ class EmbeddingMatrix:
     def __len__(self) -> int:
         return len(self.words)
 
-    def row(self, word: str) -> np.ndarray:
-        i = self.word_to_row[word]
-        return self.vectors[i] if self.is_dense else self.vectors.getrow(i)
-
-    def with_metadata(self, **changes) -> "EmbeddingMatrix":
-        return replace(self, metadata=replace(self.metadata, **changes))
-
 
 def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     """Write the dense text format: a `<count> <dim>` header, then one
@@ -136,7 +118,7 @@ def save_sparse_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         indptr=m.indptr,
         shape=np.asarray(m.shape, dtype=np.int64),
         words=np.asarray(emb.words, dtype=np.str_),
-        model=np.asarray(emb.metadata.model.value, dtype=np.str_),
+        model=np.asarray(emb.model.value, dtype=np.str_),
     )
 
 
@@ -148,9 +130,7 @@ def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
         )
         words = tuple(str(w) for w in payload["words"])
         model = Model(str(payload["model"]))
-    return EmbeddingMatrix(
-        words=words, vectors=matrix, metadata=EmbeddingMetadata(model=model)
-    )
+    return EmbeddingMatrix(words=words, vectors=matrix, model=model)
 
 
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -165,6 +145,15 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
             raise ValueError(f"{path}: malformed header at line 1") from None
         if count < 1 or dim < 1:
             raise ValueError(f"{path}: malformed header at line 1")
+        # a row takes at least 2 * dim + 1 bytes (a word, then a space and
+        # a digit per value): a header that declares more rows than the
+        # file can hold is refused before the array is allocated
+        size = os.fstat(fh.fileno()).st_size
+        if count * (2 * dim + 1) > size:
+            raise ValueError(
+                f"{path}: header declares {count} rows of {dim} values, "
+                f"more than its {size} bytes can hold, at line 1"
+            )
         words: list[str] = []
         seen: set[str] = set()
         vectors = np.empty((count, dim), dtype=np.float64)
@@ -191,8 +180,4 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     bad_rows = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")
-    return EmbeddingMatrix(
-        words=tuple(words),
-        vectors=vectors,
-        metadata=EmbeddingMetadata(model=Model.EXTERNAL),
-    )
+    return EmbeddingMatrix(words=tuple(words), vectors=vectors, model=Model.EXTERNAL)

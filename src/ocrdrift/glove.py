@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooccur import CooccurrenceMatrix, Weighting
-from .embeddings import EmbeddingMatrix, EmbeddingMetadata, Model, TrainConfig
+from .embeddings import EmbeddingMatrix, Model, TrainConfig
 from .util import seeded_matrix, segment_sums
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,6 @@ def glove_objective(
 def train_glove(
     matrix: CooccurrenceMatrix,
     config: TrainConfig,
-    run_index: int = 0,
     objective_log: list[float] | None = None,
 ) -> EmbeddingMatrix:
     """Adaptive per-coordinate gradient descent over the nonzero cells.
@@ -116,19 +115,7 @@ def train_glove(
             objective_log.append(glove_objective(matrix, p.W, p.Cw, p.bw, p.bc))
         log.debug("glove epoch %d/%d done", epoch + 1, config.epochs)
 
-    source = matrix.vocabulary.source
-    return EmbeddingMatrix(
-        words=words,
-        vectors=p.W + p.Cw,
-        metadata=EmbeddingMetadata(
-            model=Model.GLOVE,
-            language=source[0] if source else None,
-            version=source[1] if source else None,
-            seed=config.seed,
-            learning_rate=ADAGRAD_RATE,
-            run_index=run_index,
-        ),
-    )
+    return EmbeddingMatrix(words=words, vectors=p.W + p.Cw, model=Model.GLOVE)
 
 
 def _adagrad_update(params: np.ndarray, acc: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:

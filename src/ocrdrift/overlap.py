@@ -14,13 +14,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .embeddings import EmbeddingMatrix
-from .preprocess import VocabIntersection
 
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_RESAMPLES = 1000
@@ -44,12 +43,6 @@ def k_for_fraction(n: float, intersection_size: int) -> int:
         raise ValueError("intersection must hold at least two words")
     k = max(1, math.floor(n * intersection_size + 1e-9))
     return min(k, intersection_size - 1)
-
-
-def _intersection_words(intersection: VocabIntersection | Iterable[str]) -> tuple[str, ...]:
-    if isinstance(intersection, VocabIntersection):
-        return intersection.words
-    return tuple(intersection)
 
 
 def _normalized_rows(
@@ -155,7 +148,7 @@ class NeighborSet:
 
 def neighbor_sets(
     emb: EmbeddingMatrix,
-    intersection: VocabIntersection | Iterable[str],
+    intersection: Sequence[str],
     block_size: int | None = None,
 ) -> list[NeighborSet]:
     """Exact cosine neighbor ranking of every intersection word.
@@ -163,12 +156,11 @@ def neighbor_sets(
     `block_size` query rows are ranked at a time; by default as many as
     BLOCK_BYTES allows.
     """
-    words = _intersection_words(intersection)
-    if len(words) < 2:
+    size = len(intersection)
+    if size < 2:
         raise ValueError("intersection must hold at least two words")
-    normalized, zero = _normalized_rows(emb, words)
+    normalized, zero = _normalized_rows(emb, intersection)
     out: list[NeighborSet] = []
-    size = len(words)
     block_size = block_size or _block_rows(size, normalized.shape[1])
     for start in range(0, size, block_size):
         stop = min(start + block_size, size)
@@ -271,7 +263,7 @@ class OverlapCurve:
 def evaluate_pair(
     emb_ocr: EmbeddingMatrix,
     emb_truth: EmbeddingMatrix,
-    intersection: VocabIntersection | Iterable[str],
+    intersection: Sequence[str],
     n_grid: Sequence[float] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
     resamples: int = DEFAULT_RESAMPLES,
@@ -292,15 +284,14 @@ def evaluate_pair(
     two bootstrap chunks of min(4M, resamples * size) 8-byte values while
     resampling.
     """
-    words = _intersection_words(intersection)
-    size = len(words)
+    size = len(intersection)
     if size < 2:
         raise ValueError("intersection must hold at least two words")
     grid = tuple(n_grid) if n_grid is not None else default_n_grid()
     ks = np.array([k_for_fraction(n, size) for n in grid], dtype=np.int64)
 
-    norm_a, zero_a = _normalized_rows(emb_ocr, words)
-    norm_b, zero_b = _normalized_rows(emb_truth, words)
+    norm_a, zero_a = _normalized_rows(emb_ocr, intersection)
+    norm_b, zero_b = _normalized_rows(emb_truth, intersection)
 
     per_word = np.empty((len(grid), size), dtype=np.float64)
     positions = np.arange(size)
@@ -404,7 +395,17 @@ def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
         header = next(reader, None)
         if header != ["N", "k", "mean", "ci_low", "ci_high"]:
             raise ValueError(f"{path}: not an overlap curve CSV")
-        rows = [(float(n), int(k), float(m), float(lo), float(hi)) for n, k, m, lo, hi in reader]
+        rows = []
+        for row in reader:
+            if len(row) != 5:
+                raise ValueError(
+                    f"{path}: expected 5 fields, got {len(row)} at line {reader.line_num}"
+                )
+            n, k, m, lo, hi = row
+            try:
+                rows.append((float(n), int(k), float(m), float(lo), float(hi)))
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric value at line {reader.line_num}") from None
     if not rows:
         raise ValueError(f"{path}: empty curve")
     cols = list(zip(*rows))

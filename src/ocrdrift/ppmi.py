@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cooccur import CooccurrenceMatrix
-from .embeddings import EmbeddingMatrix, EmbeddingMetadata, Model
+from .embeddings import EmbeddingMatrix, Model
 
 log = logging.getLogger(__name__)
 
@@ -38,13 +38,4 @@ def train_ppmi(matrix: CooccurrenceMatrix) -> EmbeddingMatrix:
     if empty:
         log.warning("%d of %d words have all-zero association rows", empty, matrix.size)
 
-    source = matrix.vocabulary.source
-    return EmbeddingMatrix(
-        words=matrix.vocabulary.words,
-        vectors=ppmi,
-        metadata=EmbeddingMetadata(
-            model=Model.PPMI,
-            language=source[0] if source else None,
-            version=source[1] if source else None,
-        ),
-    )
+    return EmbeddingMatrix(words=matrix.vocabulary.words, vectors=ppmi, model=Model.PPMI)

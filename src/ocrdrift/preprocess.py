@@ -5,12 +5,11 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import PAD, Corpus, Language, Version
+from .corpus import PAD, Corpus, Version
 
 
 class _DropTable(dict):
@@ -54,7 +53,6 @@ class Vocabulary:
     word_to_id: dict[str, int]
     frequencies: np.ndarray
     min_count: int
-    source: tuple[Language, Version] | None = None
     words: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -73,11 +71,7 @@ class Vocabulary:
         return np.array([w2i[t] for t in tokens if t in w2i], dtype=np.int32)
 
 
-def build_vocabulary(
-    documents: Iterable[Sequence[str]],
-    min_count: int = 5,
-    source: tuple[Language, Version] | None = None,
-) -> Vocabulary:
+def build_vocabulary(documents: Iterable[Sequence[str]], min_count: int = 5) -> Vocabulary:
     """Count tokens across documents and keep words seen >= min_count times."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -90,7 +84,7 @@ def build_vocabulary(
     kept.sort(key=lambda item: (-item[1], item[0]))
     word_to_id = {w: i for i, (w, _) in enumerate(kept)}
     freqs = np.array([c for _, c in kept], dtype=np.int64)
-    return Vocabulary(word_to_id=word_to_id, frequencies=freqs, min_count=min_count, source=source)
+    return Vocabulary(word_to_id=word_to_id, frequencies=freqs, min_count=min_count)
 
 
 @dataclass(frozen=True)
@@ -132,22 +126,8 @@ def encode_documents(documents: Iterable[Sequence[str]], vocabulary: Vocabulary)
 def preprocess_corpus(corpus: Corpus, version: Version, min_count: int = 5) -> TokenizedCorpus:
     """Normalize + tokenize one corpus version, build its vocabulary, encode."""
     token_docs = [tokenize(normalize(text)) for text in corpus.texts(version)]
-    vocab = build_vocabulary(token_docs, min_count=min_count, source=(corpus.language, version))
+    vocab = build_vocabulary(token_docs, min_count=min_count)
     return encode_documents(token_docs, vocab)
-
-
-@dataclass(frozen=True)
-class VocabIntersection:
-    """Words present in every participating vocabulary, alphabetical.
-
-    `mappings[j][i]` is the id of `words[i]` in the j-th source vocabulary.
-    """
-
-    words: tuple[str, ...]
-    mappings: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 def intersect_words(word_sets: Sequence[Iterable[str]]) -> list[str]:
@@ -161,40 +141,3 @@ def intersect_words(word_sets: Sequence[Iterable[str]]) -> list[str]:
         raise ValueError("empty vocabulary intersection")
     return sorted(common)
 
-
-def intersect_vocabularies(vocabs: Sequence[Vocabulary]) -> VocabIntersection:
-    words = intersect_words([v.word_to_id.keys() for v in vocabs])
-    mappings = tuple(
-        np.array([v.word_to_id[w] for w in words], dtype=np.int64) for v in vocabs
-    )
-    return VocabIntersection(words=tuple(words), mappings=mappings)
-
-
-def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """One `word<TAB>frequency` line per word, alphabetical."""
-    lines = [
-        f"{word}\t{int(vocab.frequencies[vocab.word_to_id[word]])}"
-        for word in sorted(vocab.word_to_id)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_vocabulary(path: str | Path, min_count: int = 1) -> Vocabulary:
-    counts: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line:
-            continue
-        try:
-            word, freq = line.split("\t")
-            counts[word] = int(freq)
-        except ValueError as exc:
-            raise ValueError(f"malformed vocabulary line {lineno}: {line!r}") from exc
-    kept = [(w, c) for w, c in counts.items() if c >= min_count]
-    if not kept:
-        raise ValueError("empty vocabulary")
-    kept.sort(key=lambda item: (-item[1], item[0]))
-    return Vocabulary(
-        word_to_id={w: i for i, (w, _) in enumerate(kept)},
-        frequencies=np.array([c for _, c in kept], dtype=np.int64),
-        min_count=min_count,
-    )

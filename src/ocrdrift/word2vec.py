@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, EmbeddingMetadata, Model, TrainConfig
+from .embeddings import EmbeddingMatrix, Model, TrainConfig
 from .preprocess import TokenizedCorpus, window_pairs
 from .util import log_sigmoid, scatter_add, seeded_matrix, segment_weighted_sums, sigmoid
 
@@ -284,22 +284,9 @@ def _init_matrices(
     return W, C
 
 
-def _metadata(corpus: TokenizedCorpus, config: TrainConfig, run_index: int) -> EmbeddingMetadata:
-    source = corpus.vocabulary.source
-    return EmbeddingMetadata(
-        model=config.model,
-        language=source[0] if source else None,
-        version=source[1] if source else None,
-        seed=config.seed,
-        learning_rate=config.resolved_rate(),
-        run_index=run_index,
-    )
-
-
 def _train(
     corpus: TokenizedCorpus,
     config: TrainConfig,
-    run_index: int,
     model: Model,
     build_examples: Callable[[tuple[np.ndarray, ...], int], tuple[np.ndarray, ...]],
     step: Callable[..., None],
@@ -333,14 +320,14 @@ def _train(
             step(W, C, *(array[sel] for array in examples), negatives, rate.next())
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
-    return EmbeddingMatrix(words=vocab.words, vectors=W, metadata=_metadata(corpus, config, run_index))
+    return EmbeddingMatrix(words=vocab.words, vectors=W, model=model)
 
 
-def train_sgns(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0) -> EmbeddingMatrix:
+def train_sgns(corpus: TokenizedCorpus, config: TrainConfig) -> EmbeddingMatrix:
     """Train skip-gram vectors; returns the target-side (input) matrix."""
-    return _train(corpus, config, run_index, Model.SGNS, _skipgram_pairs, sgns_batch_step)
+    return _train(corpus, config, Model.SGNS, _skipgram_pairs, sgns_batch_step)
 
 
-def train_cbow(corpus: TokenizedCorpus, config: TrainConfig, run_index: int = 0) -> EmbeddingMatrix:
+def train_cbow(corpus: TokenizedCorpus, config: TrainConfig) -> EmbeddingMatrix:
     """Train CBOW vectors: averaged context predicts the center word."""
-    return _train(corpus, config, run_index, Model.CBOW, _context_table, cbow_batch_step)
+    return _train(corpus, config, Model.CBOW, _context_table, cbow_batch_step)

@@ -207,8 +207,8 @@ def test_end_to_end_determinism(tmp_path):
                  "epochs": 2, "min_count": 3, "batch_size": 512},
             ],
         }), encoding="utf-8")
-        assert main(["train", "--config", str(config_path), "--deterministic"]) == 0
-        assert main(["evaluate", "--config", str(config_path), "--deterministic"]) == 0
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert main(["evaluate", "--config", str(config_path)]) == 0
         outputs.append(tmp_path / name)
     for rel in ("other/curves/ppmi.csv", "other/curves/sgns-slow.csv"):
         assert (outputs[0] / rel).read_bytes() == (outputs[1] / rel).read_bytes()

@@ -445,31 +445,44 @@ def test_workers_end_when_train_is_killed(tmp_path, corpus_dir):
             os.kill(pid, signal.SIGKILL)
 
 
+def external_config(tmp_path, corpus_dir, out):
+    """A config comparing tmp_path's ext_ocr.txt and ext_gt.txt only."""
+    return write_config(
+        tmp_path / "c.json", corpus_dir, out,
+        models=[{"model": "external", "name": "bert",
+                 "ocr_path": str(tmp_path / "ext_ocr.txt"),
+                 "gt_path": str(tmp_path / "ext_gt.txt")}],
+    )
+
+
 class TestExternalEmbeddings:
     def test_external_only_evaluation(self, tmp_path, corpus_dir):
         import numpy as np
 
-        from ocrdrift.embeddings import EmbeddingMatrix, EmbeddingMetadata, Model, export_embeddings
+        from ocrdrift.embeddings import EmbeddingMatrix, Model, export_embeddings
 
         rng = np.random.default_rng(0)
         words = tuple(f"w{i}" for i in range(40))
         for name, seed in (("ext_ocr.txt", 1), ("ext_gt.txt", 2)):
             vectors = np.random.default_rng(seed).normal(size=(40, 8))
-            emb = EmbeddingMatrix(words=words, vectors=vectors,
-                                  metadata=EmbeddingMetadata(model=Model.EXTERNAL))
+            emb = EmbeddingMatrix(words=words, vectors=vectors, model=Model.EXTERNAL)
             export_embeddings(emb, tmp_path / name)
 
         out = tmp_path / "out"
-        config = write_config(
-            tmp_path / "c.json", corpus_dir, out,
-            models=[{"model": "external", "name": "bert",
-                     "ocr_path": str(tmp_path / "ext_ocr.txt"),
-                     "gt_path": str(tmp_path / "ext_gt.txt")}],
-        )
+        config = external_config(tmp_path, corpus_dir, out)
         # no manifest needed: nothing is trained locally
         assert main(["evaluate", "--config", str(config)]) == 0
         header = (out / "other" / "curves" / "bert.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "N,k,mean,ci_low,ci_high"
+
+    def test_oversized_header_is_exit_2(self, tmp_path, corpus_dir, capsys):
+        for name in ("ext_ocr.txt", "ext_gt.txt"):
+            (tmp_path / name).write_text("99999999999 99999\nw0 1 2\n", encoding="utf-8")
+        config = external_config(tmp_path, corpus_dir, tmp_path / "out")
+        assert main(["evaluate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "ext_ocr.txt: header declares 99999999999 rows" in err
+        assert "at line 1" in err
 
 
 class TestSeedOverride:
@@ -490,8 +503,8 @@ class TestDeterminism:
         for name in ("a", "b"):
             out = tmp_path / name
             config = write_config(tmp_path / f"{name}.json", corpus_dir, out)
-            assert main(["train", "--config", str(config), "--deterministic"]) == 0
-            assert main(["evaluate", "--config", str(config), "--deterministic"]) == 0
+            assert main(["train", "--config", str(config)]) == 0
+            assert main(["evaluate", "--config", str(config)]) == 0
             outs.append(out)
         for rel in ("other/curves/sgns-fast.csv", "other/curves/ppmi.csv"):
             a = (outs[0] / rel).read_bytes()

@@ -1,9 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
-from ocrdrift.cooccur import Weighting, count_cooccurrences, load_matrix, save_matrix
+from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.preprocess import build_vocabulary, encode_documents
 
 
@@ -114,39 +112,3 @@ class TestMatrixProperties:
         np.testing.assert_allclose(m.row_sums, m.counts.toarray().sum(axis=1))
         assert m.total == pytest.approx(m.counts.toarray().sum())
 
-
-class TestDump:
-    def test_round_trip_with_sidecar(self, tmp_path):
-        tc = tokenized([["a", "b", "c", "a"]])
-        m = count_cooccurrences(tc, 2, Weighting.HARMONIC)
-        path = tmp_path / "counts.bin"
-        save_matrix(m, path)
-        assert path.with_suffix(".bin.json").exists()
-        reloaded = load_matrix(path, tc.vocabulary)
-        np.testing.assert_allclose(reloaded.counts.toarray(), m.counts.toarray())
-        assert reloaded.window_size == 2
-        assert reloaded.weighting is Weighting.HARMONIC
-
-    def test_bytes_match_per_triple_struct_packing(self, tmp_path):
-        docs = [["a", "b", "c", "a", "d", "b"] * 7, ["c", "e", "a"]]
-        tc = tokenized(docs)
-        m = count_cooccurrences(tc, 3, Weighting.HARMONIC)
-        path = tmp_path / "counts.bin"
-        save_matrix(m, path)
-        coo = m.counts.tocoo()
-        expected = b"".join(
-            struct.pack("<IId", int(i), int(j), float(v))
-            for i, j, v in zip(coo.row, coo.col, coo.data)
-        )
-        assert path.read_bytes() == expected
-        reloaded = load_matrix(path, tc.vocabulary)
-        assert (reloaded.counts != m.counts).nnz == 0
-
-    def test_truncated_stream_rejected(self, tmp_path):
-        tc = tokenized([["a", "b"]])
-        m = count_cooccurrences(tc, 1, Weighting.FLAT)
-        path = tmp_path / "counts.bin"
-        save_matrix(m, path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ValueError, match="truncated"):
-            load_matrix(path, tc.vocabulary)

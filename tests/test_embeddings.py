@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 from ocrdrift.embeddings import (
     EmbeddingMatrix,
-    EmbeddingMetadata,
     Model,
     RateProfile,
     TrainConfig,
@@ -19,7 +18,7 @@ def dense_embedding(words, vectors, model=Model.SGNS):
     return EmbeddingMatrix(
         words=tuple(words),
         vectors=np.asarray(vectors, dtype=np.float64),
-        metadata=EmbeddingMetadata(model=model),
+        model=model,
     )
 
 
@@ -48,7 +47,7 @@ class TestTextFormat:
         back = import_embeddings(path)
         assert back.words == emb.words
         assert np.abs(back.vectors - emb.vectors).max() < 1e-6
-        assert back.metadata.model is Model.EXTERNAL
+        assert back.model is Model.EXTERNAL
 
     def test_header_line(self, tmp_path):
         emb = dense_embedding(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -87,6 +86,12 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="non-finite value at line 4"):
             import_embeddings(path)
 
+    def test_header_larger_than_file_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("99999999999 99999\na 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header declares 99999999999 rows .* at line 1"):
+            import_embeddings(path)
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2\na 1 2\nb 3 4\n", encoding="utf-8")
@@ -94,11 +99,7 @@ class TestTextFormat:
             import_embeddings(path)
 
     def test_sparse_export_rejected(self, tmp_path):
-        emb = EmbeddingMatrix(
-            words=("a", "b"),
-            vectors=sp.csr_matrix(np.eye(2)),
-            metadata=EmbeddingMetadata(model=Model.PPMI),
-        )
+        emb = EmbeddingMatrix(words=("a", "b"), vectors=sp.csr_matrix(np.eye(2)), model=Model.PPMI)
         with pytest.raises(TypeError):
             export_embeddings(emb, tmp_path / "v.txt")
 
@@ -111,15 +112,12 @@ class TestTextFormat:
 class TestSparseFormat:
     def test_npz_round_trip(self, tmp_path):
         rows = sp.csr_matrix(np.array([[0.0, 1.5, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 0.25]]))
-        emb = EmbeddingMatrix(
-            words=("x", "y", "z"), vectors=rows,
-            metadata=EmbeddingMetadata(model=Model.PPMI),
-        )
+        emb = EmbeddingMatrix(words=("x", "y", "z"), vectors=rows, model=Model.PPMI)
         path = tmp_path / "rows.npz"
         save_sparse_embeddings(emb, path)
         back = load_sparse_embeddings(path)
         assert back.words == emb.words
-        assert back.metadata.model is Model.PPMI
+        assert back.model is Model.PPMI
         np.testing.assert_allclose(back.vectors.toarray(), rows.toarray())
 
 
@@ -133,9 +131,6 @@ class TestEmbeddingMatrix:
             dense_embedding(["a", "b", "c"], np.eye(2))
 
     def test_dim_none_for_sparse(self):
-        emb = EmbeddingMatrix(
-            words=("a", "b"), vectors=sp.csr_matrix(np.eye(2)),
-            metadata=EmbeddingMetadata(model=Model.PPMI),
-        )
+        emb = EmbeddingMatrix(words=("a", "b"), vectors=sp.csr_matrix(np.eye(2)), model=Model.PPMI)
         assert emb.dim is None
         assert not emb.is_dense

@@ -79,7 +79,7 @@ class TestTraining:
         emb = train_glove(m, config(epochs=2, dim=12))
         assert emb.vectors.shape == (m.size, 12)
         assert emb.words == m.vocabulary.words
-        assert emb.metadata.model is Model.GLOVE
+        assert emb.model is Model.GLOVE
 
     def test_flat_weighting_rejected(self):
         tc = tokenized([["a", "b", "a", "b"]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ocrdrift.embeddings import EmbeddingMatrix, EmbeddingMetadata, Model
+from ocrdrift.embeddings import EmbeddingMatrix, Model
 from ocrdrift.overlap import (
     NeighborSet,
     average_runs,
@@ -22,7 +22,7 @@ def embedding(words, vectors):
     return EmbeddingMatrix(
         words=tuple(words),
         vectors=np.asarray(vectors, dtype=np.float64),
-        metadata=EmbeddingMetadata(model=Model.EXTERNAL),
+        model=Model.EXTERNAL,
     )
 
 
@@ -268,7 +268,7 @@ class TestEvaluatePair:
         words = ("a", "b", "c", "d")
         vectors = sp.csr_matrix(np.array([[1.0, 0, 0], [0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]]))
         vectors.data[-1] = np.nan
-        emb = EmbeddingMatrix(words=words, vectors=vectors, metadata=EmbeddingMetadata(model=Model.PPMI))
+        emb = EmbeddingMatrix(words=words, vectors=vectors, model=Model.PPMI)
         with pytest.raises(ValueError, match="'d' has a non-finite"):
             neighbor_sets(emb, words)
         # words outside the intersection are not checked
@@ -279,18 +279,6 @@ class TestEvaluatePair:
         a = random_embedding(rng, 5, 4)
         with pytest.raises(ValueError):
             evaluate_pair(a, a, a.words[:1], n_grid=[0.5])
-
-    def test_accepts_vocab_intersection_object(self):
-        from ocrdrift.preprocess import build_vocabulary, intersect_vocabularies
-
-        rng = np.random.default_rng(14)
-        v1 = build_vocabulary([["a", "b", "c", "d"]], min_count=1)
-        v2 = build_vocabulary([["b", "c", "d", "e"]], min_count=1)
-        inter = intersect_vocabularies([v1, v2])
-        emb = embedding(["a", "b", "c", "d", "e"], rng.normal(size=(5, 4)))
-        curve = evaluate_pair(emb, emb, inter, n_grid=[1.0], resamples=10)
-        assert curve.intersection_size == 3
-        assert curve.means[0] == 1.0
 
 
 class TestAverageRuns:
@@ -362,6 +350,18 @@ class TestCurveFiles:
         n, k, mean, lo, hi = read_curve_csv(path)
         np.testing.assert_allclose(n, curve.n_values)
         np.testing.assert_allclose(mean, curve.means, atol=1e-8)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("N,k,mean,ci_low,ci_high\n0.1,3,0.5,0.4,0.6\n0.5,15,0.7\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"curve\.csv: expected 5 fields, got 3 at line 3"):
+            read_curve_csv(path)
+
+    def test_non_numeric_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("N,k,mean,ci_low,ci_high\n0.1,3,oops,0.4,0.6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"curve\.csv: non-numeric value at line 2"):
+            read_curve_csv(path)
 
     def test_json_metadata_block(self, tmp_path):
         import json

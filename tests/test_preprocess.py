@@ -7,14 +7,11 @@ from ocrdrift.noise import NoiseSpec
 from ocrdrift.preprocess import (
     build_vocabulary,
     encode_documents,
-    intersect_vocabularies,
     intersect_words,
     normalize,
     preprocess_corpus,
-    read_vocabulary,
     tokenize,
     window_pairs,
-    write_vocabulary,
 )
 from ocrdrift.corpus import Version
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
@@ -125,36 +122,33 @@ class TestWindowPairs:
 
 
 class TestIntersections:
-    def _vocab(self, words):
-        return build_vocabulary([list(words)], min_count=1)
+    def _words(self, words):
+        return build_vocabulary([list(words)], min_count=1).words
 
     def test_basic_intersection(self):
-        inter = intersect_vocabularies([self._vocab("abc"), self._vocab("bcd")])
-        assert inter.words == ("b", "c")
+        assert intersect_words([self._words("abc"), self._words("bcd")]) == ["b", "c"]
 
     def test_identical_vocabularies_full_size(self):
-        v = self._vocab("abc")
-        inter = intersect_vocabularies([v, v])
-        assert len(inter) == len(v)
+        words = self._words("abc")
+        assert len(intersect_words([words, words])) == len(words)
 
-    def test_mappings_point_back_to_sources(self):
-        v1, v2 = self._vocab("abc"), self._vocab("cab")
-        inter = intersect_vocabularies([v1, v2])
-        for j, vocab in enumerate((v1, v2)):
-            for i, word in enumerate(inter.words):
-                assert inter.mappings[j][i] == vocab.word_to_id[word]
+    def test_every_word_is_in_every_source(self):
+        sources = [self._words("abcd"), self._words("cabe"), self._words("bxac")]
+        common = intersect_words(sources)
+        assert common == ["a", "b", "c"]
+        assert all(word in words for words in sources for word in common)
 
     def test_size_bounded_by_smallest_source(self):
-        v1, v2 = self._vocab("abcdef"), self._vocab("ab")
-        assert len(intersect_vocabularies([v1, v2])) <= min(len(v1), len(v2))
+        w1, w2 = self._words("abcdef"), self._words("ab")
+        assert len(intersect_words([w1, w2])) <= min(len(w1), len(w2))
 
     def test_empty_intersection_is_error(self):
         with pytest.raises(ValueError, match="empty"):
-            intersect_vocabularies([self._vocab("ab"), self._vocab("cd")])
+            intersect_words([self._words("ab"), self._words("cd")])
 
     def test_single_vocabulary_is_error(self):
         with pytest.raises(ValueError):
-            intersect_vocabularies([self._vocab("ab")])
+            intersect_words([self._words("ab")])
 
     def test_noisy_vocab_intersection_strictly_smaller(self):
         docs = synthetic_documents(60_000, seed=3, n_types=300, doc_chars=800)
@@ -165,20 +159,3 @@ class TestIntersections:
         assert len(common) < len(gt)
         assert len(common) < len(ocr)
 
-
-class TestVocabularyFile:
-    def test_round_trip_lexicographic(self, tmp_path):
-        vocab = build_vocabulary([["pear", "apple", "pear", "fig", "fig", "fig"]], min_count=1)
-        path = tmp_path / "vocab.tsv"
-        write_vocabulary(vocab, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines == ["apple\t1", "fig\t3", "pear\t2"]
-        reloaded = read_vocabulary(path)
-        assert reloaded.word_to_id == vocab.word_to_id
-        assert list(reloaded.frequencies) == list(vocab.frequencies)
-
-    def test_malformed_line_names_lineno(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("good\t3\nbad line\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
-            read_vocabulary(path)

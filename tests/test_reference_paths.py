@@ -31,7 +31,6 @@ from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version, load_corpus, save_paired_files
 from ocrdrift.embeddings import (
     EmbeddingMatrix,
-    EmbeddingMetadata,
     Model,
     RateProfile,
     TrainConfig,
@@ -378,7 +377,7 @@ def assert_same_order(sims):
 
 
 def external(words, vectors, model=Model.EXTERNAL):
-    return EmbeddingMatrix(words=tuple(words), vectors=vectors, metadata=EmbeddingMetadata(model=model))
+    return EmbeddingMatrix(words=tuple(words), vectors=vectors, model=model)
 
 
 def exact_tie_vectors(rng, n):
@@ -599,7 +598,7 @@ def reference_train(config_path):
         for version in (Version.OCR, Version.GROUND_TRUTH):
             tokenized = preprocess_corpus(corpus, version, spec.min_count)
             for run in range(1 if spec.model is Model.PPMI else config.runs):
-                emb = cli._train_one(spec, tokenized, config.seed + run, run)
+                emb = cli._train_one(spec, tokenized, config.seed + run)
                 stem = f"{spec.label}_{version.value}_run{run}"
                 if emb.is_dense:
                     path = out / "embeddings" / f"{stem}.txt"

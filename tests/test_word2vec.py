@@ -184,11 +184,8 @@ class TestTraining:
         docs = [["a", "b"] * 30]
         config = TrainConfig(model=Model.CBOW, dim=8, epochs=1, seed=3,
                              rate_profile=RateProfile.FAST)
-        emb = train_cbow(tokenized(docs), config, run_index=2)
-        assert emb.metadata.model is Model.CBOW
-        assert emb.metadata.seed == 3
-        assert emb.metadata.learning_rate == 1e-3
-        assert emb.metadata.run_index == 2
+        emb = train_cbow(tokenized(docs), config)
+        assert emb.model is Model.CBOW
 
     def test_rejects_wrong_model(self):
         config = TrainConfig(model=Model.CBOW, rate_profile=RateProfile.FAST)
