@@ -8,10 +8,6 @@ their cosine nearest-neighbor sets overlap across neighborhood sizes.
 
 from .cooccur import CooccurrenceMatrix, Weighting, count_cooccurrences
 from .corpus import (
-    DUTCH,
-    ENGLISH,
-    FRENCH,
-    GERMAN,
     PAD,
     AlignedDocument,
     Corpus,

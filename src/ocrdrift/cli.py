@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import multiprocessing
@@ -44,7 +45,6 @@ from .corpus import CorpusError, Version, compute_stats, load_corpus, save_paire
 from .embeddings import (
     EmbeddingMatrix,
     Model,
-    TrainConfig,
     export_embeddings,
     import_embeddings,
     load_sparse_embeddings,
@@ -52,7 +52,6 @@ from .embeddings import (
 )
 from .glove import train_glove
 from .noise import (
-    NoiseSpec,
     corpus_error_rates,
     write_error_report_csv,
     write_error_report_json,
@@ -126,19 +125,7 @@ def cmd_stats(config: ExperimentConfig, lang: str | None) -> int:
                  f"{100.0 * s.aligned_docs / s.total_docs:.1f}",
                  s.split_docs, f"{s.avg_chars:.2f}", s.min_chars, s.max_chars, s.total_chars]
             )
-    payload = [
-        {
-            "language": name,
-            "total_docs": s.total_docs,
-            "aligned_docs": s.aligned_docs,
-            "split_docs": s.split_docs,
-            "avg_chars": s.avg_chars,
-            "min_chars": s.min_chars,
-            "max_chars": s.max_chars,
-            "total_chars": s.total_chars,
-        }
-        for name, s in rows
-    ]
+    payload = [{"language": name, **dataclasses.asdict(s)} for name, s in rows]
     (out / "stats.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     for name, s in rows:
         print(
@@ -194,14 +181,7 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
     base.mkdir(parents=True, exist_ok=True)
     manifest = []
     for index, level in enumerate(config.noise.levels):
-        spec = NoiseSpec(
-            target_cer=level,
-            substitution_weight=config.noise.substitution_weight,
-            deletion_weight=config.noise.deletion_weight,
-            insertion_weight=config.noise.insertion_weight,
-            seed=config.seed + index,
-            alphabet=config.noise.alphabet,
-        )
+        spec = dataclasses.replace(config.noise.spec, target_cer=level, seed=config.seed + index)
         corpus = noisy_corpus(documents, spec)
         level_dir = base / f"cer{int(round(level * 100)):03d}"
         save_paired_files(corpus, level_dir)
@@ -226,26 +206,17 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
 # ----------------------------------------------------------------------
 
 def _train_one(spec: ModelSpec, tokenized: TokenizedCorpus, seed: int) -> EmbeddingMatrix:
-    train_config = TrainConfig(
-        model=spec.model,
-        dim=spec.dim,
-        window=spec.window,
-        epochs=spec.epochs,
-        negative_samples=spec.negative_samples,
-        seed=seed,
-        rate_profile=spec.rate_profile,
-        learning_rate=spec.learning_rate,
-        batch_size=spec.batch_size,
-    )
-    if spec.model is Model.SGNS:
+    train_config = dataclasses.replace(spec.train, seed=seed)
+    model = train_config.model
+    if model is Model.SGNS:
         return train_sgns(tokenized, train_config)
-    if spec.model is Model.CBOW:
+    if model is Model.CBOW:
         return train_cbow(tokenized, train_config)
-    if spec.model is Model.GLOVE:
-        matrix = count_cooccurrences(tokenized, spec.window, Weighting.HARMONIC)
+    if model is Model.GLOVE:
+        matrix = count_cooccurrences(tokenized, train_config.window, Weighting.HARMONIC)
         return train_glove(matrix, train_config)
-    if spec.model is Model.PPMI:
-        matrix = count_cooccurrences(tokenized, spec.window, Weighting.FLAT)
+    if model is Model.PPMI:
+        matrix = count_cooccurrences(tokenized, train_config.window, Weighting.FLAT)
         return train_ppmi(matrix)
     raise ConfigError(f"model {spec.label!r} cannot be trained locally")
 
@@ -365,7 +336,7 @@ def _write_atomically(path: Path, text: str) -> None:
 
 def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
     sources = config.for_language(lang)
-    trainable = [m for m in config.models if m.model is not Model.EXTERNAL]
+    trainable = [m for m in config.models if m.train.model is not Model.EXTERNAL]
     if not trainable:
         raise ConfigError("no trainable models configured")
     jobs = []
@@ -377,7 +348,7 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
         tokenized_cache: dict[tuple[Version, int], TokenizedCorpus] = {}
         for spec in trainable:
             # PPMI has no stochastic state: one run covers it
-            runs = 1 if spec.model is Model.PPMI else config.runs
+            runs = 1 if spec.train.model is Model.PPMI else config.runs
             for version in _VERSIONS:
                 key = (version, spec.min_count)
                 if key not in tokenized_cache:
@@ -407,7 +378,7 @@ def _load_embedding(path: Path) -> EmbeddingMatrix:
 def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
     sources = config.for_language(lang)
     n_grid = config.n_grid or default_n_grid()
-    trainable = [m for m in config.models if m.model is not Model.EXTERNAL]
+    trainable = [m for m in config.models if m.train.model is not Model.EXTERNAL]
     for src in sources:
         out = config.out_dir / src.language.name
         loaded: dict[tuple[str, str, int], EmbeddingMatrix] = {}
@@ -426,7 +397,7 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                     raise MissingArtifactError(f"embedding file missing: {emb_path}")
                 loaded[(entry["model"], entry["version"], entry["run"])] = _load_embedding(emb_path)
         for spec in config.models:
-            if spec.model is Model.EXTERNAL:
+            if spec.train.model is Model.EXTERNAL:
                 loaded[(spec.label, Version.OCR.value, 0)] = import_embeddings(spec.ocr_path)
                 loaded[(spec.label, Version.GROUND_TRUTH.value, 0)] = import_embeddings(spec.gt_path)
 

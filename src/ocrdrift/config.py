@@ -7,7 +7,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import CorpusFormat, Language
-from .embeddings import Model, RateProfile
+from .embeddings import Model, RateProfile, TrainConfig
+from .noise import NoiseSpec
+from .overlap import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
 
 
 class ConfigError(Exception):
@@ -27,27 +29,24 @@ class LanguageSource:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    model: Model
+    """A configured model: its training parameters (seed 0, which each run
+    replaces), its vocabulary cut-off, and an external model's files."""
+
     label: str
-    dim: int = 100
-    window: int = 5
-    epochs: int = 5
-    negative_samples: int = 5
+    train: TrainConfig
     min_count: int = 5
-    batch_size: int = 8192
-    rate_profile: RateProfile | None = None
-    learning_rate: float | None = None
     ocr_path: Path | None = None
     gt_path: Path | None = None
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
+    """The `noise` command's levels and clean source. `spec` is the template
+    every level's spec is made from (target_cer 0 and seed 0, which each
+    level replaces)."""
+
     levels: tuple[float, ...]
-    substitution_weight: float = 0.8
-    deletion_weight: float = 0.1
-    insertion_weight: float = 0.1
-    alphabet: str = "abcdefghijklmnopqrstuvwxyz"
+    spec: NoiseSpec = NoiseSpec(target_cer=0.0)
     source_text: Path | None = None
     synthetic_chars: int = 200_000
     doc_chars: int = 2000
@@ -60,8 +59,8 @@ class ExperimentConfig:
     seed: int = 0
     runs: int = 3
     n_grid: tuple[float, ...] = ()
-    bootstrap_resamples: int = 1000
-    confidence: float = 0.95
+    bootstrap_resamples: int = DEFAULT_RESAMPLES
+    confidence: float = DEFAULT_CONFIDENCE
     languages: tuple[LanguageSource, ...] = ()
     models: tuple[ModelSpec, ...] = ()
     noise: NoiseConfig | None = None
@@ -76,82 +75,136 @@ class ExperimentConfig:
         return chosen
 
 
-def _default_label(payload: dict) -> str:
-    name = payload["model"].lower()
-    profile = payload.get("rate_profile")
-    return f"{name}-{profile}" if profile else name
-
-
-def _present(payload: dict, **converters) -> dict:
-    """Each key named in `converters` that `payload` holds, converted; a
-    missing key is left out, so the dataclass field supplies its default."""
-    return {key: convert(payload[key]) for key, convert in converters.items() if key in payload}
+def _fields(payload, where: str, **converters) -> dict:
+    """Each key of `payload`, converted by its converter; a missing key is
+    left out, so the dataclass field supplies its default. A key without a
+    converter is an error."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in payload:
+        if key not in converters:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    fields = {}
+    for key, convert in converters.items():
+        if key in payload:
+            try:
+                fields[key] = convert(payload[key])
+            except (AttributeError, TypeError, ValueError):
+                raise ConfigError(f"{where}: invalid {key} {payload[key]!r}") from None
+    return fields
 
 
 def _as_given(value):
     return value
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def _rate_profile(value) -> RateProfile | None:
     return RateProfile(value) if value else None
 
 
-def _parse_model(payload: dict) -> ModelSpec:
-    if "model" not in payload:
+def _learning_rate(value) -> float | None:
+    return None if value is None else float(value)
+
+
+_TRAIN_FIELDS = dict(dim=int, window=int, epochs=int, negative_samples=int, batch_size=int,
+                     rate_profile=_rate_profile, learning_rate=_learning_rate)
+_SPEC_FIELDS = dict(min_count=int, ocr_path=Path, gt_path=Path)
+
+
+def _parse_model(payload) -> ModelSpec:
+    if not isinstance(payload, dict) or "model" not in payload:
         raise ConfigError("model entry without a 'model' field")
     try:
-        model = Model(payload["model"].lower())
+        model = Model(str(payload["model"]).lower())
     except ValueError:
         raise ConfigError(f"unknown model {payload['model']!r}") from None
-    spec = ModelSpec(
-        model=model,
-        label=payload.get("name", _default_label(payload)),
-        **_present(payload, dim=int, window=int, epochs=int, negative_samples=int, min_count=int,
-                   batch_size=int, rate_profile=_rate_profile, learning_rate=_as_given,
-                   ocr_path=Path, gt_path=Path),
-    )
-    if model in (Model.SGNS, Model.CBOW) and spec.rate_profile is None and spec.learning_rate is None:
-        raise ConfigError(f"model {spec.label!r} needs a rate_profile or learning_rate")
-    if model in (Model.PPMI, Model.GLOVE) and spec.rate_profile is not None:
-        raise ConfigError(f"model {spec.label!r} takes no rate profile")
+    profile = payload.get("rate_profile")
+    label = payload.get("name", f"{model.value}-{profile}" if profile else model.value)
+    where = f"model {label!r}"
+    fields = _fields(payload, where, model=_as_given, name=_as_given, **_TRAIN_FIELDS, **_SPEC_FIELDS)
+    train = TrainConfig(model, **{k: v for k, v in fields.items() if k in _TRAIN_FIELDS})
+    spec = ModelSpec(label, train, **{k: v for k, v in fields.items() if k in _SPEC_FIELDS})
+    has_rate = train.rate_profile is not None or train.learning_rate is not None
+    if model in (Model.SGNS, Model.CBOW) and not has_rate:
+        raise ConfigError(f"{where} needs a rate_profile or learning_rate")
+    if model in (Model.PPMI, Model.GLOVE) and has_rate:
+        raise ConfigError(f"{where} takes no rate_profile or learning_rate")
     if model is Model.EXTERNAL and (spec.ocr_path is None or spec.gt_path is None):
-        raise ConfigError(f"external model {spec.label!r} needs ocr_path and gt_path")
+        raise ConfigError(f"external {where} needs ocr_path and gt_path")
+    try:
+        train.validated()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if spec.min_count < 1:
+        raise ConfigError(f"{where}: min_count must be >= 1")
     return spec
+
+
+def _parse_languages(entries) -> tuple[LanguageSource, ...]:
+    sources = []
+    for index, entry in enumerate(entries):
+        fields = _fields(entry, f"languages[{index}]", language=Language.parse, path=Path, format=CorpusFormat)
+        if "path" not in fields or "language" not in fields:
+            raise ConfigError("each language entry needs 'language' and 'path'")
+        sources.append(LanguageSource(**fields))
+    return tuple(sources)
 
 
 def _parse_n_grid(payload) -> tuple[float, ...]:
     if payload is None:
         return ()
     if isinstance(payload, dict):
-        start = float(payload.get("start", 0.01))
-        stop = float(payload.get("stop", 1.0))
-        step = float(payload.get("step", 0.01))
+        bounds = {"start": 0.01, "stop": 1.0, "step": 0.01,
+                  **_fields(payload, "n_grid", start=float, stop=float, step=float)}
+        start, stop, step = bounds["start"], bounds["stop"], bounds["step"]
         if step <= 0 or not 0 < start <= stop <= 1:
             raise ConfigError("n_grid must satisfy 0 < start <= stop <= 1 with step > 0")
         count = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 10) for i in range(count))
-    grid = tuple(float(v) for v in payload)
+    grid = _floats(payload)
     if not grid or any(not 0 < v <= 1 for v in grid):
         raise ConfigError("n_grid fractions must lie in (0, 1]")
     return grid
 
 
-def _parse_noise(payload: dict | None) -> NoiseConfig | None:
+def _noise_weights(payload) -> dict[str, float]:
+    weights = _fields(payload, "the noise weights", substitution=float, deletion=float, insertion=float)
+    return {f"{kind}_weight": weight for kind, weight in weights.items()}
+
+
+def _parse_noise(payload) -> NoiseConfig | None:
+    """The noise section. Its spec template goes through NoiseSpec's own
+    checks, and so does each level."""
     if payload is None:
         return None
-    if "levels" not in payload or not payload["levels"]:
+    fields = _fields(payload, "the noise section", levels=_floats, weights=_noise_weights,
+                     alphabet=_as_given, source_text=Path, synthetic_chars=int, doc_chars=int,
+                     out_name=_as_given)
+    levels = fields.pop("levels", ())
+    if not levels:
         raise ConfigError("noise section needs a non-empty 'levels' list")
-    weights = _present(payload.get("weights", {}), substitution=float, deletion=float, insertion=float)
-    return NoiseConfig(
-        levels=tuple(float(v) for v in payload["levels"]),
-        **{f"{kind}_weight": weight for kind, weight in weights.items()},
-        **_present(payload, alphabet=_as_given, source_text=Path, synthetic_chars=int,
-                   doc_chars=int, out_name=_as_given),
-    )
+    template = fields.pop("weights", {})
+    if "alphabet" in fields:
+        template["alphabet"] = fields.pop("alphabet")
+    try:
+        spec = NoiseSpec(target_cer=0.0, **template)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"the noise section: {exc}") from None
+    for level in levels:
+        try:
+            replace(spec, target_cer=level)
+        except ValueError as exc:
+            raise ConfigError(f"noise level {level}: {exc}") from None
+    return NoiseConfig(levels=levels, spec=spec, **fields)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and fully validate a configuration file."""
+    """Parse and fully validate a configuration file: every rule on its
+    values is checked here, before any command touches a file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -159,30 +212,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if "out_dir" not in payload:
-        raise ConfigError("config needs an 'out_dir'")
-
-    languages = []
-    for entry in payload.get("languages", []):
-        if "path" not in entry or "language" not in entry:
-            raise ConfigError("each language entry needs 'language' and 'path'")
-        try:
-            fmt = _present(entry, format=CorpusFormat)
-        except ValueError:
-            raise ConfigError(f"unknown corpus format {entry['format']!r}") from None
-        languages.append(
-            LanguageSource(language=Language.parse(entry["language"]), path=Path(entry["path"]), **fmt)
-        )
-
-    config = ExperimentConfig(
-        out_dir=Path(payload["out_dir"]),
-        n_grid=_parse_n_grid(payload.get("n_grid")),
-        languages=tuple(languages),
-        models=tuple(_parse_model(m) for m in payload.get("models", [])),
-        noise=_parse_noise(payload.get("noise")),
-        **_present(payload, seed=int, runs=int, bootstrap_resamples=int, confidence=float),
+    fields = _fields(
+        payload, "the config", out_dir=Path, seed=int, runs=int, n_grid=_parse_n_grid,
+        bootstrap_resamples=int, confidence=float, languages=_parse_languages,
+        models=lambda entries: tuple(_parse_model(m) for m in entries), noise=_parse_noise,
     )
-    return validate_config(config)
+    if "out_dir" not in fields:
+        raise ConfigError("config needs an 'out_dir'")
+    return validate_config(ExperimentConfig(**fields))
 
 
 def _check_file_name(kind: str, name) -> None:
@@ -219,11 +256,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.noise is not None:
         noise = config.noise
         _check_file_name("noise out_name", noise.out_name)
+        if noise.synthetic_chars < 1 or noise.doc_chars < 1:
+            raise ConfigError("noise synthetic_chars and doc_chars must be >= 1")
         if noise.source_text is not None and not noise.source_text.is_file():
             raise ConfigError(f"noise source text does not exist: {noise.source_text}")
-        for level in noise.levels:
-            if not 0 <= level <= 0.9:
-                raise ConfigError(f"noise level {level} outside [0, 0.9]")
     return config
 
 

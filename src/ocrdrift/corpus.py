@@ -51,12 +51,6 @@ class Language:
         return self.name
 
 
-DUTCH = Language("dutch")
-ENGLISH = Language("english")
-FRENCH = Language("french")
-GERMAN = Language("german")
-
-
 class Version(Enum):
     """Which side of the aligned pair an operation reads."""
 
@@ -77,7 +71,6 @@ class AlignedDocument:
     ocr_raw: str
     ocr_aligned: str
     gt_aligned: str
-    language: Language
     is_aligned: bool
 
     def text(self, version: Version) -> str:
@@ -107,15 +100,13 @@ class IngestionReport:
 class Corpus:
     documents: tuple[AlignedDocument, ...]
     language: Language
-    version: Version = Version.GROUND_TRUTH
     report: IngestionReport | None = None
 
     def __len__(self) -> int:
         return len(self.documents)
 
-    def texts(self, version: Version | None = None) -> list[str]:
-        v = version or self.version
-        return [doc.text(v) for doc in self.documents]
+    def texts(self, version: Version) -> list[str]:
+        return [doc.text(version) for doc in self.documents]
 
 
 @dataclass(frozen=True)
@@ -205,7 +196,6 @@ def load_corpus(
                     ocr_raw=ocr_raw,
                     ocr_aligned=ocr_aligned,
                     gt_aligned=gt_aligned,
-                    language=lang,
                     is_aligned=len(ocr_aligned) == len(gt_aligned),
                 )
             )
@@ -230,7 +220,6 @@ def load_corpus(
                     ocr_raw=ocr_text,
                     ocr_aligned=ocr_text,
                     gt_aligned=gt_text,
-                    language=lang,
                     is_aligned=len(ocr_text) == len(gt_text),
                 )
             )
@@ -299,7 +288,6 @@ def split_documents(corpus: Corpus, max_chars: int) -> Corpus:
                     ocr_raw=raw,
                     ocr_aligned=ocr,
                     gt_aligned=gt,
-                    language=doc.language,
                     is_aligned=doc.is_aligned and len(ocr) == len(gt),
                 )
             )
@@ -308,7 +296,7 @@ def split_documents(corpus: Corpus, max_chars: int) -> Corpus:
 
 def compute_stats(
     corpus: Corpus,
-    version: Version | None = None,
+    version: Version,
     split_max_chars: int = 500,
 ) -> CorpusStats:
     """Character statistics of the selected version, padding excluded.
@@ -319,8 +307,7 @@ def compute_stats(
     """
     if not corpus.documents:
         raise CorpusError("cannot compute statistics of an empty corpus")
-    v = version or corpus.version
-    lengths = [len(doc.text(v)) for doc in corpus.documents]
+    lengths = [len(doc.text(version)) for doc in corpus.documents]
     total = sum(lengths)
     return CorpusStats(
         total_docs=len(lengths),

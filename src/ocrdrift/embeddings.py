@@ -55,6 +55,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.negative_samples < 1:
+            raise ValueError("negative_samples must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         return self
 
 

@@ -8,9 +8,11 @@ tests that need corpora of controlled size without shipping any data.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .corpus import AlignedDocument, Corpus, Language, Version
+from .corpus import PAD, AlignedDocument, Corpus, Language
 from .noise import NoiseSpec, inject_noise
 
 
@@ -45,6 +47,8 @@ def synthetic_documents(
     and takes `topic_affinity` of its tokens from that topic's word block,
     the rest from the global distribution.
     """
+    if doc_chars < 1:
+        raise ValueError("doc_chars must be >= 1")
     rng = np.random.default_rng(seed)
     words = synthetic_vocabulary(n_types, rng, min_len=min_len, max_len=max_len)
     global_weights = 1.0 / np.arange(1, n_types + 1) ** 1.05
@@ -102,23 +106,15 @@ def noisy_corpus(
     """
     docs = []
     for i, text in enumerate(documents):
-        doc_spec = NoiseSpec(
-            target_cer=spec.target_cer,
-            substitution_weight=spec.substitution_weight,
-            deletion_weight=spec.deletion_weight,
-            insertion_weight=spec.insertion_weight,
-            seed=int(np.random.default_rng((spec.seed, i)).integers(0, 2**63 - 1)),
-            alphabet=spec.alphabet,
-        )
-        ocr_aligned, gt_aligned = inject_noise(text, doc_spec)
+        seed = int(np.random.default_rng((spec.seed, i)).integers(0, 2**63 - 1))
+        ocr_aligned, gt_aligned = inject_noise(text, replace(spec, seed=seed))
         docs.append(
             AlignedDocument(
                 id=f"doc{i:05d}",
-                ocr_raw=ocr_aligned.replace("@", ""),
+                ocr_raw=ocr_aligned.replace(PAD, ""),
                 ocr_aligned=ocr_aligned,
                 gt_aligned=gt_aligned,
-                language=Language.parse(language),
                 is_aligned=True,
             )
         )
-    return Corpus(documents=tuple(docs), language=Language.parse(language), version=Version.GROUND_TRUTH)
+    return Corpus(documents=tuple(docs), language=Language.parse(language))

@@ -300,8 +300,6 @@ def _train(
     if config.model is not model:
         raise ValueError(f"config.model must be {model.name}, got {config.model}")
     config.validated()
-    if config.negative_samples < 1:
-        raise ValueError("negative_samples must be >= 1")
 
     vocab = corpus.vocabulary
     W, C = _init_matrices(vocab.words, config.dim, config.seed)

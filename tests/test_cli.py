@@ -353,6 +353,26 @@ class TestTrainOutput:
         after = {path: path.read_bytes() for path in (out / "first").rglob("*") if path.is_file()}
         assert after == before
 
+    def test_bad_model_value_stops_train_before_any_file(self, tmp_path, corpus_dir, capsys):
+        """A bad model value is a config error: train exits 2 before it
+        deletes the previous manifest or overwrites an embedding file."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1)
+        assert main(["train", "--config", str(config)]) == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert out / "other" / "manifest.json" in before
+        for key, value in (("batch_size", -1), ("learning_rate", "abc")):
+            payload = json.loads(config.read_text(encoding="utf-8"))
+            payload["models"][1][key] = value
+            bad = tmp_path / f"bad_{key}.json"
+            bad.write_text(json.dumps(payload), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["train", "--config", str(bad), "--seed", "99"]) == 2
+            err = capsys.readouterr().err
+            assert "'sgns-fast'" in err and key in err
+            after = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+            assert after == before
+
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the patched trainer reaches the workers only through fork")

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ocrdrift.config import (
+    ConfigError,
     ExperimentConfig,
     LanguageSource,
     ModelSpec,
@@ -9,7 +12,7 @@ from ocrdrift.config import (
     load_config,
 )
 from ocrdrift.corpus import CorpusFormat, Language
-from ocrdrift.embeddings import Model, RateProfile
+from ocrdrift.embeddings import Model, RateProfile, TrainConfig
 
 
 def load(tmp_path, payload):
@@ -31,7 +34,7 @@ class TestDefaults:
         assert config == ExperimentConfig(
             out_dir=Path("out"),
             languages=(LanguageSource(language=Language.parse("other"), path=corpus),),
-            models=(ModelSpec(model=Model.PPMI, label="ppmi"),),
+            models=(ModelSpec(label="ppmi", train=TrainConfig(Model.PPMI)),),
             noise=NoiseConfig(levels=(0.1,)),
         )
 
@@ -47,13 +50,53 @@ class TestDefaults:
             "runs": 2,
             "confidence": "0.9",
             "languages": [{"language": "other", "path": str(corpus), "format": "paired"}],
-            "models": [{"model": "sgns", "rate_profile": "slow", "dim": "16", "batch_size": 64}],
-            "noise": {"levels": [0.1], "weights": {"deletion": "0.5"}, "doc_chars": "300"},
+            "models": [{"model": "sgns", "rate_profile": "slow", "dim": "16", "batch_size": 64},
+                       {"model": "cbow", "learning_rate": "0.002", "min_count": "2"},
+                       {"model": "cbow", "name": "cbow-null", "rate_profile": "fast", "learning_rate": None}],
+            "noise": {"levels": [0.1], "weights": {"deletion": "0.5", "substitution": 0.4},
+                      "doc_chars": "300"},
         })
         assert (config.seed, config.runs, config.confidence) == (4, 2, 0.9)
         assert config.languages[0].format is CorpusFormat.PAIRED_FILES
-        spec = config.models[0]
-        assert (spec.label, spec.dim, spec.batch_size) == ("sgns-slow", 16, 64)
-        assert spec.rate_profile is RateProfile.SLOW
-        assert (config.noise.deletion_weight, config.noise.substitution_weight) == (0.5, 0.8)
+        sgns, cbow, cbow_null = config.models
+        assert (sgns.label, sgns.train.dim, sgns.train.batch_size) == ("sgns-slow", 16, 64)
+        assert sgns.train.rate_profile is RateProfile.SLOW
+        assert (cbow.label, cbow.train.learning_rate, cbow.min_count) == ("cbow", 0.002, 2)
+        assert cbow_null.train.learning_rate is None
+        spec = config.noise.spec
+        assert (spec.deletion_weight, spec.substitution_weight, spec.insertion_weight) == (0.5, 0.4, 0.1)
         assert config.noise.doc_chars == 300
+
+
+def sgns(**fields):
+    return {"model": "sgns", "rate_profile": "fast", **fields}
+
+
+# each entry: config fields, then texts the error must hold (the model
+# label or the entry, and the key or the value)
+BAD_VALUES = {
+    **{f"{key}={value}": ({"models": [sgns(**{key: value})]}, "'sgns-fast'", key)
+       for key, value in [("dim", 0), ("window", 0), ("epochs", 0), ("negative_samples", 0),
+                          ("batch_size", 0), ("batch_size", -1), ("min_count", 0),
+                          ("learning_rate", "abc"), ("learning_rate", -1)]},
+    "glove rate": ({"models": [{"model": "glove", "learning_rate": 0.5}]}, "'glove'", "learning_rate"),
+    "ppmi rate": ({"models": [{"model": "ppmi", "learning_rate": 0.5}]}, "'ppmi'", "learning_rate"),
+    "weights sum": ({"noise": {"levels": [0.1], "weights": {"deletion": 0.5}}}, "noise", "weights"),
+    "level 0.95": ({"noise": {"levels": [0.1, 0.95]}}, "noise level 0.95"),
+    "doc_chars 0": ({"noise": {"levels": [0.1], "doc_chars": 0}}, "noise", "doc_chars"),
+    "unknown top-level key": ({"epoch": 50}, "'epoch'", "config"),
+    "unknown language key": ({"languages": [{"language": "other", "path": "c", "formt": "paired"}]},
+                             "'formt'", "languages[0]"),
+    "unknown model key": ({"models": [sgns(epoch=50)]}, "'epoch'", "'sgns-fast'"),
+    "unknown noise key": ({"noise": {"levels": [0.1], "level": 0.2}}, "'level'", "noise section"),
+    "unknown weight": ({"noise": {"levels": [0.1], "weights": {"subst": 1.0}}}, "'subst'", "noise weights"),
+    "unknown n_grid key": ({"n_grid": {"start": 0.1, "end": 0.5}}, "'end'", "n_grid"),
+}
+
+
+@pytest.mark.parametrize("fields, named", [(v[0], v[1:]) for v in BAD_VALUES.values()], ids=list(BAD_VALUES))
+def test_bad_value_is_a_config_error_naming_it(tmp_path, fields, named):
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, {"out_dir": "out", **fields})
+    for text in named:
+        assert text in str(info.value)

@@ -23,19 +23,18 @@ def write_icdar(path, ocr_raw, ocr_aligned, gt_aligned, gt_tag="[ GS_aligned]"):
     )
 
 
-def make_doc(doc_id, ocr, gt, language="synthetic"):
+def make_doc(doc_id, ocr, gt):
     return AlignedDocument(
         id=doc_id,
         ocr_raw=ocr.replace("@", ""),
         ocr_aligned=ocr,
         gt_aligned=gt,
-        language=Language.parse(language),
         is_aligned=len(ocr) == len(gt),
     )
 
 
 def make_corpus(pairs, language="synthetic"):
-    docs = tuple(make_doc(f"doc{i:03d}", ocr, gt, language) for i, (ocr, gt) in enumerate(pairs))
+    docs = tuple(make_doc(f"doc{i:03d}", ocr, gt) for i, (ocr, gt) in enumerate(pairs))
     return Corpus(documents=docs, language=Language.parse(language))
 
 
@@ -48,7 +47,7 @@ class TestIcdarLoading:
         assert doc.ocr_aligned == "c@t"
         assert doc.gt_aligned == "cat"
         assert doc.is_aligned
-        assert doc.language == Language("dutch")
+        assert corpus.language == Language("dutch")
 
     def test_gt_tag_variant_without_space_also_parses(self, tmp_path):
         write_icdar(tmp_path / "a.txt", "x", "x", "x", gt_tag="[GS_aligned]")
@@ -198,9 +197,9 @@ class TestComputeStats:
 
     def test_aligned_count(self):
         corpus = make_corpus([("ab", "ab"), ("a", "ab")])
-        assert compute_stats(corpus).aligned_docs == 1
+        assert compute_stats(corpus, Version.GROUND_TRUTH).aligned_docs == 1
 
     def test_empty_corpus_is_error(self):
         empty = Corpus(documents=(), language=Language("synthetic"))
         with pytest.raises(CorpusError):
-            compute_stats(empty)
+            compute_stats(empty, Version.GROUND_TRUTH)

@@ -10,6 +10,7 @@ from ocrdrift.noise import (
     write_error_report_csv,
     write_histogram_csv,
 )
+from ocrdrift.synthetic import synthetic_documents
 from tests.test_corpus import make_corpus
 
 
@@ -201,3 +202,9 @@ class TestInjectNoise:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             inject_noise("", NoiseSpec(target_cer=0.1))
+
+
+def test_synthetic_documents_reject_empty_documents():
+    # with doc_chars < 1 every document was empty and generation never ended
+    with pytest.raises(ValueError, match="doc_chars"):
+        synthetic_documents(100, doc_chars=0)

@@ -597,7 +597,7 @@ def reference_train(config_path):
     for spec in config.models:
         for version in (Version.OCR, Version.GROUND_TRUTH):
             tokenized = preprocess_corpus(corpus, version, spec.min_count)
-            for run in range(1 if spec.model is Model.PPMI else config.runs):
+            for run in range(1 if spec.train.model is Model.PPMI else config.runs):
                 emb = cli._train_one(spec, tokenized, config.seed + run)
                 stem = f"{spec.label}_{version.value}_run{run}"
                 if emb.is_dense:

@@ -197,6 +197,10 @@ class TestTraining:
             TrainConfig(model=Model.SGNS, dim=0, rate_profile=RateProfile.FAST).validated()
         with pytest.raises(ValueError):
             TrainConfig(model=Model.SGNS, epochs=0, rate_profile=RateProfile.FAST).validated()
+        for field, value in (("negative_samples", 0), ("batch_size", 0), ("learning_rate", -1e-3)):
+            with pytest.raises(ValueError, match=field):
+                train_sgns(tokenized([["a", "b"] * 30]),
+                           TrainConfig(model=Model.SGNS, rate_profile=RateProfile.FAST, **{field: value}))
 
     def test_rejects_no_pairs(self):
         config = TrainConfig(model=Model.SGNS, dim=4, rate_profile=RateProfile.FAST)
