@@ -45,7 +45,6 @@ from .overlap import (
     NeighborSet,
     OverlapCurve,
     average_runs,
-    bootstrap_ci,
     default_n_grid,
     evaluate_pair,
     k_for_fraction,

@@ -12,6 +12,9 @@ from .noise import NoiseSpec
 from .overlap import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
 
 
+MAX_GRID_POINTS = 1000  # ten times the default grid
+
+
 class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
@@ -163,8 +166,14 @@ def _parse_n_grid(payload) -> tuple[float, ...]:
         start, stop, step = bounds["start"], bounds["stop"], bounds["step"]
         if step <= 0 or not 0 < start <= stop <= 1:
             raise ConfigError("n_grid must satisfy 0 < start <= stop <= 1 with step > 0")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 10) for i in range(count))
+        steps = (stop - start) / step
+        # true exactly when round(steps) + 1 > MAX_GRID_POINTS, and also for
+        # an infinite steps (a subnormal step), which round() cannot take
+        if steps >= MAX_GRID_POINTS - 0.5:
+            raise ConfigError(f"n_grid has {steps + 1:.0f} points; at most {MAX_GRID_POINTS} are allowed")
+        return tuple(round(start + i * step, 10) for i in range(int(round(steps)) + 1))
+    if len(payload) > MAX_GRID_POINTS:
+        raise ConfigError(f"n_grid has {len(payload)} points; at most {MAX_GRID_POINTS} are allowed")
     grid = _floats(payload)
     if not grid or any(not 0 < v <= 1 for v in grid):
         raise ConfigError("n_grid fractions must lie in (0, 1]")

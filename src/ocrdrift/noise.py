@@ -207,6 +207,8 @@ class NoiseSpec:
             raise ValueError("noise weights must sum to 1")
         if len(set(self.alphabet)) != len(self.alphabet) or len(self.alphabet) < 2:
             raise ValueError("alphabet must hold at least two distinct characters")
+        if PAD in self.alphabet:
+            raise ValueError(f"alphabet must not hold the padding symbol {PAD!r}")
 
 
 def inject_noise(gt_text: str, spec: NoiseSpec) -> tuple[str, str]:

@@ -182,23 +182,6 @@ def overlap_at_k(r_ocr: NeighborSet, r_truth: NeighborSet, k: int) -> float:
     return len(shared) / k
 
 
-def bootstrap_ci(
-    per_word_overlaps: Sequence[float] | np.ndarray,
-    confidence: float = DEFAULT_CONFIDENCE,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int | tuple = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of per-word scores.
-
-    Words are resampled with replacement `resamples` times; the interval
-    is the central `confidence` mass of the resampled means. Deterministic
-    for a given seed. This is the one-row case of `_bootstrap_bands`.
-    """
-    values = np.asarray(per_word_overlaps, dtype=np.float64).reshape(1, -1)
-    low, high = _bootstrap_bands(values, confidence, resamples, seed)
-    return float(low[0]), float(high[0])
-
-
 def _bootstrap_bands(
     per_word: np.ndarray, confidence: float, resamples: int, seed: int | tuple
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -278,11 +261,12 @@ def evaluate_pair(
     ranks is at most k, so per-word overlaps for the whole fraction grid
     come from one cumulative count of the combined ranks.
 
-    Memory budget: besides the inputs and the returned curve it holds two
-    normalized copies of each space's intersection rows, at most six
-    block arrays of at most BLOCK_BYTES each while ranking, and at most
-    two bootstrap chunks of min(4M, resamples * size) 8-byte values while
-    resampling.
+    Memory budget: besides the inputs it holds the per-word score table
+    the returned curve keeps, len(n_grid) * size 8-byte values (a config
+    allows at most 1,000 grid points), two normalized copies of each
+    space's intersection rows, at most six block arrays of at most
+    BLOCK_BYTES each while ranking, and at most two bootstrap chunks of
+    min(4M, resamples * size) 8-byte values while resampling.
     """
     size = len(intersection)
     if size < 2:

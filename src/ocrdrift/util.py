@@ -68,18 +68,6 @@ def segment_weighted_sums(
     return unique, matrix @ source
 
 
-def scatter_add(target: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """Add `updates` into `target[rows]`, summing duplicate rows.
-
-    Equivalent to np.add.at, but orders of magnitude faster for the batch
-    sizes used in training.
-    """
-    if len(rows) == 0:
-        return
-    unique, sums = segment_sums(rows, updates)
-    target[unique] += sums
-
-
 def seeded_matrix(
     rows: int,
     dim: int,

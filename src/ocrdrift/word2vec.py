@@ -1,11 +1,15 @@
 """Skip-gram with negative sampling and CBOW, trained from scratch.
 
 Both models keep two dense matrices: input vectors W (returned as the word
-embedding) and output vectors C. Training is plain SGD on the
-negative-sampling logistic objective, processed in batches in a fixed
-seeded order, so a given seed always reproduces the same matrices bit for
-bit. The learning rate decays linearly to 1e-4 of its initial value over
-the whole run.
+embedding) and output vectors C. Each model has one objective, its batch
+loss (`sgns_batch_loss`, `cbow_batch_loss`): the negative-sampling
+logistic loss summed over the batch. Each batch step is exact SGD on that
+loss: `sgns_batch_step` and `cbow_batch_step` at rate r move W and C by
+-r times its gradient, taken at the matrices before the step, which is
+what the gradient acceptance criterion checks against central
+differences. Batches are processed in a fixed seeded order, so a given
+seed always reproduces the same matrices bit for bit. The learning rate
+decays linearly to 1e-4 of its initial value over the whole run.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, Model, TrainConfig
 from .preprocess import TokenizedCorpus, window_pairs
-from .util import log_sigmoid, scatter_add, seeded_matrix, segment_weighted_sums, sigmoid
+from .util import log_sigmoid, seeded_matrix, segment_sums, segment_weighted_sums, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -29,55 +33,6 @@ FINAL_RATE_FRACTION = 1e-4
 _W_STREAM = 1
 _C_STREAM = 2
 
-
-# ----------------------------------------------------------------------
-# per-example objective, used by the batch kernels and by gradient tests
-# ----------------------------------------------------------------------
-
-def sgns_pair_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarray) -> float:
-    """-log sigma(w.c) - sum_k log sigma(-w.n_k) for one training pair."""
-    pos = float(center @ context)
-    neg = negatives @ center
-    return float(-(log_sigmoid(pos) + log_sigmoid(-neg).sum()))
-
-
-def sgns_pair_gradients(
-    center: np.ndarray, context: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sgns_pair_loss w.r.t. (center, context, negatives)."""
-    pos_coef = sigmoid(float(center @ context)) - 1.0
-    neg_coef = sigmoid(negatives @ center)
-    g_center = pos_coef * context + neg_coef @ negatives
-    g_context = pos_coef * center
-    g_negatives = neg_coef[:, None] * center[None, :]
-    return g_center, g_context, g_negatives
-
-
-def cbow_loss(contexts: np.ndarray, center: np.ndarray, negatives: np.ndarray) -> float:
-    """Objective for one position: the averaged context predicts the center."""
-    h = contexts.mean(axis=0)
-    pos = float(h @ center)
-    neg = negatives @ h
-    return float(-(log_sigmoid(pos) + log_sigmoid(-neg).sum()))
-
-
-def cbow_gradients(
-    contexts: np.ndarray, center: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of cbow_loss w.r.t. (contexts, center, negatives)."""
-    h = contexts.mean(axis=0)
-    pos_coef = sigmoid(float(h @ center)) - 1.0
-    neg_coef = sigmoid(negatives @ h)
-    g_h = pos_coef * center + neg_coef @ negatives
-    g_contexts = np.tile(g_h / len(contexts), (len(contexts), 1))
-    g_center = pos_coef * h
-    g_negatives = neg_coef[:, None] * h[None, :]
-    return g_contexts, g_center, g_negatives
-
-
-# ----------------------------------------------------------------------
-# batched training
-# ----------------------------------------------------------------------
 
 def _negative_cdf(frequencies: np.ndarray) -> np.ndarray:
     weights = frequencies.astype(np.float64) ** NEGATIVE_POWER
@@ -154,18 +109,6 @@ def _context_table(
     return centers, table, table >= 0
 
 
-class _LinearRate:
-    def __init__(self, initial: float, total_steps: int):
-        self.initial = initial
-        self.total = max(total_steps, 1)
-        self.step = 0
-
-    def next(self) -> float:
-        progress = self.step / self.total
-        self.step += 1
-        return self.initial * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
-
-
 @functools.lru_cache(maxsize=2)
 def _pair_index(b: int, k: int) -> np.ndarray:
     """The batch row of each output-side update of a (b, k) batch: the b
@@ -226,7 +169,8 @@ def sgns_batch_step(
     pos_coef = (sigmoid(np.einsum("bd,bd->b", w, cp)) - 1.0) * (-rate)
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
     d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
-    scatter_add(W, centers, d_w)
+    unique, sums = segment_sums(centers, d_w)
+    W[unique] += sums
     _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w)
 
 
@@ -273,14 +217,11 @@ def cbow_batch_step(
     _update_outputs(C, centers, negatives, pos_coef, neg_coef, h)
 
 
-def _init_matrices(
-    words: tuple[str, ...], dim: int, seed: int, dtype=np.float32
-) -> tuple[np.ndarray, np.ndarray]:
-    # float32 halves the memory traffic of the batch kernels; the seeded
-    # float64 draw happens first so the values themselves are dtype-stable
+def _init_matrices(words: tuple[str, ...], dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # float32 halves the memory traffic of the batch kernels
     bound = 0.5 / dim
-    W = seeded_matrix(len(words), dim, seed, _W_STREAM, -bound, bound).astype(dtype)
-    C = seeded_matrix(len(words), dim, seed, _C_STREAM, -bound, bound).astype(dtype)
+    W = seeded_matrix(len(words), dim, seed, _W_STREAM, -bound, bound).astype(np.float32)
+    C = seeded_matrix(len(words), dim, seed, _C_STREAM, -bound, bound).astype(np.float32)
     return W, C
 
 
@@ -309,13 +250,16 @@ def _train(
 
     count = len(examples[0])
     batches_per_epoch = math.ceil(count / config.batch_size)
-    rate = _LinearRate(config.resolved_rate(), config.epochs * batches_per_epoch)
+    total_steps = config.epochs * batches_per_epoch
+    initial_rate = config.resolved_rate()
     for epoch in range(config.epochs):
         order = rng.permutation(count)
-        for start in range(0, count, config.batch_size):
+        for batch, start in enumerate(range(0, count, config.batch_size)):
             sel = order[start:start + config.batch_size]
             negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
-            step(W, C, *(array[sel] for array in examples), negatives, rate.next())
+            progress = (epoch * batches_per_epoch + batch) / total_steps
+            rate = initial_rate * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
+            step(W, C, *(array[sel] for array in examples), negatives, rate)
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
     return EmbeddingMatrix(words=vocab.words, vectors=W, model=model)

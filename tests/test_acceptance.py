@@ -22,13 +22,8 @@ from ocrdrift.overlap import NeighborSet, evaluate_pair, k_for_fraction, overlap
 from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import build_vocabulary, encode_documents, intersect_words, preprocess_corpus
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents, synthetic_text
-from ocrdrift.word2vec import (
-    cbow_gradients,
-    cbow_loss,
-    sgns_pair_gradients,
-    sgns_pair_loss,
-    train_sgns,
-)
+from ocrdrift.word2vec import train_sgns
+from tests.test_word2vec import step_gradient_error
 
 pytestmark = pytest.mark.acceptance
 
@@ -81,52 +76,15 @@ def test_ppmi_matches_dense_bruteforce():
 
 
 def test_gradients_match_finite_differences():
-    """Analytic gradients agree with central differences (h = 1e-6) to a
-    relative error below 1e-4 on 100 random configurations per model."""
-    def relative_error(analytic, numeric):
-        scale = np.maximum.reduce(
-            [np.abs(analytic), np.abs(numeric), np.full_like(analytic, 1e-8)]
-        )
-        return float(np.max(np.abs(analytic - numeric) / scale))
-
-    def central_diff(f, x, h=1e-6):
-        grad = np.zeros_like(x)
-        flat, g = x.ravel(), grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f()
-            flat[i] = orig - h
-            down = f()
-            flat[i] = orig
-            g[i] = (up - down) / (2 * h)
-        return grad
-
-    rng = np.random.default_rng(77)
-    for trial in range(100):
-        dim = int(rng.integers(3, 10))
-        k = int(rng.integers(1, 6))
-        w = rng.uniform(-1, 1, dim)
-        c = rng.uniform(-1, 1, dim)
-        negs = rng.uniform(-1, 1, (k, dim))
-        gw, gc, gn = sgns_pair_gradients(w, c, negs)
-        loss = lambda: sgns_pair_loss(w, c, negs)  # noqa: E731
-        assert relative_error(gw, central_diff(loss, w)) < 1e-4, f"sgns trial {trial}"
-        assert relative_error(gc, central_diff(loss, c)) < 1e-4, f"sgns trial {trial}"
-        assert relative_error(gn, central_diff(loss, negs)) < 1e-4, f"sgns trial {trial}"
-
-    for trial in range(100):
-        dim = int(rng.integers(3, 10))
-        k = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 7))
-        ctx = rng.uniform(-1, 1, (m, dim))
-        center = rng.uniform(-1, 1, dim)
-        negs = rng.uniform(-1, 1, (k, dim))
-        gctx, gcen, gneg = cbow_gradients(ctx, center, negs)
-        loss = lambda: cbow_loss(ctx, center, negs)  # noqa: E731
-        assert relative_error(gctx, central_diff(loss, ctx)) < 1e-4, f"cbow trial {trial}"
-        assert relative_error(gcen, central_diff(loss, center)) < 1e-4, f"cbow trial {trial}"
-        assert relative_error(gneg, central_diff(loss, negs)) < 1e-4, f"cbow trial {trial}"
+    """One SGNS or CBOW batch step at rate r moves float64 W and C by -r
+    times the central-difference gradient (h = 1e-5) of that model's batch
+    loss, to a relative error below 1e-4, on 100 random small batches per
+    model with repeated centers, a positive target that is also one of
+    its negatives, a repeated negative and masked CBOW slots."""
+    for model in (Model.SGNS, Model.CBOW):
+        for trial in range(100):
+            error = step_gradient_error(model, (77, trial))
+            assert error < 1e-4, f"{model.value} batch {trial}: relative error {error:.2e}"
 
 
 def test_self_overlap_identity():

@@ -84,6 +84,9 @@ BAD_VALUES = {
     "weights sum": ({"noise": {"levels": [0.1], "weights": {"deletion": 0.5}}}, "noise", "weights"),
     "level 0.95": ({"noise": {"levels": [0.1, 0.95]}}, "noise level 0.95"),
     "doc_chars 0": ({"noise": {"levels": [0.1], "doc_chars": 0}}, "noise", "doc_chars"),
+    "alphabet with padding": ({"noise": {"levels": [0.1], "alphabet": "ab@"}}, "noise section", "'@'"),
+    "n_grid of 1981 points": ({"n_grid": {"start": 0.01, "step": 0.0005}}, "n_grid", "1981"),
+    "n_grid list of 1001 points": ({"n_grid": [0.5] * 1001}, "n_grid", "1001"),
     "unknown top-level key": ({"epoch": 50}, "'epoch'", "config"),
     "unknown language key": ({"languages": [{"language": "other", "path": "c", "formt": "paired"}]},
                              "'formt'", "languages[0]"),
@@ -100,3 +103,11 @@ def test_bad_value_is_a_config_error_naming_it(tmp_path, fields, named):
         load(tmp_path, {"out_dir": "out", **fields})
     for text in named:
         assert text in str(info.value)
+
+
+@pytest.mark.parametrize("step", [1e-12, 5e-324])
+def test_n_grid_with_a_tiny_step_fails_before_building_it(tmp_path, step):
+    # about 1e12 points (or an infinite count): building them first would
+    # exhaust memory, so the count alone must be rejected
+    with pytest.raises(ConfigError, match="n_grid"):
+        load(tmp_path, {"out_dir": "out", "n_grid": {"step": step}})

@@ -154,6 +154,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(target_cer=0.1, substitution_weight=1.2, deletion_weight=-0.3, insertion_weight=0.1)
 
+    def test_alphabet_with_padding_symbol_rejected(self):
+        # a substitution drawing it would write padding: a deletion
+        with pytest.raises(ValueError, match="padding symbol '@'"):
+            NoiseSpec(target_cer=0.1, alphabet="ab@")
+
 
 class TestInjectNoise:
     def test_zero_target_is_identity(self):

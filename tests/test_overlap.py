@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from ocrdrift.embeddings import EmbeddingMatrix, Model
 from ocrdrift.overlap import (
     NeighborSet,
+    _bootstrap_bands,
     average_runs,
-    bootstrap_ci,
     default_n_grid,
     evaluate_pair,
     k_for_fraction,
@@ -157,35 +157,41 @@ class TestOverlapAtK:
         assert overlap_at_k(sa, sb, 3) == 1.0
 
 
+def one_row_band(values, confidence, resamples, seed=0):
+    low, high = _bootstrap_bands(np.asarray(values, dtype=np.float64).reshape(1, -1),
+                                 confidence, resamples, seed)
+    return float(low[0]), float(high[0])
+
+
 class TestBootstrap:
     def test_constant_values_zero_width(self):
-        low, high = bootstrap_ci([0.7] * 50, 0.95, 500, seed=1)
+        low, high = one_row_band([0.7] * 50, 0.95, 500, seed=1)
         assert low == high
         assert low == pytest.approx(0.7)
 
     def test_balanced_binary_interval(self):
         values = np.array([0.0, 1.0] * 5000)
-        low, high = bootstrap_ci(values, 0.95, 1000, seed=2)
+        low, high = one_row_band(values, 0.95, 1000, seed=2)
         assert 0.485 <= low <= 0.4975
         assert 0.5025 <= high <= 0.515
 
     def test_single_resample_degenerate(self):
         rng = np.random.default_rng(3)
         values = rng.random(100)
-        low, high = bootstrap_ci(values, 0.95, 1, seed=4)
+        low, high = one_row_band(values, 0.95, 1, seed=4)
         assert low == high
 
     def test_deterministic_for_seed(self):
         values = np.random.default_rng(0).random(200)
-        assert bootstrap_ci(values, 0.9, 300, seed=7) == bootstrap_ci(values, 0.9, 300, seed=7)
+        assert one_row_band(values, 0.9, 300, seed=7) == one_row_band(values, 0.9, 300, seed=7)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            bootstrap_ci([], 0.95, 100)
+            one_row_band([], 0.95, 100)
         with pytest.raises(ValueError):
-            bootstrap_ci([1.0], 1.5, 100)
+            one_row_band([1.0], 1.5, 100)
         with pytest.raises(ValueError):
-            bootstrap_ci([1.0], 0.95, 0)
+            one_row_band([1.0], 0.95, 0)
 
 
 class TestEvaluatePair:

@@ -44,7 +44,6 @@ from ocrdrift.overlap import (
     _descending_order,
     _normalized_rows,
     _similarities,
-    bootstrap_ci,
     evaluate_pair,
     neighbor_sets,
     overlap_at_k,
@@ -514,13 +513,6 @@ class TestBootstrapBands:
         for row in (0, 2, 3):
             assert low[row] == high[row] == means[row]
         assert low[1] < means[1] < high[1]
-
-    def test_bootstrap_ci_is_the_one_row_case(self):
-        values = np.random.default_rng(9).random(400)
-        low, high = _bootstrap_bands(values[None, :], 0.8, 250, 4)
-        assert bootstrap_ci(values, 0.8, 250, seed=4) == (low[0], high[0])
-        ref_low, ref_high = reference_bands(values[None, :], 0.8, 250, 4)
-        assert abs(low[0] - ref_low[0]) <= 1e-12 and abs(high[0] - ref_high[0]) <= 1e-12
 
 
 def _stored_bytes(vectors):

@@ -3,16 +3,13 @@ import pytest
 
 from ocrdrift.embeddings import Model, RateProfile, TrainConfig
 from ocrdrift.preprocess import build_vocabulary, encode_documents
+from ocrdrift.util import sigmoid
 from ocrdrift.word2vec import (
     _context_table,
     cbow_batch_loss,
     cbow_batch_step,
-    cbow_gradients,
-    cbow_loss,
     sgns_batch_loss,
     sgns_batch_step,
-    sgns_pair_gradients,
-    sgns_pair_loss,
     train_cbow,
     train_sgns,
 )
@@ -23,7 +20,7 @@ def tokenized(docs):
     return encode_documents(docs, vocab)
 
 
-def finite_difference(f, x, h=1e-6):
+def central_difference(f, x, h=1e-5):
     grad = np.zeros_like(x)
     flat = x.ravel()
     g = grad.ravel()
@@ -43,33 +40,62 @@ def relative_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def random_batch(rng, model):
+    """Float64 W, C and a small batch over a few words, so rows collide:
+    repeated centers, a positive target that is also one of its row's
+    negatives, a negative drawn twice and, for CBOW, masked slots that
+    hold real ids (only the mask may exclude them)."""
+    V, dim, b, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 9), (2, 6), (3, 7), (2, 5)))
+    W = rng.uniform(-1, 1, (V, dim))
+    C = rng.uniform(-1, 1, (V, dim))
+    centers = rng.integers(0, V, b).astype(np.int32)
+    centers[1] = centers[0]
+    negatives = rng.integers(0, V, (b, k)).astype(np.int32)
+    negatives[0, 1] = negatives[0, 0]
+    if model is Model.SGNS:
+        contexts = rng.integers(0, V, b).astype(np.int32)
+        negatives[2, 0] = contexts[2]
+        return W, C, (centers, contexts, negatives)
+    slots = 2 * int(rng.integers(1, 4))
+    table = rng.integers(0, V, (b, slots)).astype(np.int32)
+    mask = rng.random((b, slots)) < 0.6
+    mask[0] = False
+    mask[np.arange(b), rng.integers(0, slots, b)] = True
+    # in CBOW the center is the positive target
+    negatives[2, 0] = centers[2]
+    return W, C, (centers, table, mask, negatives)
+
+
+BATCH_OBJECTIVES = {
+    Model.SGNS: (sgns_batch_loss, sgns_batch_step),
+    Model.CBOW: (cbow_batch_loss, cbow_batch_step),
+}
+
+
+def step_gradient_error(model, seed):
+    """Worst relative error between the move one batch step at rate r makes
+    to W and C and -r times the central-difference gradient of the
+    model's batch loss on the same batch."""
+    rng = np.random.default_rng(seed)
+    loss, step = BATCH_OBJECTIVES[model]
+    W, C, batch = random_batch(rng, model)
+    rate = float(rng.uniform(0.01, 1.0))
+    W_after, C_after = W.copy(), C.copy()
+    step(W_after, C_after, *batch, rate)
+    return max(
+        relative_error(after - before, -rate * central_difference(lambda: loss(W, C, *batch), before))
+        for before, after in ((W, W_after), (C, C_after))
+    )
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(12))
     def test_sgns_gradients_match_finite_differences(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(3, 12))
-        k = int(rng.integers(1, 7))
-        w = rng.uniform(-1, 1, dim)
-        c = rng.uniform(-1, 1, dim)
-        negs = rng.uniform(-1, 1, (k, dim))
-        gw, gc, gn = sgns_pair_gradients(w, c, negs)
-        assert relative_error(gw, finite_difference(lambda: sgns_pair_loss(w, c, negs), w)) < 1e-4
-        assert relative_error(gc, finite_difference(lambda: sgns_pair_loss(w, c, negs), c)) < 1e-4
-        assert relative_error(gn, finite_difference(lambda: sgns_pair_loss(w, c, negs), negs)) < 1e-4
+        assert step_gradient_error(Model.SGNS, seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(12))
     def test_cbow_gradients_match_finite_differences(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        dim = int(rng.integers(3, 12))
-        k = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 8))
-        ctx = rng.uniform(-1, 1, (m, dim))
-        center = rng.uniform(-1, 1, dim)
-        negs = rng.uniform(-1, 1, (k, dim))
-        gctx, gcen, gneg = cbow_gradients(ctx, center, negs)
-        assert relative_error(gctx, finite_difference(lambda: cbow_loss(ctx, center, negs), ctx)) < 1e-4
-        assert relative_error(gcen, finite_difference(lambda: cbow_loss(ctx, center, negs), center)) < 1e-4
-        assert relative_error(gneg, finite_difference(lambda: cbow_loss(ctx, center, negs), negs)) < 1e-4
+        assert step_gradient_error(Model.CBOW, seed) < 1e-4
 
 
 class TestBatchStep:
@@ -113,8 +139,6 @@ class TestBatchStep:
         assert decreased >= 0.95 * trials
 
     def test_sgns_step_matches_add_at_reference(self):
-        from ocrdrift.util import sigmoid
-
         rng = np.random.default_rng(5)
         W, C, centers, contexts, negatives = self._batch(rng, 20, 8, 100, 3)
         W2, C2 = W.copy(), C.copy()
@@ -130,6 +154,36 @@ class TestBatchStep:
         np.add.at(W2, centers, -rate * gw)
         np.add.at(C2, contexts, -rate * pc[:, None] * w)
         np.add.at(C2, negatives.reshape(-1), -rate * (nc[:, :, None] * w[:, None, :]).reshape(-1, 8))
+        np.testing.assert_allclose(W, W2, atol=1e-12)
+        np.testing.assert_allclose(C, C2, atol=1e-12)
+
+    def test_cbow_step_matches_add_at_reference(self):
+        rng = np.random.default_rng(6)
+        V, dim, b, slots, k = 20, 8, 100, 6, 3
+        W = rng.uniform(-1, 1, (V, dim))
+        C = rng.uniform(-1, 1, (V, dim))
+        centers = rng.integers(0, V, b).astype(np.int32)
+        mask = rng.random((b, slots)) < 0.7
+        mask[:, 2] = True
+        table = np.where(mask, rng.integers(0, V, (b, slots)), -1).astype(np.int32)
+        negatives = rng.integers(0, V, (b, k)).astype(np.int32)
+        W2, C2 = W.copy(), C.copy()
+        rate = 0.05
+        cbow_batch_step(W, C, centers, table, mask, negatives, rate)
+
+        h = np.zeros((b, dim))
+        for row in range(b):
+            h[row] = W2[table[row][mask[row]]].mean(axis=0)
+        o = C2[centers]
+        cn = C2[negatives]
+        pc = sigmoid(np.einsum("bd,bd->b", h, o)) - 1.0
+        nc = sigmoid(np.einsum("bkd,bd->bk", cn, h))
+        gh = pc[:, None] * o + np.einsum("bk,bkd->bd", nc, cn)
+        for row in range(b):
+            members = table[row][mask[row]]
+            np.add.at(W2, members, -rate * gh[row] / len(members))
+        np.add.at(C2, centers, -rate * pc[:, None] * h)
+        np.add.at(C2, negatives.reshape(-1), -rate * (nc[:, :, None] * h[:, None, :]).reshape(-1, dim))
         np.testing.assert_allclose(W, W2, atol=1e-12)
         np.testing.assert_allclose(C, C2, atol=1e-12)
 
