@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import util
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -283,13 +284,6 @@ def _run_job(index: int) -> dict:
     return _train_and_save(_worker_jobs[index])
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
 def _train_in_workers(jobs: list[_TrainJob]) -> None:
     """Run every job in one pool of worker processes, one per usable CPU,
     and write each language's manifest once all of its jobs are in.
@@ -307,7 +301,7 @@ def _train_in_workers(jobs: list[_TrainJob]) -> None:
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
     pool = ProcessPoolExecutor(
-        min(len(jobs), _usable_cpus()),
+        min(len(jobs), util.usable_cpus()),
         mp_context=context,
         initializer=_init_worker,
         initargs=(jobs, os.getpid()),

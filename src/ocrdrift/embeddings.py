@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -139,6 +140,24 @@ def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(words=words, vectors=matrix, model=model)
 
 
+def _parse_values(lines: list[str], dim: int, path: str | Path) -> np.ndarray:
+    """The values of rows already checked to hold a word and `dim` values,
+    parsed in C as `float()` parses each one. On a bad value, each line is
+    parsed alone to name the first bad one."""
+    def parse(rows: list[str]) -> np.ndarray:
+        return np.loadtxt(rows, dtype=np.float64, comments=None,
+                          usecols=range(1, dim + 1), ndmin=2)
+    try:
+        return parse(lines)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=2):
+            try:
+                parse([line])
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
+        raise
+
+
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read the text format back; errors name the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -160,29 +179,26 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
                 f"{path}: header declares {count} rows of {dim} values, "
                 f"more than its {size} bytes can hold, at line 1"
             )
-        words: list[str] = []
-        seen: set[str] = set()
-        vectors = np.empty((count, dim), dtype=np.float64)
-        lineno = 1
-        for lineno, line in enumerate(fh, start=2):
-            if lineno - 2 >= count:
-                raise ValueError(f"{path}: more rows than the header declares at line {lineno}")
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise ValueError(
-                    f"{path}: expected {dim + 1} fields, got {len(parts)} at line {lineno}"
-                )
-            word = parts[0]
-            if word in seen:
-                raise ValueError(f"{path}: duplicate word {word!r} at line {lineno}")
-            seen.add(word)
-            words.append(word)
-            try:
-                vectors[lineno - 2] = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
-        if len(words) != count:
-            raise ValueError(f"{path}: header declares {count} rows, found {len(words)}")
+        # one line past the declared rows is enough to refuse the file
+        lines = list(itertools.islice(fh, count + 1))
+    words: list[str] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=2):
+        if lineno - 2 >= count:
+            raise ValueError(f"{path}: more rows than the header declares at line {lineno}")
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ValueError(
+                f"{path}: expected {dim + 1} fields, got {len(parts)} at line {lineno}"
+            )
+        word = parts[0]
+        if word in seen:
+            raise ValueError(f"{path}: duplicate word {word!r} at line {lineno}")
+        seen.add(word)
+        words.append(word)
+    if len(words) != count:
+        raise ValueError(f"{path}: header declares {count} rows, found {len(words)}")
+    vectors = _parse_values(lines, dim, path)
     bad_rows = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import util
 from .embeddings import EmbeddingMatrix
 
 DEFAULT_CONFIDENCE = 0.95
@@ -261,12 +263,18 @@ def evaluate_pair(
     ranks is at most k, so per-word overlaps for the whole fraction grid
     come from one cumulative count of the combined ranks.
 
+    Blocks are ranked by a pool of min(blocks, usable CPUs) threads,
+    with OpenBLAS held to one thread; where that cannot be done, by one
+    thread. Each block writes only its own columns of the score table,
+    and block bounds do not depend on the thread count, so the curve
+    does not either.
+
     Memory budget: besides the inputs it holds the per-word score table
     the returned curve keeps, len(n_grid) * size 8-byte values (a config
     allows at most 1,000 grid points), two normalized copies of each
     space's intersection rows, at most six block arrays of at most
-    BLOCK_BYTES each while ranking, and at most two bootstrap chunks of
-    min(4M, resamples * size) 8-byte values while resampling.
+    BLOCK_BYTES each per ranking thread, and at most two bootstrap
+    chunks of min(4M, resamples * size) 8-byte values while resampling.
     """
     size = len(intersection)
     if size < 2:
@@ -280,7 +288,8 @@ def evaluate_pair(
     per_word = np.empty((len(grid), size), dtype=np.float64)
     positions = np.arange(size)
     block_size = block_size or _block_rows(size, norm_a.shape[1], norm_b.shape[1])
-    for start in range(0, size, block_size):
+
+    def rank_block(start: int) -> None:
         stop = min(start + block_size, size)
         rows = stop - start
         combined = np.zeros((rows, size), dtype=np.int64)
@@ -295,6 +304,16 @@ def evaluate_pair(
         shared = np.bincount(combined.ravel(), minlength=rows * size).reshape(rows, size)
         np.cumsum(shared, axis=1, out=shared)
         per_word[:, start:stop] = (shared[:, ks - 1] / ks).T
+
+    starts = range(0, size, block_size)
+    # numpy and scipy release the GIL while ranking, so threads rank
+    # blocks side by side; BLAS is held to one thread meanwhile, or its
+    # own helper threads would take the other CPUs
+    with util.one_blas_thread() as held:
+        workers = min(len(starts), util.usable_cpus()) if held else 1
+        with ThreadPoolExecutor(workers) as pool:
+            # list() re-raises the first block's exception
+            list(pool.map(rank_block, starts))
 
     means = per_word.mean(axis=1)
     low, high = _bootstrap_bands(per_word, confidence, resamples, (seed,))

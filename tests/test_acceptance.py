@@ -6,13 +6,17 @@ check only runs when OCRDRIFT_ICDAR_ROOT points at a local copy of the
 aligned OCR competition corpora (see README for the expected layout).
 """
 
+import itertools
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ocrdrift import util
 from ocrdrift.cli import main
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files
@@ -172,6 +176,16 @@ def test_end_to_end_determinism(tmp_path):
         assert (outputs[0] / rel).read_bytes() == (outputs[1] / rel).read_bytes()
 
 
+def _sgns_on_noisy_copy(docs, target_cer):
+    """The monotonic test's skip-gram model (slow rate), trained on `docs`
+    corrupted at `target_cer`. At module level, so it pickles by name."""
+    corpus = noisy_corpus(docs, NoiseSpec(target_cer=target_cer, seed=99))
+    tc = preprocess_corpus(corpus, Version.OCR, min_count=5)
+    config = TrainConfig(model=Model.SGNS, dim=48, epochs=24, seed=3,
+                         rate_profile=RateProfile.SLOW, batch_size=16384)
+    return train_sgns(tc, config)
+
+
 def test_noise_degrades_embeddings_monotonically():
     """The central qualitative finding at desk scale: models trained on
     noisier text drift further from the clean-text model.
@@ -187,15 +201,11 @@ def test_noise_degrades_embeddings_monotonically():
                                doc_chars=900, topic_affinity=0.75, min_len=2, max_len=4)
     assert sum(len(d) for d in docs) >= 1_000_000
 
-    def train_on(corpus):
-        tc = preprocess_corpus(corpus, Version.OCR, min_count=5)
-        config = TrainConfig(model=Model.SGNS, dim=48, epochs=24, seed=3,
-                             rate_profile=RateProfile.SLOW, batch_size=16384)
-        return train_sgns(tc, config)
-
-    clean = train_on(noisy_corpus(docs, NoiseSpec(target_cer=0.0, seed=99)))
     levels = (0.0, 0.05, 0.10, 0.20, 0.30)
-    noisy = [train_on(noisy_corpus(docs, NoiseSpec(target_cer=lev, seed=99))) for lev in levels]
+    # the six models are independent: train them side by side, one worker
+    # per usable CPU; each is a pure function of its corpus and seed
+    with ProcessPoolExecutor(util.usable_cpus(), mp_context=multiprocessing.get_context("fork")) as pool:
+        clean, *noisy = pool.map(_sgns_on_noisy_copy, itertools.repeat(docs), (0.0,) + levels)
 
     common = intersect_words([clean.words] + [emb.words for emb in noisy])
     means, widths = [], []

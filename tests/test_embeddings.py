@@ -79,6 +79,40 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2"):
             import_embeddings(path)
 
+    def test_non_numeric_value_among_good_rows_names_its_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("4 2\na 1 2\nb 3 4\nc 5 6\nd 7 x8\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-numeric value at line 5"):
+            import_embeddings(path)
+
+    def test_whitespace_around_fields_accepted(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2 \na 1 2 \n  b\t3  4\t\nc 5 6\r\n", encoding="utf-8")
+        back = import_embeddings(path)
+        assert back.words == ("a", "b", "c")
+        np.testing.assert_array_equal(back.vectors, [[1, 2], [3, 4], [5, 6]])
+
+    @pytest.mark.parametrize("kind", ["float32 at 9 digits", "float64 repr"])
+    def test_values_bitwise_equal_to_float(self, tmp_path, kind):
+        rng = np.random.default_rng(4)
+        shape = (300, 7)
+        signs = rng.choice([-1.0, 1.0], size=shape)
+        if kind == "float32 at 9 digits":
+            values = (signs * 10.0 ** rng.uniform(-44, 38, shape)).astype(np.float32)
+            values[0, :3] = [np.finfo(np.float32).max, np.finfo(np.float32).smallest_subnormal, -0.0]
+            text = [" ".join(f"{v:.9g}" for v in row) for row in values]
+        else:
+            values = signs * 10.0 ** rng.uniform(-320, 308, shape)
+            values[0, :3] = [np.finfo(np.float64).max, np.finfo(np.float64).smallest_subnormal, -0.0]
+            text = [" ".join(repr(float(v)) for v in row) for row in values]
+        path = tmp_path / "v.txt"
+        path.write_text(f"{shape[0]} {shape[1]}\n"
+                        + "".join(f"w{i} {row}\n" for i, row in enumerate(text)), encoding="utf-8")
+        expected = np.array([[float(v) for v in row.split()] for row in text])
+        back = import_embeddings(path)
+        assert back.vectors.dtype == np.float64
+        assert back.vectors.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         path = tmp_path / "v.txt"

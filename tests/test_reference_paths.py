@@ -11,7 +11,9 @@ Evaluation ranks with the default (unstable) argsort and then restores the
 stable tie order, in blocks sized by a byte budget, and bootstraps every
 grid row from one set of resample counts. The orderings must equal a
 stable argsort, the bands must equal plain per-resample means of the same
-draws, and one evaluation must stay within its stated memory.
+draws, and one evaluation must stay within its stated memory. Blocks are
+ranked by a pool of threads with OpenBLAS held to one thread: any worker
+count must give the same curve, and BLAS must get its threads back.
 
 `train` runs its (model, version, run) jobs in worker processes. Its
 files, manifest and progress lines must equal those of a plain loop that
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ocrdrift import cli, util, word2vec
+from ocrdrift import cli, overlap, util, word2vec
 from ocrdrift.config import load_config
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version, load_corpus, save_paired_files
@@ -515,6 +517,107 @@ class TestBootstrapBands:
         assert low[1] < means[1] < high[1]
 
 
+# ----------------------------------------------------------------------
+# evaluate_pair: blocks ranked by a pool of threads, BLAS held to one
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every ranking pool evaluate_pair starts."""
+    sizes = []
+
+    class RecordingPool(overlap.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(overlap, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def blas_thread_counts():
+    return [get() for get, _ in util._openblas_thread_controls() or ()]
+
+
+def tie_pair():
+    rng = np.random.default_rng(6)
+    words = [f"w{i:02d}" for i in range(70)]
+    return external(words, exact_tie_vectors(rng, 70)), external(words, exact_tie_vectors(rng, 70)), words
+
+
+def sparse_ppmi_pair():
+    """PPMI spaces of one corpus at windows 2 and 3."""
+    docs = [d.split() for d in synthetic_documents(20_000, seed=3, n_types=200, doc_chars=300)]
+    corpus = encode_documents(docs, build_vocabulary(docs, min_count=2))
+    a, b = (train_ppmi(count_cooccurrences(corpus, window, Weighting.FLAT)) for window in (2, 3))
+    return a, b, sorted(a.words)
+
+
+class TestThreadedRanking:
+    @pytest.mark.parametrize("pair", [tie_pair, sparse_ppmi_pair])
+    @pytest.mark.parametrize("block_size", [1, 13, None])
+    def test_four_workers_match_one(self, monkeypatch, pool_sizes, pair, block_size):
+        a, b, words = pair()
+        grid = [0.02, 0.1, 0.5, 1.0]
+        curves = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            curves.append(evaluate_pair(a, b, words, n_grid=grid, resamples=50, block_size=block_size))
+        one, four = curves
+        assert one.per_word.tobytes() == four.per_word.tobytes()
+        for field in ("means", "ci_low", "ci_high"):
+            assert getattr(one, field).tobytes() == getattr(four, field).tobytes()
+        blocks = -(-len(words) // (block_size or len(words)))
+        held = util._openblas_thread_controls() is not None
+        assert pool_sizes == [1, min(blocks, 4) if held else 1]
+
+    def test_blas_threads_held_to_one_and_given_back(self, monkeypatch):
+        if util._openblas_thread_controls() is None:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        a, b, words = tie_pair()
+        during = []
+        similarities = overlap._similarities
+
+        def recording(*args):
+            during.append(blas_thread_counts())
+            return similarities(*args)
+
+        monkeypatch.setattr(overlap, "_similarities", recording)
+        before = blas_thread_counts()
+        # a count that is not the default, so a reset to the default shows
+        for _, set_ in util._openblas_thread_controls():
+            set_(3)
+        try:
+            evaluate_pair(a, b, words, n_grid=[0.1], resamples=10, block_size=8)
+            assert blas_thread_counts() == [3] * len(before)
+        finally:
+            for (_, set_), count in zip(util._openblas_thread_controls(), before):
+                set_(count)
+        assert during and all(counts == [1] * len(before) for counts in during)
+
+    def test_blas_threads_given_back_when_a_block_raises(self, monkeypatch):
+        a, b, words = tie_pair()
+
+        def failing(*args):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(overlap, "_similarities", failing)
+        before = blas_thread_counts()
+        with pytest.raises(RuntimeError, match="block failed"):
+            evaluate_pair(a, b, words, n_grid=[0.1], resamples=10, block_size=8)
+        assert blas_thread_counts() == before
+
+    def test_no_thread_setter_means_one_worker(self, monkeypatch, pool_sizes):
+        a, b, words = sparse_ppmi_pair()
+        monkeypatch.setattr(util, "usable_cpus", lambda: 4)
+        expected = evaluate_pair(a, b, words, n_grid=[0.05, 0.5], resamples=50, block_size=13)
+        monkeypatch.setattr(util, "_openblas_thread_controls", lambda: None)
+        got = evaluate_pair(a, b, words, n_grid=[0.05, 0.5], resamples=50, block_size=13)
+        assert pool_sizes[-1] == 1
+        assert got.per_word.tobytes() == expected.per_word.tobytes()
+        assert got.ci_low.tobytes() == expected.ci_low.tobytes()
+
+
 def _stored_bytes(vectors):
     if isinstance(vectors, np.ndarray):
         return vectors.nbytes
@@ -522,10 +625,13 @@ def _stored_bytes(vectors):
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
-def test_evaluate_pair_memory_stays_within_budget(kind):
+def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
     """Working memory, as evaluate_pair's docstring states it: two
     normalized copies of each space, the score table, six block arrays of
-    BLOCK_BYTES while ranking and two bootstrap draw chunks."""
+    BLOCK_BYTES per ranking thread and two bootstrap draw chunks."""
+    # a fixed thread count, so the budget does not grow with the CPUs
+    workers = 2
+    monkeypatch.setattr(util, "usable_cpus", lambda: workers)
     size, grid, resamples = 3_000, [0.01, 0.1], 20
     words = [f"w{i:05d}" for i in range(size)]
     if kind == "dense":
@@ -539,7 +645,7 @@ def test_evaluate_pair_memory_stays_within_budget(kind):
     budget = (
         2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
         + len(grid) * size * 8
-        + 6 * BLOCK_BYTES
+        + workers * 6 * BLOCK_BYTES
         + 2 * min(4_000_000, resamples * size) * 8
     )
     # one (rows, size) array of a fixed 1024-row block alone exceeds it
@@ -626,7 +732,7 @@ def sequential_train(tmp_path_factory, cli_corpus_dir):
 def test_train_pool_matches_sequential_loop(tmp_path, monkeypatch, capsys,
                                             cli_corpus_dir, sequential_train, cpus):
     ref_entries, ref_lines, ref_out = sequential_train
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
     config = _write_train_config(tmp_path / "c.json", cli_corpus_dir, tmp_path / "out")
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 0
