@@ -140,22 +140,55 @@ def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(words=words, vectors=matrix, model=model)
 
 
-def _parse_values(lines: list[str], dim: int, path: str | Path) -> np.ndarray:
-    """The values of rows already checked to hold a word and `dim` values,
-    parsed in C as `float()` parses each one. On a bad value, each line is
-    parsed alone to name the first bad one."""
-    def parse(rows: list[str]) -> np.ndarray:
-        return np.loadtxt(rows, dtype=np.float64, comments=None,
-                          usecols=range(1, dim + 1), ndmin=2)
+def _fast_rows(lines: list[str], count: int, dim: int) -> tuple[list[str], np.ndarray] | None:
+    """Words and vectors of well-formed rows, every value parsed in one
+    C-level call; None where any row is not well formed. `np.loadtxt`
+    splits fields at the characters `str.split` splits at and parses a
+    value to the same float64 as `float()`; it reads each word as 0, and
+    raises where a row's field count differs from the first row's."""
+    # the line count also spares loadtxt an empty input, which it warns about
+    if len(lines) != count:
+        return None
     try:
-        return parse(lines)
+        table = np.loadtxt(lines, dtype=np.float64, comments=None,
+                           converters={0: lambda word: 0.0}, ndmin=2)
     except ValueError:
-        for lineno, line in enumerate(lines, start=2):
-            try:
-                parse([line])
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
-        raise
+        return None
+    # a blank line is skipped, and leaves fewer rows than lines
+    if table.shape != (count, dim + 1):
+        return None
+    words = [line.split(maxsplit=1)[0] for line in lines]
+    if len(set(words)) != count:
+        return None
+    return words, table[:, 1:]
+
+
+def _rows_one_by_one(lines: list[str], count: int, dim: int, path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Words and vectors parsed a line and a `float()` at a time; raises
+    on the first malformed line, naming it."""
+    words: list[str] = []
+    seen: set[str] = set()
+    vectors = np.empty((count, dim), dtype=np.float64)
+    for lineno, line in enumerate(lines, start=2):
+        if lineno - 2 >= count:
+            raise ValueError(f"{path}: more rows than the header declares at line {lineno}")
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ValueError(
+                f"{path}: expected {dim + 1} fields, got {len(parts)} at line {lineno}"
+            )
+        word = parts[0]
+        if word in seen:
+            raise ValueError(f"{path}: duplicate word {word!r} at line {lineno}")
+        seen.add(word)
+        words.append(word)
+        try:
+            vectors[lineno - 2] = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
+    if len(words) != count:
+        raise ValueError(f"{path}: header declares {count} rows, found {len(words)}")
+    return words, vectors
 
 
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -181,24 +214,9 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
             )
         # one line past the declared rows is enough to refuse the file
         lines = list(itertools.islice(fh, count + 1))
-    words: list[str] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=2):
-        if lineno - 2 >= count:
-            raise ValueError(f"{path}: more rows than the header declares at line {lineno}")
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise ValueError(
-                f"{path}: expected {dim + 1} fields, got {len(parts)} at line {lineno}"
-            )
-        word = parts[0]
-        if word in seen:
-            raise ValueError(f"{path}: duplicate word {word!r} at line {lineno}")
-        seen.add(word)
-        words.append(word)
-    if len(words) != count:
-        raise ValueError(f"{path}: header declares {count} rows, found {len(words)}")
-    vectors = _parse_values(lines, dim, path)
+    # a malformed file (or a value only `float()` reads, such as 1_000)
+    # takes the line-by-line path, which names the first bad line
+    words, vectors = _fast_rows(lines, count, dim) or _rows_one_by_one(lines, count, dim, path)
     bad_rows = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")

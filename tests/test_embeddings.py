@@ -92,6 +92,25 @@ class TestTextFormat:
         assert back.words == ("a", "b", "c")
         np.testing.assert_array_equal(back.vectors, [[1, 2], [3, 4], [5, 6]])
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 1\n", "header declares 1 rows, found 0"),
+        ("2 2\na 1 2\n\n", "expected 3 fields, got 0 at line 3"),
+        ("2 2\na 1 2\nb 3 4 5\n", "expected 3 fields, got 4 at line 3"),
+        ("2 2\na 1 2\nb 3\n", "expected 3 fields, got 2 at line 3"),
+        ("2 2\na 1 2\nb 3 4\nc 5 6\n", "more rows than the header declares at line 4"),
+        ("3 2\na 1 2\nb 3 4\na 5 6\n", "duplicate word 'a' at line 4"),
+    ])
+    def test_malformed_rows_name_their_line(self, tmp_path, text, message):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            import_embeddings(path)
+
+    def test_value_only_float_reads_is_accepted(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\na 1_0 2\nb 3 4\n", encoding="utf-8")
+        np.testing.assert_array_equal(import_embeddings(path).vectors, [[10, 2], [3, 4]])
+
     @pytest.mark.parametrize("kind", ["float32 at 9 digits", "float64 repr"])
     def test_values_bitwise_equal_to_float(self, tmp_path, kind):
         rng = np.random.default_rng(4)
