@@ -42,7 +42,8 @@ def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int]
     found from /proc/self/maps on the first call; None where no OpenBLAS
     is mapped or one of them exports no thread setter."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
+        # surrogateescape keeps a path that is not UTF-8 as the same bytes
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
             # a mapping's path is its sixth field; anonymous ones have five
             paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh}
     except OSError:
@@ -61,8 +62,9 @@ def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int]
 
 @contextlib.contextmanager
 def one_blas_thread() -> Iterator[bool]:
-    """Hold every loaded OpenBLAS to one thread for the block, then give
-    back each library's previous thread count, also on an exception.
+    """Hold every loaded OpenBLAS to one thread inside the `with` body,
+    then give back each library's previous thread count, also on an
+    exception.
 
     Yields whether it could: False where no OpenBLAS thread setter is
     found, and then the caller should call BLAS from one thread only, as
