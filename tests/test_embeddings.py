@@ -79,12 +79,6 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2"):
             import_embeddings(path)
 
-    def test_non_numeric_value_among_good_rows_names_its_line(self, tmp_path):
-        path = tmp_path / "v.txt"
-        path.write_text("4 2\na 1 2\nb 3 4\nc 5 6\nd 7 x8\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="non-numeric value at line 5"):
-            import_embeddings(path)
-
     def test_whitespace_around_fields_accepted(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2 \na 1 2 \n  b\t3  4\t\nc 5 6\r\n", encoding="utf-8")
@@ -99,6 +93,7 @@ class TestTextFormat:
         ("2 2\na 1 2\nb 3\n", "expected 3 fields, got 2 at line 3"),
         ("2 2\na 1 2\nb 3 4\nc 5 6\n", "more rows than the header declares at line 4"),
         ("3 2\na 1 2\nb 3 4\na 5 6\n", "duplicate word 'a' at line 4"),
+        ("4 2\na 1 2\nb 3 4\nc 5 6\nd 7 x8\n", "non-numeric value at line 5"),
     ])
     def test_malformed_rows_name_their_line(self, tmp_path, text, message):
         path = tmp_path / "v.txt"
