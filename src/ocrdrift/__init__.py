@@ -6,6 +6,12 @@ models on each version, and compare the two learned spaces by how much
 their cosine nearest-neighbor sets overlap across neighborhood sizes.
 """
 
+import os
+
+# read once, when numpy loads OpenBLAS: the program's threads are its
+# parallelism, so no result depends on the caller's environment or CPUs
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .cooccur import CooccurrenceMatrix, Weighting, count_cooccurrences
 from .corpus import (
     PAD,

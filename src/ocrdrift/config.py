@@ -69,6 +69,8 @@ class ExperimentConfig:
     noise: NoiseConfig | None = None
 
     def for_language(self, code: str | None) -> tuple[LanguageSource, ...]:
+        if not self.languages:
+            raise ConfigError("the configuration lists no languages")
         if code is None:
             return self.languages
         wanted = Language.parse(code)

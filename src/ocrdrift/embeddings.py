@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -130,14 +132,20 @@ def save_sparse_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
 
 
 def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
-    with np.load(path, allow_pickle=False) as payload:
-        matrix = sp.csr_matrix(
-            (payload["data"], payload["indices"], payload["indptr"]),
-            shape=tuple(payload["shape"]),
-        )
-        words = tuple(str(w) for w in payload["words"])
-        model = Model(str(payload["model"]))
-    return EmbeddingMatrix(words=words, vectors=matrix, model=model)
+    """Sparse rows written by `save_sparse_embeddings`; a damaged,
+    incomplete or inconsistent archive is a ValueError naming the file."""
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            matrix = sp.csr_matrix(
+                (payload["data"], payload["indices"], payload["indptr"]),
+                shape=tuple(payload["shape"]),
+            )
+            # the constructor checks array shapes, not index bounds
+            matrix.check_format(full_check=True)
+            words = tuple(str(w) for w in payload["words"])
+            return EmbeddingMatrix(words=words, vectors=matrix, model=Model(str(payload["model"])))
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid sparse embedding archive: {exc}") from None
 
 
 def _fast_rows(lines: list[str], count: int, dim: int) -> tuple[list[str], np.ndarray] | None:

@@ -263,11 +263,10 @@ def evaluate_pair(
     ranks is at most k, so per-word overlaps for the whole fraction grid
     come from one cumulative count of the combined ranks.
 
-    Blocks are ranked by a pool of min(blocks, usable CPUs) threads,
-    with OpenBLAS held to one thread; where that cannot be done, by one
-    thread. Each block writes only its own columns of the score table,
-    and block bounds do not depend on the thread count, so the curve
-    does not either.
+    Blocks are ranked by a pool of min(blocks, usable CPUs) threads.
+    Each block writes only its own columns of the score table, and block
+    bounds do not depend on the thread count, so the curve does not
+    either.
 
     Memory budget: besides the inputs it holds the per-word score table
     the returned curve keeps, len(n_grid) * size 8-byte values (a config
@@ -307,13 +306,10 @@ def evaluate_pair(
 
     starts = range(0, size, block_size)
     # numpy and scipy release the GIL while ranking, so threads rank
-    # blocks side by side; BLAS is held to one thread meanwhile, or its
-    # own helper threads would take the other CPUs
-    with util.one_blas_thread() as held:
-        workers = min(len(starts), util.usable_cpus()) if held else 1
-        with ThreadPoolExecutor(workers) as pool:
-            # list() re-raises the first block's exception
-            list(pool.map(rank_block, starts))
+    # blocks side by side (BLAS adds none: see __init__.py)
+    with ThreadPoolExecutor(min(len(starts), util.usable_cpus())) as pool:
+        # list() re-raises the first block's exception
+        list(pool.map(rank_block, starts))
 
     means = per_word.mean(axis=1)
     low, high = _bootstrap_bands(per_word, confidence, resamples, (seed,))

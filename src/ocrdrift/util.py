@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import os
-from collections.abc import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,70 +15,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         return os.cpu_count() or 1
-
-
-def _thread_functions(lib: ctypes.CDLL) -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """An OpenBLAS's (get, set) thread-count functions. numpy's and scipy's
-    wheels prefix and suffix its symbols (`scipy_openblas_set_num_threads64_`),
-    so each spelling is tried."""
-    for prefix in ("", "scipy_"):
-        for suffix in ("", "64_", "_64"):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...] | None:
-    """Thread-count functions of every OpenBLAS mapped into this process,
-    found from /proc/self/maps on the first call; None where no OpenBLAS
-    is mapped or one of them exports no thread setter."""
-    try:
-        # surrogateescape keeps a path that is not UTF-8 as the same bytes
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            # a mapping's path is its sixth field; anonymous ones have five
-            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh}
-    except OSError:
-        return None
-    controls = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
-        try:
-            functions = _thread_functions(ctypes.CDLL(path))
-        except OSError:
-            functions = None
-        if functions is None:
-            return None
-        controls.append(functions)
-    return tuple(controls) or None
-
-
-@contextlib.contextmanager
-def one_blas_thread() -> Iterator[bool]:
-    """Hold every loaded OpenBLAS to one thread inside the `with` body,
-    then give back each library's previous thread count, also on an
-    exception.
-
-    Yields whether it could: False where no OpenBLAS thread setter is
-    found, and then the caller should call BLAS from one thread only, as
-    BLAS may still start its own. The setting is process-wide, so the
-    blocks of two threads must not overlap.
-    """
-    controls = _openblas_thread_controls()
-    if controls is None:
-        yield False
-        return
-    previous = [get() for get, _ in controls]
-    try:
-        for _, set_ in controls:
-            set_(1)
-        yield True
-    finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:

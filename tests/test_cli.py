@@ -89,6 +89,28 @@ class TestConfigAndExitCodes:
         assert "duplicate language" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["stats", "error-rates", "train", "evaluate", "report"])
+    def test_config_without_languages(self, tmp_path, capsys, command):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "models": [{"model": "ppmi", "window": 3, "min_count": 3}],
+        }), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 2
+        assert "the configuration lists no languages" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_sparse_archive_is_exit_2(self, tmp_path, corpus_dir, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1,
+                              models=[{"model": "ppmi", "window": 3, "min_count": 3}])
+        assert main(["train", "--config", str(config)]) == 0
+        archive = sorted((out / "other" / "embeddings").glob("*.npz"))[0]
+        archive.write_bytes(archive.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert f"{archive.name}: not a valid sparse embedding archive" in capsys.readouterr().err
+
     def test_evaluate_without_manifest_is_exit_3(self, tmp_path, corpus_dir, capsys):
         config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out")
         assert main(["evaluate", "--config", str(config)]) == 3

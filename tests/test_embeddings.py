@@ -168,6 +168,52 @@ class TestSparseFormat:
         assert back.model is Model.PPMI
         np.testing.assert_allclose(back.vectors.toarray(), rows.toarray())
 
+    @staticmethod
+    def write_archive(path, **changes):
+        """An archive of a 3x3 matrix as save_sparse_embeddings writes it,
+        with `changes` replacing its arrays (None drops one)."""
+        arrays = dict(data=np.ones(3), indices=np.array([0, 1, 2], dtype=np.int32),
+                      indptr=np.array([0, 1, 2, 3], dtype=np.int32), shape=np.array([3, 3]),
+                      words=np.array(["x", "y", "z"]), model=np.array("ppmi"))
+        arrays.update(changes)
+        np.savez_compressed(path, **{k: v for k, v in arrays.items() if v is not None})
+        return path
+
+    def test_truncated_archive_named(self, tmp_path):
+        path = self.write_archive(tmp_path / "rows.npz")
+        path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(ValueError, match="rows.npz: not a valid sparse embedding archive"):
+            load_sparse_embeddings(path)
+
+    def test_damaged_archive_named(self, tmp_path):
+        """A byte flipped anywhere before the end-of-archive record leaves
+        a loadable archive or is a ValueError naming the file."""
+        path = self.write_archive(tmp_path / "rows.npz")
+        intact = path.read_bytes()
+        for pos in range(len(intact) - 22):
+            damaged = bytearray(intact)
+            damaged[pos] ^= 0xFF
+            path.write_bytes(damaged)
+            try:
+                load_sparse_embeddings(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: not a valid sparse embedding archive")
+
+    def test_missing_array_named(self, tmp_path):
+        path = self.write_archive(tmp_path / "rows.npz", indptr=None)
+        with pytest.raises(ValueError, match="rows.npz: .*indptr"):
+            load_sparse_embeddings(path)
+
+    def test_column_index_outside_matrix_named(self, tmp_path):
+        path = self.write_archive(tmp_path / "rows.npz", indices=np.array([0, 7, 2], dtype=np.int32))
+        with pytest.raises(ValueError, match="rows.npz: .*indices must be < 3"):
+            load_sparse_embeddings(path)
+
+    def test_unknown_model_named(self, tmp_path):
+        path = self.write_archive(tmp_path / "rows.npz", model=np.array("bert"))
+        with pytest.raises(ValueError, match="rows.npz: .*'bert'"):
+            load_sparse_embeddings(path)
+
 
 class TestEmbeddingMatrix:
     def test_duplicate_words_rejected(self):

@@ -12,8 +12,8 @@ stable tie order, in blocks sized by a byte budget, and bootstraps every
 grid row from one set of resample counts. The orderings must equal a
 stable argsort, the bands must equal plain per-resample means of the same
 draws, and one evaluation must stay within its stated memory. Blocks are
-ranked by a pool of threads with OpenBLAS held to one thread: any worker
-count must give the same curve, and BLAS must get its threads back.
+ranked by a pool of threads: any worker count must give the same curve,
+and importing ocrdrift must hold OpenBLAS to one thread.
 
 `train` runs its (model, version, run) jobs in worker processes. Its
 files, manifest and progress lines must equal those of a plain loop that
@@ -21,7 +21,11 @@ trains the same jobs one after another in config order.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,10 +539,6 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def blas_thread_counts():
-    return [get() for get, _ in util._openblas_thread_controls() or ()]
-
-
 def tie_pair():
     rng = np.random.default_rng(6)
     words = [f"w{i:02d}" for i in range(70)]
@@ -568,54 +568,34 @@ class TestThreadedRanking:
         for field in ("means", "ci_low", "ci_high"):
             assert getattr(one, field).tobytes() == getattr(four, field).tobytes()
         blocks = -(-len(words) // (block_size or len(words)))
-        held = util._openblas_thread_controls() is not None
-        assert pool_sizes == [1, min(blocks, 4) if held else 1]
+        assert pool_sizes == [1, min(blocks, 4)]
 
-    def test_blas_threads_held_to_one_and_given_back(self, monkeypatch):
-        if util._openblas_thread_controls() is None:
-            pytest.skip("no OpenBLAS thread setter in this process")
-        a, b, words = tie_pair()
-        during = []
-        similarities = overlap._similarities
-
-        def recording(*args):
-            during.append(blas_thread_counts())
-            return similarities(*args)
-
-        monkeypatch.setattr(overlap, "_similarities", recording)
-        before = blas_thread_counts()
-        # a count that is not the default, so a reset to the default shows
-        for _, set_ in util._openblas_thread_controls():
-            set_(3)
-        try:
-            evaluate_pair(a, b, words, n_grid=[0.1], resamples=10, block_size=8)
-            assert blas_thread_counts() == [3] * len(before)
-        finally:
-            for (_, set_), count in zip(util._openblas_thread_controls(), before):
-                set_(count)
-        assert during and all(counts == [1] * len(before) for counts in during)
-
-    def test_blas_threads_given_back_when_a_block_raises(self, monkeypatch):
+    def test_a_failing_block_raises(self, monkeypatch):
         a, b, words = tie_pair()
 
         def failing(*args):
             raise RuntimeError("block failed")
 
         monkeypatch.setattr(overlap, "_similarities", failing)
-        before = blas_thread_counts()
         with pytest.raises(RuntimeError, match="block failed"):
             evaluate_pair(a, b, words, n_grid=[0.1], resamples=10, block_size=8)
-        assert blas_thread_counts() == before
 
-    def test_no_thread_setter_means_one_worker(self, monkeypatch, pool_sizes):
-        a, b, words = sparse_ppmi_pair()
-        monkeypatch.setattr(util, "usable_cpus", lambda: 4)
-        expected = evaluate_pair(a, b, words, n_grid=[0.05, 0.5], resamples=50, block_size=13)
-        monkeypatch.setattr(util, "_openblas_thread_controls", lambda: None)
-        got = evaluate_pair(a, b, words, n_grid=[0.05, 0.5], resamples=50, block_size=13)
-        assert pool_sizes[-1] == 1
-        assert got.per_word.tobytes() == expected.per_word.tobytes()
-        assert got.ci_low.tobytes() == expected.ci_low.tobytes()
+    def test_import_holds_openblas_to_one_thread(self):
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+        if not libs:
+            pytest.skip("numpy bundles no OpenBLAS")
+        script = (
+            "import ctypes, ocrdrift\n"
+            f"lib = ctypes.CDLL({str(libs[0])!r})\n"
+            "names = [p + 'openblas_get_num_threads' + s for p in ('', 'scipy_') for s in ('', '64_', '_64')]\n"
+            "get = next(getattr(lib, n) for n in names if hasattr(lib, n))\n"
+            "print(get())\n"
+        )
+        src = str(Path(overlap.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "1"
 
 
 def _stored_bytes(vectors):
