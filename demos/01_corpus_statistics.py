@@ -11,14 +11,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from ocrdrift import (
-    NoiseSpec,
-    Version,
-    compute_stats,
-    load_corpus,
-    save_paired_files,
-    split_documents,
-)
+from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files, split_documents
+from ocrdrift.noise import NoiseSpec
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 
 workdir = Path(tempfile.mkdtemp(prefix="ocrdrift-demo-"))

@@ -6,7 +6,7 @@ The noise injector produces aligned pairs whose measured CER lands on a
 requested target, which is the basis of every desk-scale experiment.
 """
 
-from ocrdrift import (
+from ocrdrift.noise import (
     NoiseSpec,
     character_error_rate,
     corpus_error_rates,

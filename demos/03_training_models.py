@@ -8,22 +8,16 @@ EmbeddingMatrix interface, so nearest neighbors are queried identically.
 
 import numpy as np
 
-from ocrdrift import (
-    Model,
-    NoiseSpec,
-    RateProfile,
-    TrainConfig,
-    Version,
-    Weighting,
-    count_cooccurrences,
-    neighbor_sets,
-    train_cbow,
-    train_glove,
-    train_ppmi,
-    train_sgns,
-)
+from ocrdrift.cooccur import Weighting, count_cooccurrences
+from ocrdrift.corpus import Version
+from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.glove import train_glove
+from ocrdrift.noise import NoiseSpec
+from ocrdrift.overlap import neighbor_sets
+from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import preprocess_corpus
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
+from ocrdrift.word2vec import train_cbow, train_sgns
 
 docs = synthetic_documents(150_000, seed=8, n_types=300, n_topics=15, doc_chars=900)
 corpus = noisy_corpus(docs, NoiseSpec(target_cer=0.0, seed=1))

@@ -14,20 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ocrdrift import (
-    Model,
-    NoiseSpec,
-    RateProfile,
-    TrainConfig,
-    Version,
-    average_runs,
-    evaluate_pair,
-    train_sgns,
-    write_curve_csv,
-)
+from ocrdrift.corpus import Version
+from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.noise import NoiseSpec
+from ocrdrift.overlap import average_runs, evaluate_pair, write_curve_csv
 from ocrdrift.preprocess import intersect_words, preprocess_corpus
 from ocrdrift.svg import CurveSeries, render_overlap_svg
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
+from ocrdrift.word2vec import train_sgns
 
 workdir = Path(tempfile.mkdtemp(prefix="ocrdrift-demo-"))
 atexit.register(shutil.rmtree, workdir, ignore_errors=True)

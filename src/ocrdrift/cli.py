@@ -392,8 +392,8 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 loaded[(entry["model"], entry["version"], entry["run"])] = _load_embedding(emb_path)
         for spec in config.models:
             if spec.train.model is Model.EXTERNAL:
-                loaded[(spec.label, Version.OCR.value, 0)] = import_embeddings(spec.ocr_path)
-                loaded[(spec.label, Version.GROUND_TRUTH.value, 0)] = import_embeddings(spec.gt_path)
+                loaded[(spec.label, Version.OCR.value, 0)] = _load_embedding(spec.ocr_path)
+                loaded[(spec.label, Version.GROUND_TRUTH.value, 0)] = _load_embedding(spec.gt_path)
 
         if not loaded:
             raise MissingArtifactError("manifest lists no embeddings")

@@ -144,7 +144,9 @@ def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
             matrix.check_format(full_check=True)
             words = tuple(str(w) for w in payload["words"])
             return EmbeddingMatrix(words=words, vectors=matrix, model=Model(str(payload["model"])))
-    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, ValueError) as exc:
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, ValueError, OSError) as exc:
         raise ValueError(f"{path}: not a valid sparse embedding archive: {exc}") from None
 
 
@@ -201,27 +203,30 @@ def _rows_one_by_one(lines: list[str], count: int, dim: int, path: str | Path) -
 
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read the text format back; errors name the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header at line 1")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise ValueError(f"{path}: malformed header at line 1") from None
-        if count < 1 or dim < 1:
-            raise ValueError(f"{path}: malformed header at line 1")
-        # a row takes at least 2 * dim + 1 bytes (a word, then a space and
-        # a digit per value): a header that declares more rows than the
-        # file can hold is refused before the array is allocated
-        size = os.fstat(fh.fileno()).st_size
-        if count * (2 * dim + 1) > size:
-            raise ValueError(
-                f"{path}: header declares {count} rows of {dim} values, "
-                f"more than its {size} bytes can hold, at line 1"
-            )
-        # one line past the declared rows is enough to refuse the file
-        lines = list(itertools.islice(fh, count + 1))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ValueError(f"{path}: malformed header at line 1")
+            try:
+                count, dim = int(header[0]), int(header[1])
+            except ValueError:
+                raise ValueError(f"{path}: malformed header at line 1") from None
+            if count < 1 or dim < 1:
+                raise ValueError(f"{path}: malformed header at line 1")
+            # a row takes at least 2 * dim + 1 bytes (a word, then a space
+            # and a digit per value): a header that declares more rows than
+            # the file can hold is refused before the array is allocated
+            size = os.fstat(fh.fileno()).st_size
+            if count * (2 * dim + 1) > size:
+                raise ValueError(
+                    f"{path}: header declares {count} rows of {dim} values, "
+                    f"more than its {size} bytes can hold, at line 1"
+                )
+            # one line past the declared rows is enough to refuse the file
+            lines = list(itertools.islice(fh, count + 1))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     # a malformed file (or a value only `float()` reads, such as 1_000)
     # takes the line-by-line path, which names the first bad line
     words, vectors = _fast_rows(lines, count, dim) or _rows_one_by_one(lines, count, dim, path)

@@ -4,7 +4,9 @@ For every word in the vocabulary intersection, each space ranks all other
 intersection words by cosine similarity (exact, no approximation). The
 overlap at k is the fraction of the two top-k neighbor sets that agree;
 curves sweep k over fractions of the intersection size, with percentile
-bootstrap confidence intervals over the per-word scores.
+bootstrap confidence intervals over the per-word scores. Curves keep each
+word's shared-neighbor count as an integer, so every mean and resampled
+mean is an exact integer sum divided once.
 """
 
 from __future__ import annotations
@@ -185,27 +187,30 @@ def overlap_at_k(r_ocr: NeighborSet, r_truth: NeighborSet, k: int) -> float:
 
 
 def _bootstrap_bands(
-    per_word: np.ndarray, confidence: float, resamples: int, seed: int | tuple
+    shared: np.ndarray, ks: np.ndarray, confidence: float, resamples: int, seed: int | tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Percentile bootstrap band for the mean of every row of `per_word`.
+    """Percentile bootstrap band for the mean of every row of
+    `shared / ks[:, None]`, given the integer counts `shared`.
 
     One resample set serves every row (Efron & Tibshirani 1993): each
     resample draws the columns with replacement once, as counts, and all
-    rows' resampled means come from one product with those counts, so the
-    band is coherent across the grid. A row whose values are all equal
-    gets a zero-width band at exactly its `mean(axis=1)`, the value
-    `evaluate_pair` reports, so product rounding cannot put the mean
-    outside its band.
+    rows' resampled sums come from one product with those counts, so the
+    band is coherent across the grid. Every operand and partial sum of
+    that product is an integer below 2**53, so the sums are exact in any
+    order on any BLAS.
     """
-    if per_word.shape[1] == 0:
+    if shared.shape[1] == 0:
         raise ValueError("cannot bootstrap an empty sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
+    n = shared.shape[1]
+    if n * int(shared.max()) >= 2**53:
+        raise ValueError("resampled sums would not be exact in float64")
     rng = np.random.default_rng(seed)
-    n = per_word.shape[1]
-    means = np.empty((resamples, len(per_word)), dtype=np.float64)
+    table = shared.T.astype(np.float64)
+    means = np.empty((resamples, len(shared)), dtype=np.float64)
     chunk = max(1, 4_000_000 // n)
     for done in range(0, resamples, chunk):
         take = min(chunk, resamples - done)
@@ -214,12 +219,10 @@ def _bootstrap_bands(
         idx += np.arange(0, take * n, n)[:, None]
         counts = np.bincount(idx.ravel(), minlength=take * n).reshape(take, n)
         del idx
-        means[done:done + take] = counts.astype(np.float64) @ per_word.T / n
+        means[done:done + take] = counts.astype(np.float64) @ table / (n * ks)
     low, high = np.percentile(
         means, [(1.0 - confidence) / 2.0 * 100.0, (1.0 + confidence) / 2.0 * 100.0], axis=0
     )
-    constant = np.all(per_word == per_word[:, :1], axis=1)
-    low[constant] = high[constant] = per_word[constant].mean(axis=1)
     return low, high
 
 
@@ -227,9 +230,10 @@ def _bootstrap_bands(
 class OverlapCurve:
     """Mean overlap with confidence band per neighborhood fraction.
 
-    `per_word` holds the raw per-word overlap scores (one row per
-    fraction, columns pooled over words and averaged runs), which is what
-    run averaging re-bootstraps.
+    `shared` holds each word's count of shared neighbors, an int32 table
+    with one row per fraction and columns pooled over words and averaged
+    runs; a word's overlap is its count over the row's `k_values` entry.
+    Run averaging re-bootstraps this table.
     """
 
     n_values: tuple[float, ...]
@@ -238,7 +242,7 @@ class OverlapCurve:
     ci_low: np.ndarray
     ci_high: np.ndarray
     intersection_size: int
-    per_word: np.ndarray
+    shared: np.ndarray
     runs_averaged: int = 1
     confidence: float = DEFAULT_CONFIDENCE
     resamples: int = DEFAULT_RESAMPLES
@@ -268,12 +272,13 @@ def evaluate_pair(
     bounds do not depend on the thread count, so the curve does not
     either.
 
-    Memory budget: besides the inputs it holds the per-word score table
-    the returned curve keeps, len(n_grid) * size 8-byte values (a config
-    allows at most 1,000 grid points), two normalized copies of each
-    space's intersection rows, at most six block arrays of at most
-    BLOCK_BYTES each per ranking thread, and at most two bootstrap
-    chunks of min(4M, resamples * size) 8-byte values while resampling.
+    Memory budget: besides the inputs it holds the shared-neighbor count
+    table the returned curve keeps, len(n_grid) * size 4-byte values (a
+    config allows at most 1,000 grid points), two normalized copies of
+    each space's intersection rows, at most six block arrays of at most
+    BLOCK_BYTES each per ranking thread, and while resampling an 8-byte
+    copy of the table and at most two bootstrap chunks of
+    min(4M, resamples * size) 8-byte values.
     """
     size = len(intersection)
     if size < 2:
@@ -284,7 +289,7 @@ def evaluate_pair(
     norm_a, zero_a = _normalized_rows(emb_ocr, intersection)
     norm_b, zero_b = _normalized_rows(emb_truth, intersection)
 
-    per_word = np.empty((len(grid), size), dtype=np.float64)
+    shared = np.empty((len(grid), size), dtype=np.int32)
     positions = np.arange(size)
     block_size = block_size or _block_rows(size, norm_a.shape[1], norm_b.shape[1])
 
@@ -298,11 +303,11 @@ def evaluate_pair(
             np.put_along_axis(ranks, order, np.broadcast_to(positions, order.shape), axis=1)
             np.maximum(combined, ranks, out=combined)
             del order, ranks
-        # shared[q, k - 1]: candidates whose larger 0-based rank is below k
+        # below[q, k - 1]: candidates whose larger 0-based rank is below k
         combined += np.arange(0, rows * size, size)[:, None]
-        shared = np.bincount(combined.ravel(), minlength=rows * size).reshape(rows, size)
-        np.cumsum(shared, axis=1, out=shared)
-        per_word[:, start:stop] = (shared[:, ks - 1] / ks).T
+        below = np.bincount(combined.ravel(), minlength=rows * size).reshape(rows, size)
+        np.cumsum(below, axis=1, out=below)
+        shared[:, start:stop] = below[:, ks - 1].T
 
     starts = range(0, size, block_size)
     # numpy and scipy release the GIL while ranking, so threads rank
@@ -311,8 +316,8 @@ def evaluate_pair(
         # list() re-raises the first block's exception
         list(pool.map(rank_block, starts))
 
-    means = per_word.mean(axis=1)
-    low, high = _bootstrap_bands(per_word, confidence, resamples, (seed,))
+    means = shared.sum(axis=1, dtype=np.int64) / (size * ks)
+    low, high = _bootstrap_bands(shared, ks, confidence, resamples, (seed,))
     return OverlapCurve(
         n_values=grid,
         k_values=tuple(int(k) for k in ks),
@@ -320,7 +325,7 @@ def evaluate_pair(
         ci_low=low,
         ci_high=high,
         intersection_size=size,
-        per_word=per_word,
+        shared=shared,
         runs_averaged=1,
         confidence=confidence,
         resamples=resamples,
@@ -329,7 +334,7 @@ def evaluate_pair(
 
 
 def average_runs(curves: Sequence[OverlapCurve]) -> OverlapCurve:
-    """Pointwise mean across runs, re-bootstrapping pooled per-word scores."""
+    """Pointwise mean across runs, re-bootstrapping pooled per-word counts."""
     if not curves:
         raise ValueError("no curves to average")
     head = curves[0]
@@ -340,17 +345,18 @@ def average_runs(curves: Sequence[OverlapCurve]) -> OverlapCurve:
             raise ValueError("curves evaluated on different intersections")
     if len(curves) == 1:
         return head
-    pooled = np.concatenate([c.per_word for c in curves], axis=1)
-    means = np.mean([c.means for c in curves], axis=0)
+    ks = np.array(head.k_values, dtype=np.int64)
+    pooled = np.concatenate([c.shared for c in curves], axis=1)
+    means = pooled.sum(axis=1, dtype=np.int64) / (pooled.shape[1] * ks)
     # the extra stream component keeps the pooled resample set distinct
     # from the single-run one
-    low, high = _bootstrap_bands(pooled, head.confidence, head.resamples, (head.seed, 1))
+    low, high = _bootstrap_bands(pooled, ks, head.confidence, head.resamples, (head.seed, 1))
     return replace(
         head,
         means=means,
         ci_low=low,
         ci_high=high,
-        per_word=pooled,
+        shared=pooled,
         runs_averaged=sum(c.runs_averaged for c in curves),
     )
 

@@ -487,13 +487,13 @@ def test_workers_end_when_train_is_killed(tmp_path, corpus_dir):
             os.kill(pid, signal.SIGKILL)
 
 
-def external_config(tmp_path, corpus_dir, out):
-    """A config comparing tmp_path's ext_ocr.txt and ext_gt.txt only."""
+def external_config(tmp_path, corpus_dir, out, suffix=".txt"):
+    """A config comparing tmp_path's ext_ocr and ext_gt files only."""
     return write_config(
         tmp_path / "c.json", corpus_dir, out,
         models=[{"model": "external", "name": "bert",
-                 "ocr_path": str(tmp_path / "ext_ocr.txt"),
-                 "gt_path": str(tmp_path / "ext_gt.txt")}],
+                 "ocr_path": str(tmp_path / f"ext_ocr{suffix}"),
+                 "gt_path": str(tmp_path / f"ext_gt{suffix}")}],
     )
 
 
@@ -516,6 +516,30 @@ class TestExternalEmbeddings:
         assert main(["evaluate", "--config", str(config)]) == 0
         header = (out / "other" / "curves" / "bert.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "N,k,mean,ci_low,ci_high"
+
+    def test_sparse_archives_evaluate(self, tmp_path, corpus_dir):
+        import scipy.sparse as sp
+
+        from ocrdrift.embeddings import EmbeddingMatrix, Model, save_sparse_embeddings
+
+        words = tuple(f"w{i}" for i in range(40))
+        for name, seed in (("ext_ocr.npz", 1), ("ext_gt.npz", 2)):
+            vectors = sp.random(40, 60, density=0.2, format="csr", random_state=seed)
+            save_sparse_embeddings(EmbeddingMatrix(words=words, vectors=vectors, model=Model.PPMI),
+                                   tmp_path / name)
+        out = tmp_path / "out"
+        config = external_config(tmp_path, corpus_dir, out, suffix=".npz")
+        assert main(["evaluate", "--config", str(config)]) == 0
+        rows = (out / "other" / "curves" / "bert.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "N,k,mean,ci_low,ci_high"
+        assert len(rows) == 4
+
+    def test_non_utf8_text_file_named(self, tmp_path, corpus_dir, capsys):
+        (tmp_path / "ext_ocr.txt").write_bytes(b"2 1\nw\xe9 1\nv 2\n")
+        (tmp_path / "ext_gt.txt").write_text("2 1\nw 1\nv 2\n", encoding="utf-8")
+        config = external_config(tmp_path, corpus_dir, tmp_path / "out")
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert "ext_ocr.txt: not UTF-8 text" in capsys.readouterr().err
 
     def test_oversized_header_is_exit_2(self, tmp_path, corpus_dir, capsys):
         for name in ("ext_ocr.txt", "ext_gt.txt"):

@@ -186,11 +186,11 @@ class TestSparseFormat:
             load_sparse_embeddings(path)
 
     def test_damaged_archive_named(self, tmp_path):
-        """A byte flipped anywhere before the end-of-archive record leaves
-        a loadable archive or is a ValueError naming the file."""
+        """A byte flipped anywhere, the end-of-archive record included,
+        leaves a loadable archive or is a ValueError naming the file."""
         path = self.write_archive(tmp_path / "rows.npz")
         intact = path.read_bytes()
-        for pos in range(len(intact) - 22):
+        for pos in range(len(intact)):
             damaged = bytearray(intact)
             damaged[pos] ^= 0xFF
             path.write_bytes(damaged)
@@ -198,6 +198,10 @@ class TestSparseFormat:
                 load_sparse_embeddings(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: not a valid sparse embedding archive")
+
+    def test_missing_file_keeps_its_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_sparse_embeddings(tmp_path / "absent.npz")
 
     def test_missing_array_named(self, tmp_path):
         path = self.write_archive(tmp_path / "rows.npz", indptr=None)

@@ -157,41 +157,44 @@ class TestOverlapAtK:
         assert overlap_at_k(sa, sb, 3) == 1.0
 
 
-def one_row_band(values, confidence, resamples, seed=0):
-    low, high = _bootstrap_bands(np.asarray(values, dtype=np.float64).reshape(1, -1),
-                                 confidence, resamples, seed)
+def one_row_band(counts, k, confidence, resamples, seed=0):
+    """The band of the mean of counts / k."""
+    low, high = _bootstrap_bands(np.asarray(counts, dtype=np.int32).reshape(1, -1),
+                                 np.array([k]), confidence, resamples, seed)
     return float(low[0]), float(high[0])
 
 
 class TestBootstrap:
     def test_constant_values_zero_width(self):
-        low, high = one_row_band([0.7] * 50, 0.95, 500, seed=1)
-        assert low == high
-        assert low == pytest.approx(0.7)
+        low, high = one_row_band([7] * 50, 10, 0.95, 500, seed=1)
+        assert low == high == 0.7
 
     def test_balanced_binary_interval(self):
-        values = np.array([0.0, 1.0] * 5000)
-        low, high = one_row_band(values, 0.95, 1000, seed=2)
+        counts = np.array([0, 1] * 5000)
+        low, high = one_row_band(counts, 1, 0.95, 1000, seed=2)
         assert 0.485 <= low <= 0.4975
         assert 0.5025 <= high <= 0.515
 
     def test_single_resample_degenerate(self):
         rng = np.random.default_rng(3)
-        values = rng.random(100)
-        low, high = one_row_band(values, 0.95, 1, seed=4)
+        counts = rng.integers(0, 11, size=100)
+        low, high = one_row_band(counts, 10, 0.95, 1, seed=4)
         assert low == high
 
     def test_deterministic_for_seed(self):
-        values = np.random.default_rng(0).random(200)
-        assert one_row_band(values, 0.9, 300, seed=7) == one_row_band(values, 0.9, 300, seed=7)
+        counts = np.random.default_rng(0).integers(0, 21, size=200)
+        assert one_row_band(counts, 20, 0.9, 300, seed=7) == one_row_band(counts, 20, 0.9, 300, seed=7)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            one_row_band([], 0.95, 100)
+            one_row_band([], 1, 0.95, 100)
         with pytest.raises(ValueError):
-            one_row_band([1.0], 1.5, 100)
+            one_row_band([1], 1, 1.5, 100)
         with pytest.raises(ValueError):
-            one_row_band([1.0], 0.95, 0)
+            one_row_band([1], 1, 0.95, 0)
+        # two draws of 2**52 sum to 2**53, past float64's exact integers
+        with pytest.raises(ValueError, match="not be exact"):
+            _bootstrap_bands(np.full((1, 2), 2**52), np.array([2**52]), 0.95, 10, 0)
 
 
 class TestEvaluatePair:
@@ -228,9 +231,10 @@ class TestEvaluatePair:
         curve = evaluate_pair(a, b, a.words, n_grid=[0.1, 0.5], resamples=10)
         sets_a = neighbor_sets(a, a.words)
         sets_b = neighbor_sets(b, b.words)
+        assert curve.shared.dtype == np.int32
         for gi, k in enumerate(curve.k_values):
             expected = [overlap_at_k(sa, sb, k) for sa, sb in zip(sets_a, sets_b)]
-            np.testing.assert_allclose(curve.per_word[gi], expected)
+            np.testing.assert_array_equal(curve.shared[gi] / k, expected)
             assert curve.means[gi] == pytest.approx(np.mean(expected))
 
     def test_rotation_and_scale_invariance(self):
@@ -312,16 +316,16 @@ class TestAverageRuns:
         import dataclasses
 
         def with_mean(curve, value):
-            n = len(curve.n_values)
-            words = curve.per_word.shape[1]
+            # k is 4 and 20 here, so each count value * k is an integer
+            counts = (value * np.array(curve.k_values)).astype(np.int32)
             return dataclasses.replace(
                 curve,
-                means=np.full(n, value),
-                per_word=np.full((n, words), value),
+                means=np.full(len(counts), value),
+                shared=np.repeat(counts[:, None], curve.shared.shape[1], axis=1),
             )
 
-        averaged = average_runs([with_mean(base, 0.2), with_mean(base, 0.4), with_mean(base, 0.6)])
-        np.testing.assert_allclose(averaged.means, 0.4)
+        averaged = average_runs([with_mean(base, 0.25), with_mean(base, 0.5), with_mean(base, 0.75)])
+        np.testing.assert_array_equal(averaged.means, 0.5)
 
     def test_pooled_interval_not_wider_than_widest(self):
         rng = np.random.default_rng(10)

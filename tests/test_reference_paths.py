@@ -10,10 +10,11 @@ must equal what a window loop of their own gives.
 Evaluation ranks with the default (unstable) argsort and then restores the
 stable tie order, in blocks sized by a byte budget, and bootstraps every
 grid row from one set of resample counts. The orderings must equal a
-stable argsort, the bands must equal plain per-resample means of the same
-draws, and one evaluation must stay within its stated memory. Blocks are
-ranked by a pool of threads: any worker count must give the same curve,
-and importing ocrdrift must hold OpenBLAS to one thread.
+stable argsort, the curve means must equal the exact fractions of summed
+shared-neighbor counts, the bands must equal plain per-resample means of
+the same draws, and one evaluation must stay within its stated memory.
+Blocks are ranked by a pool of threads: any worker count must give the
+same curve, and importing ocrdrift must hold OpenBLAS to one thread.
 
 `train` runs its (model, version, run) jobs in worker processes. Its
 files, manifest and progress lines must equal those of a plain loop that
@@ -25,6 +26,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,7 @@ from ocrdrift.overlap import (
     _descending_order,
     _normalized_rows,
     _similarities,
+    average_runs,
     evaluate_pair,
     neighbor_sets,
     overlap_at_k,
@@ -479,46 +482,88 @@ class TestDescendingOrder:
                                   block_size=block_size)
             for gi, k in enumerate(curve.k_values):
                 expected = [overlap_at_k(sa, sb, k) for sa, sb in zip(sets_a, sets_b)]
-                np.testing.assert_array_equal(curve.per_word[gi], expected)
+                np.testing.assert_array_equal(curve.shared[gi] / k, expected)
 
 
-def reference_bands(per_word, confidence, resamples, seed):
-    """Plain per-resample means of the same draws, chunked the same way."""
+def tie_pair(seed=6):
     rng = np.random.default_rng(seed)
-    n = per_word.shape[1]
+    words = [f"w{i:02d}" for i in range(70)]
+    return external(words, exact_tie_vectors(rng, 70)), external(words, exact_tie_vectors(rng, 70)), words
+
+
+def random_pair(seed=7):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i:03d}" for i in range(150)]
+    return external(words, rng.normal(size=(150, 5))), external(words, rng.normal(size=(150, 5))), words
+
+
+def reference_bands(shared, ks, confidence, resamples, seed):
+    """Plain per-resample means of the per-word fractions, over the same
+    draws, chunked the same way."""
+    rng = np.random.default_rng(seed)
+    n = shared.shape[1]
     chunk = max(1, 4_000_000 // n)
-    means = np.empty((resamples, len(per_word)))
+    means = np.empty((resamples, len(shared)))
     for done in range(0, resamples, chunk):
         take = min(chunk, resamples - done)
         idx = rng.integers(0, n, size=(take, n))
-        for row, values in enumerate(per_word):
+        for row, values in enumerate(shared / np.asarray(ks)[:, None]):
             means[done:done + take, row] = values[idx].mean(axis=1)
     q = [(1.0 - confidence) / 2.0 * 100.0, (1.0 + confidence) / 2.0 * 100.0]
     return np.percentile(means, q, axis=0)
+
+
+def pairwise_counts(sets_a, sets_b, k):
+    """Each word's shared top-k neighbors, one set intersection at a time."""
+    return [len(np.intersect1d(sa.top(k), sb.top(k))) for sa, sb in zip(sets_a, sets_b)]
 
 
 class TestBootstrapBands:
     @pytest.mark.parametrize("n,resamples,seed", [(37, 300, (3,)), (5_000, 1_000, (3, 1)), (9_000, 7, 11)])
     def test_matches_plain_resampled_means(self, n, resamples, seed):
         rng = np.random.default_rng(n)
-        ks = np.array([1, 4, 25])
-        per_word = rng.integers(0, ks[:, None] + 1, size=(len(ks), n)) / ks[:, None]
-        per_word = np.vstack([per_word, rng.random(n)])
-        low, high = _bootstrap_bands(per_word, 0.9, resamples, seed)
-        ref_low, ref_high = reference_bands(per_word, 0.9, resamples, seed)
+        ks = np.array([1, 4, 25, 8_999])
+        shared = rng.integers(0, ks[:, None] + 1, size=(len(ks), n)).astype(np.int32)
+        low, high = _bootstrap_bands(shared, ks, 0.9, resamples, seed)
+        ref_low, ref_high = reference_bands(shared, ks, 0.9, resamples, seed)
         np.testing.assert_allclose(low, ref_low, rtol=0, atol=1e-12)
         np.testing.assert_allclose(high, ref_high, rtol=0, atol=1e-12)
 
     def test_constant_rows_get_zero_width_at_the_mean(self):
         rng = np.random.default_rng(8)
-        per_word = np.vstack([np.full(301, 0.1), rng.random(301), np.full(301, 1.0), np.full(301, 0.2)])
-        # the mean of 301 copies of 0.2 is not 0.2 itself
-        assert per_word[3].mean() != per_word[3, 0]
-        low, high = _bootstrap_bands(per_word, 0.95, 200, (1,))
-        means = per_word.mean(axis=1)
+        ks = np.array([10, 10, 10, 10])
+        shared = np.vstack([np.full(301, 1), rng.integers(0, 11, size=301), np.full(301, 10),
+                            np.full(301, 2)]).astype(np.int32)
+        # a float mean of 301 copies of 0.2 is not 0.2; the count mean is
+        assert np.full(301, 0.2).mean() != 0.2
+        low, high = _bootstrap_bands(shared, ks, 0.95, 200, (1,))
+        means = shared.sum(axis=1) / (301 * ks)
+        assert means[3] == 0.2
         for row in (0, 2, 3):
             assert low[row] == high[row] == means[row]
         assert low[1] < means[1] < high[1]
+
+    @pytest.mark.parametrize("pair", [tie_pair, random_pair])
+    def test_means_equal_exact_fractions(self, pair):
+        """evaluate_pair and average_runs means are the correctly rounded
+        fraction (summed shared neighbors) / (words * k), where the counts
+        come from one set intersection per word."""
+        a, b, words = pair()
+        c, _, _ = pair(seed=1)
+        grid = [0.02, 0.1, 0.3, 0.5, 1.0]
+        size = len(words)
+        curves = [evaluate_pair(a, emb, words, n_grid=grid, resamples=50) for emb in (b, c)]
+        pooled = average_runs(curves)
+        sets = {name: neighbor_sets(emb, words) for name, emb in (("a", a), ("b", b), ("c", c))}
+        for gi, k in enumerate(pooled.k_values):
+            run_sums = [sum(pairwise_counts(sets["a"], sets[other], k)) for other in ("b", "c")]
+            for curve, total in zip(curves, run_sums):
+                assert curve.means[gi] == float(Fraction(total, size * k))
+            assert pooled.means[gi] == float(Fraction(sum(run_sums), 2 * size * k))
+        for curve, seed in ((curves[0], (0,)), (pooled, (0, 1))):
+            ref_low, ref_high = reference_bands(curve.shared, curve.k_values, 0.95, 50, seed)
+            np.testing.assert_allclose(curve.ci_low, ref_low, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(curve.ci_high, ref_high, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -537,12 +582,6 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(overlap, "ThreadPoolExecutor", RecordingPool)
     return sizes
-
-
-def tie_pair():
-    rng = np.random.default_rng(6)
-    words = [f"w{i:02d}" for i in range(70)]
-    return external(words, exact_tie_vectors(rng, 70)), external(words, exact_tie_vectors(rng, 70)), words
 
 
 def sparse_ppmi_pair():
@@ -564,7 +603,7 @@ class TestThreadedRanking:
             monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
             curves.append(evaluate_pair(a, b, words, n_grid=grid, resamples=50, block_size=block_size))
         one, four = curves
-        assert one.per_word.tobytes() == four.per_word.tobytes()
+        assert one.shared.tobytes() == four.shared.tobytes()
         for field in ("means", "ci_low", "ci_high"):
             assert getattr(one, field).tobytes() == getattr(four, field).tobytes()
         blocks = -(-len(words) // (block_size or len(words)))
@@ -624,7 +663,7 @@ def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
                          Model.PPMI) for seed in (1, 2))
     budget = (
         2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
-        + len(grid) * size * 8
+        + len(grid) * size * 4
         + workers * 6 * BLOCK_BYTES
         + 2 * min(4_000_000, resamples * size) * 8
     )
@@ -636,7 +675,7 @@ def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert curve.per_word.shape == (len(grid), size)
+    assert curve.shared.shape == (len(grid), size)
     assert peak <= budget, f"peak {peak} bytes, budget {budget}"
 
 
