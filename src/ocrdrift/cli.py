@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import logging
 import multiprocessing
@@ -114,20 +115,21 @@ def cmd_stats(config: ExperimentConfig, lang: str | None) -> int:
         rows.append((src.language.name, stats))
         if corpus.report is not None:
             corpus.report.to_json(out / f"ingestion_{src.language.name}.json")
-    with open(out / "stats.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(
+        ["language", "total_docs", "aligned_docs", "aligned_pct",
+         "split_docs", "avg_chars", "min_chars", "max_chars", "total_chars"]
+    )
+    for name, s in rows:
         writer.writerow(
-            ["language", "total_docs", "aligned_docs", "aligned_pct",
-             "split_docs", "avg_chars", "min_chars", "max_chars", "total_chars"]
+            [name, s.total_docs, s.aligned_docs,
+             f"{100.0 * s.aligned_docs / s.total_docs:.1f}",
+             s.split_docs, f"{s.avg_chars:.2f}", s.min_chars, s.max_chars, s.total_chars]
         )
-        for name, s in rows:
-            writer.writerow(
-                [name, s.total_docs, s.aligned_docs,
-                 f"{100.0 * s.aligned_docs / s.total_docs:.1f}",
-                 s.split_docs, f"{s.avg_chars:.2f}", s.min_chars, s.max_chars, s.total_chars]
-            )
+    util.write_atomically(out / "stats.csv", table.getvalue())
     payload = [{"language": name, **dataclasses.asdict(s)} for name, s in rows]
-    (out / "stats.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    util.write_atomically(out / "stats.json", json.dumps(payload, indent=2) + "\n")
     for name, s in rows:
         print(
             f"{name}: {s.total_docs} docs, {s.aligned_docs} aligned, "
@@ -198,7 +200,7 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
             }
         )
         print(f"cer {level:.2f}: wrote {len(corpus)} docs, measured {report.language_mean_cer:.4f}")
-    (base / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    util.write_atomically(base / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
@@ -314,18 +316,10 @@ def _train_in_workers(jobs: list[_TrainJob]) -> None:
             print(f"{job.language}/{job.stem}: trained in {entries[-1]['train_wall_seconds']:.1f}s")
             if index + 1 == len(jobs) or jobs[index + 1].language != job.language:
                 manifest = {"language": job.language, "entries": entries}
-                _write_atomically(job.out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+                util.write_atomically(job.out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
                 entries = []
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _write_atomically(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory, so that `path`
-    is never left holding part of the new text."""
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(text, encoding="utf-8")
-    os.replace(partial, path)
 
 
 def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
@@ -333,6 +327,7 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
     trainable = [m for m in config.models if m.train.model is not Model.EXTERNAL]
     if not trainable:
         raise ConfigError("no trainable models configured")
+    import scipy.sparse  # noqa: F401  (forked workers share it; before the corpora it trains faster)
     jobs = []
     for src in sources:
         corpus = load_corpus(src.path, src.format, src.language)

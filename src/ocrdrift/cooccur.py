@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .preprocess import TokenizedCorpus, Vocabulary, window_pairs
 
@@ -48,6 +47,7 @@ def count_cooccurrences(
     window_size: int = 5,
     weighting: Weighting = Weighting.FLAT,
 ) -> CooccurrenceMatrix:
+    import scipy.sparse as sp
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     if not any(len(doc) for doc in corpus.documents):

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
+from .util import write_atomically
+
 PAD = "@"
 
 _LANGUAGE_CODES = {
@@ -93,7 +95,7 @@ class IngestionReport:
             "loaded": self.loaded,
             "skipped": [{"file": f, "reason": r} for f, r in self.skipped],
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_atomically(path, json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class Model(Enum):
@@ -134,6 +133,7 @@ def save_sparse_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
 def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Sparse rows written by `save_sparse_embeddings`; a damaged,
     incomplete or inconsistent archive is a ValueError naming the file."""
+    import scipy.sparse as sp
     try:
         with np.load(path, allow_pickle=False) as payload:
             matrix = sp.csr_matrix(

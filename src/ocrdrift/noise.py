@@ -2,12 +2,17 @@
 
 CER is positional: the padded OCR and ground-truth strings are compared
 character by character. WER is the standard edit-distance formulation,
-(S + D + I) / ground-truth words, over whitespace tokens.
+(S + D + I) / ground-truth words, over whitespace tokens. The distance is
+exact and bit-parallel (Myers 1999, in Hyyro's 2003 global form): one
+Python-int bit per ground-truth word and about fifteen integer operations
+per OCR word. Reports and histograms are written through a temporary file
+and a rename, so a failed write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import string
 from dataclasses import dataclass, field
@@ -16,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import PAD, Corpus
+from .util import write_atomically
 
 HISTOGRAM_BINS = 50
 
@@ -48,26 +54,28 @@ def character_error_rate(ocr_aligned: str, gt_aligned: str) -> float:
     return int(np.count_nonzero(ocr != gt)) / gt_chars
 
 
-def _levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance with unit costs, vectorized one DP row at a time.
-
-    The sequential in-row dependency cur[j] = min(t[j], cur[j-1] + 1)
-    unrolls to cur[j] = min_{j'<=j}(t[j'] + (j - j')), which is a running
-    minimum of t[j'] - j' shifted back by j.
-    """
-    if len(a) == 0:
-        return len(b)
-    if len(b) == 0:
-        return len(a)
-    n = len(b)
-    idx = np.arange(n + 1, dtype=np.int64)
-    prev = idx.copy()
-    s = np.empty(n + 1, dtype=np.int64)
-    for i in range(1, len(a) + 1):
-        s[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i - 1]), out=s[1:])
-        prev = np.minimum.accumulate(s - idx) + idx
-    return int(prev[-1])
+def _word_edit_distance(ocr_words: list[str], gt_words: list[str]) -> int:
+    """Unit-cost edit distance by Myers' bit-vector algorithm (JACM 1999) in
+    Hyyro's global form (Nordic J. Computing 2003): bit i of `pv`/`mv` says
+    whether the DP column steps up/down at ground-truth word i."""
+    if not gt_words:
+        return len(ocr_words)
+    peq: dict[str, int] = {}
+    for i, word in enumerate(gt_words):
+        peq[word] = peq.get(word, 0) | 1 << i
+    mask, last = (1 << len(gt_words)) - 1, 1 << (len(gt_words) - 1)
+    pv, mv, distance = mask, 0, len(gt_words)
+    for word in ocr_words:
+        eq = peq.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        distance += bool(ph & last) - bool(mh & last)
+        ph = ph << 1 | 1  # row 0 steps up: D[0][j] = j
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def word_error_rate(ocr_text: str, gt_text: str) -> float:
@@ -83,10 +91,7 @@ def word_error_rate(ocr_text: str, gt_text: str) -> float:
         if ocr_words:
             raise ValueError("word error rate undefined: empty ground truth, non-empty OCR")
         return 0.0
-    lexicon = {w: i for i, w in enumerate(dict.fromkeys(ocr_words + gt_words))}
-    a = np.array([lexicon[w] for w in ocr_words], dtype=np.int64)
-    b = np.array([lexicon[w] for w in gt_words], dtype=np.int64)
-    return _levenshtein(a, b) / len(gt_words)
+    return _word_edit_distance(ocr_words, gt_words) / len(gt_words)
 
 
 def _histogram(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +156,12 @@ def corpus_error_rates(corpus: Corpus) -> ErrorRateReport:
 
 
 def write_error_report_csv(report: ErrorRateReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "cer", "wer"])
-        for doc_id, cer, wer in report.per_document:
-            writer.writerow([doc_id, f"{cer:.6f}", f"{wer:.6f}"])
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["doc_id", "cer", "wer"])
+    for doc_id, cer, wer in report.per_document:
+        writer.writerow([doc_id, f"{cer:.6f}", f"{wer:.6f}"])
+    write_atomically(path, table.getvalue())
 
 
 def write_error_report_json(report: ErrorRateReport, path: str | Path) -> None:
@@ -166,16 +172,17 @@ def write_error_report_json(report: ErrorRateReport, path: str | Path) -> None:
         "mean_wer": report.language_mean_wer,
         "skipped": [{"doc": d, "reason": r} for d, r in report.skipped],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomically(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_histogram_csv(histogram: tuple[np.ndarray, np.ndarray], path: str | Path) -> None:
     counts, edges = histogram
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for i, count in enumerate(counts):
-            writer.writerow([f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(count)])
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["bin_low", "bin_high", "count"])
+    for i, count in enumerate(counts):
+        writer.writerow([f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(count)])
+    write_atomically(path, table.getvalue())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import util
 from .embeddings import EmbeddingMatrix
@@ -75,6 +74,7 @@ def _normalized_rows(
     safe = np.where(zero, 1.0, norms)
     if isinstance(sub, np.ndarray):
         return sub / safe[:, None], zero
+    import scipy.sparse as sp  # only sparse rows need it: dense evaluations never load scipy
     return sp.diags(1.0 / safe) @ sub, zero
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cooccur import CooccurrenceMatrix
 from .embeddings import EmbeddingMatrix, Model
@@ -21,6 +20,7 @@ def train_ppmi(matrix: CooccurrenceMatrix) -> EmbeddingMatrix:
     bits, with negative evidence discarded. Cells with zero counts stay
     exactly zero, so rows remain sparse and serve directly as word vectors.
     """
+    import scipy.sparse as sp
     total = matrix.total
     if total <= 0:
         raise ValueError("co-occurrence matrix has no mass")

@@ -1,11 +1,11 @@
-"""Small numeric and process helpers shared across modules."""
+"""Small numeric, process and file helpers shared across modules."""
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def usable_cpus() -> int:
@@ -15,6 +15,20 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         return os.cpu_count() or 1
+
+
+def write_atomically(path: str | Path, text: str) -> None:
+    """Write `text` through a temporary file in the same directory, so that
+    `path` holds either its old content or all of the new text; a failed
+    write leaves no temporary file behind."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_text(text, encoding="utf-8", newline="")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
@@ -34,6 +48,7 @@ def log_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 def _group_csr(rows: np.ndarray, n_cols: int, data: np.ndarray, cols: np.ndarray):
     """CSR matrix whose row g selects the entries with the g-th distinct
     value of `rows`; returns (unique_rows, matrix)."""
+    import scipy.sparse as sp
     keys = rows
     if len(rows) and 0 <= rows.min() and rows.max() < 1 << 16:
         # numpy's stable sort of 16-bit keys is a radix sort; a stable

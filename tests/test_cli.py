@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ocrdrift import cli
+from ocrdrift import cli, util
 from ocrdrift.cli import main
 from ocrdrift.corpus import save_paired_files
 from ocrdrift.noise import NoiseSpec
@@ -201,6 +202,57 @@ class TestErrorRatesCommand:
         assert summary["mean_wer"] == 0.0
 
 
+class TestAtomicWrites:
+    """Tables, summaries and manifests go through `util.write_atomically`:
+    a write that fails partway leaves the previous file whole and no
+    `.partial` file behind."""
+
+    @staticmethod
+    def fail_partway(monkeypatch, after):
+        """Make the `Path.write_text` call that follows `after` whole ones
+        write half its text and fail as a full disk would."""
+        real = Path.write_text
+        calls = []
+
+        def write(self, data, *args, **kwargs):
+            calls.append(self)
+            if len(calls) <= after:
+                return real(self, data, *args, **kwargs)
+            real(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write)
+        return calls
+
+    def test_unencodable_text_keeps_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            util.write_atomically(path, "new\n" * 1000 + "\ud800")
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    # each command's last `outputs` writes are its tables, summaries and
+    # manifests; `noise` writes its corpus files first
+    @pytest.mark.parametrize("command, outputs", [("stats", 3), ("error-rates", 4), ("noise", 1)])
+    def test_failed_rerun_keeps_previous_outputs(self, tmp_path, corpus_dir, monkeypatch, capsys,
+                                                 command, outputs):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", corpus_dir, out, noise={
+            "levels": [0.1], "synthetic_chars": 5_000, "doc_chars": 1_000, "out_name": "toy"})
+        calls = self.fail_partway(monkeypatch, after=10**6)
+        assert main([command, "--config", str(config)]) == 0
+        monkeypatch.undo()
+        writes = len(calls)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for after in range(writes - outputs, writes):
+            self.fail_partway(monkeypatch, after)
+            assert main([command, "--config", str(config)]) == 1
+            monkeypatch.undo()
+            assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before, after
+        assert capsys.readouterr().err.count(f"[Errno {errno.ENOSPC}] No space left") == outputs
+
+
 class TestNoiseCommand:
     def test_writes_levels_and_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -313,6 +365,57 @@ def cli_env():
     """The environment for running ocrdrift as a child process."""
     src = str(Path(cli.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_SCIPY_PROBE = (
+    "import sys\n"
+    "from ocrdrift.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(m for m in ('scipy', 'scipy.sparse') if m in sys.modules) or '-')\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestScipyLoadedOnlyWhereUsed:
+    """Importing scipy.sparse is most of a command's start-up, and only
+    training and sparse (PPMI) evaluation use it; `train` imports it before
+    it forks its workers, so they share the parent's copy."""
+
+    @staticmethod
+    def scipy_modules_after(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, *argv],
+            capture_output=True, text=True, env=cli_env(), timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1].split()
+
+    def test_commands_without_scipy(self, tmp_path, corpus_dir):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", corpus_dir, out, noise={
+            "levels": [0.1], "synthetic_chars": 5_000, "doc_chars": 1_000, "out_name": "toy"})
+        curves = out / "other" / "curves"
+        curves.mkdir(parents=True)
+        (curves / "toy.csv").write_text(
+            "N,k,mean,ci_low,ci_high\n0.5,2,0.75,0.5,1.0\n1.0,4,1.0,1.0,1.0\n", encoding="utf-8")
+        for command in ("stats", "error-rates", "noise", "report"):
+            assert self.scipy_modules_after(command, "--config", str(config)) == ["-"], command
+        assert (out / "other" / "error_rates.csv").is_file()
+        assert (out / "noise" / "toy" / "manifest.json").is_file()
+        assert (out / "other" / "overlap.svg").is_file()
+
+    def test_dense_evaluate_without_scipy(self, tmp_path, corpus_dir):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out", runs=1, models=[
+            {"model": "sgns", "rate_profile": "fast", "dim": 8, "window": 2, "epochs": 1,
+             "min_count": 3, "batch_size": 512}])
+        assert main(["train", "--config", str(config)]) == 0
+        assert self.scipy_modules_after("evaluate", "--config", str(config)) == ["-"]
+        assert (tmp_path / "out" / "other" / "curves" / "sgns-fast.csv").is_file()
+
+    def test_train_imports_scipy_sparse_before_forking(self, tmp_path, corpus_dir):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out", runs=1,
+                              models=[{"model": "ppmi", "window": 3, "min_count": 3}])
+        assert "scipy.sparse" in self.scipy_modules_after("train", "--config", str(config))
 
 
 class TestTrainOutput:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrdrift.noise import (
     NoiseSpec,
+    _word_edit_distance,
     character_error_rate,
     corpus_error_rates,
     inject_noise,
@@ -99,6 +102,15 @@ class TestWordErrorRate:
         gt = [vocab[i] for i in rng.integers(0, 4, size=rng.integers(1, 13))]
         expected = reference_levenshtein(ocr, gt) / len(gt)
         assert word_error_rate(" ".join(ocr), " ".join(gt)) == pytest.approx(expected)
+
+    # word lists long enough to cross a 64-bit machine word
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ocr=st.lists(st.sampled_from(["a", "b", "c", "ab", "ba"]), max_size=90),
+        gt=st.lists(st.sampled_from(["a", "b", "c", "ab", "ba"]), max_size=90),
+    )
+    def test_bit_parallel_distance_matches_quadratic_oracle(self, ocr, gt):
+        assert _word_edit_distance(ocr, gt) == reference_levenshtein(ocr, gt)
 
 
 class TestCorpusErrorRates:

@@ -19,6 +19,10 @@ same curve, and importing ocrdrift must hold OpenBLAS to one thread.
 `train` runs its (model, version, run) jobs in worker processes. Its
 files, manifest and progress lines must equal those of a plain loop that
 trains the same jobs one after another in config order.
+
+Word error rates come from a bit-parallel edit distance that keeps one
+Python-int bit per ground-truth word. It must give the same integers as
+the numpy DP it replaced, which runs one vectorized row per OCR word.
 """
 
 import json
@@ -36,7 +40,7 @@ import scipy.sparse as sp
 from ocrdrift import cli, overlap, util, word2vec
 from ocrdrift.config import load_config
 from ocrdrift.cooccur import Weighting, count_cooccurrences
-from ocrdrift.corpus import Version, load_corpus, save_paired_files
+from ocrdrift.corpus import PAD, Version, load_corpus, save_paired_files
 from ocrdrift.embeddings import (
     EmbeddingMatrix,
     Model,
@@ -57,7 +61,7 @@ from ocrdrift.overlap import (
     neighbor_sets,
     overlap_at_k,
 )
-from ocrdrift.noise import NoiseSpec
+from ocrdrift.noise import NoiseSpec, _word_edit_distance, corpus_error_rates
 from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import (
     TokenizedCorpus,
@@ -769,3 +773,90 @@ def test_train_pool_matches_sequential_loop(tmp_path, monkeypatch, capsys,
     for name in files:
         assert (out / "embeddings" / name).read_bytes() == (ref_out / "embeddings" / name).read_bytes(), name
     assert sorted(p.name for p in out.iterdir()) == ["embeddings", "manifest.json"]
+
+
+def reference_levenshtein_rows(a, b):
+    """Edit distance with unit costs, vectorized one DP row at a time.
+
+    The sequential in-row dependency cur[j] = min(t[j], cur[j-1] + 1)
+    unrolls to cur[j] = min_{j'<=j}(t[j'] + (j - j')), which is a running
+    minimum of t[j'] - j' shifted back by j.
+    """
+    if len(a) == 0:
+        return len(b)
+    if len(b) == 0:
+        return len(a)
+    n = len(b)
+    idx = np.arange(n + 1, dtype=np.int64)
+    prev = idx.copy()
+    s = np.empty(n + 1, dtype=np.int64)
+    for i in range(1, len(a) + 1):
+        s[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i - 1]), out=s[1:])
+        prev = np.minimum.accumulate(s - idx) + idx
+    return int(prev[-1])
+
+
+def reference_word_distance(ocr_words, gt_words):
+    lexicon = {w: i for i, w in enumerate(dict.fromkeys(ocr_words + gt_words))}
+    a = np.array([lexicon[w] for w in ocr_words], dtype=np.int64)
+    b = np.array([lexicon[w] for w in gt_words], dtype=np.int64)
+    return reference_levenshtein_rows(a, b)
+
+
+def edited_copy(rng, words, rate, vocab):
+    """`words` with about `rate` of them substituted, deleted or followed
+    by an inserted word."""
+    out = []
+    for word in words:
+        kind = rng.integers(0, 4) if rng.random() < rate else 0
+        if kind != 2:
+            out.append(vocab[rng.integers(0, len(vocab))] if kind == 1 else word)
+        if kind == 3:
+            out.append(vocab[rng.integers(0, len(vocab))])
+    return out
+
+
+# bit-vector edge cases: empty, one bit, one 64-bit word and either side
+# of it, and ints of many machine words
+SIDE_LENGTHS = [0, 1, 2, 63, 64, 65, 1030]
+
+
+class TestWordEditDistance:
+    @pytest.mark.parametrize("gt_len", SIDE_LENGTHS)
+    @pytest.mark.parametrize("ocr_len", SIDE_LENGTHS)
+    def test_seeded_random_pairs(self, ocr_len, gt_len):
+        rng = np.random.default_rng((ocr_len, gt_len))
+        # one word type (every pair matches), tie-heavy, mostly distinct
+        for types in (1, 3, 50):
+            vocab = [f"w{i}" for i in range(types)]
+            ocr = [vocab[i] for i in rng.integers(0, types, ocr_len)]
+            gt = [vocab[i] for i in rng.integers(0, types, gt_len)]
+            assert _word_edit_distance(ocr, gt) == reference_word_distance(ocr, gt), types
+
+    @pytest.mark.parametrize("gt_len", [1, 63, 64, 65, 1030, 3000])
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 1.0])
+    def test_edited_copies(self, gt_len, rate):
+        rng = np.random.default_rng((gt_len, int(rate * 100)))
+        vocab = [f"w{i}" for i in range(40)]
+        gt = [vocab[i] for i in rng.integers(0, len(vocab), gt_len)]
+        ocr = edited_copy(rng, gt, rate, vocab)
+        assert _word_edit_distance(ocr, gt) == reference_word_distance(ocr, gt)
+        assert _word_edit_distance(gt, ocr) == reference_word_distance(gt, ocr)
+
+    def test_every_document_of_a_desk_train_shaped_corpus(self):
+        """The benchmark's desk-train corpus shape: 73 documents of about
+        850 words, 600 word types, 10% character noise."""
+        docs = synthetic_documents(260_000, seed=301, n_types=600, n_topics=30, doc_chars=3600,
+                                   topic_affinity=0.75, min_len=2, max_len=4)
+        corpus = noisy_corpus(docs, NoiseSpec(target_cer=0.1, seed=301))
+        assert len(corpus.documents) == 73
+        expected = []
+        for doc in corpus.documents:
+            ocr = doc.ocr_aligned.replace(PAD, "").split()
+            gt = doc.gt_aligned.replace(PAD, "").split()
+            distance = reference_word_distance(ocr, gt)
+            assert _word_edit_distance(ocr, gt) == distance, doc.id
+            expected.append((doc.id, distance / len(gt)))
+        report = corpus_error_rates(corpus)
+        assert [(doc_id, wer) for doc_id, _, wer in report.per_document] == expected
