@@ -43,7 +43,7 @@ from .config import (
     load_config,
 )
 from .cooccur import Weighting, count_cooccurrences
-from .corpus import CorpusError, Version, compute_stats, load_corpus, save_paired_files
+from .corpus import Corpus, CorpusError, Version, compute_stats, load_corpus, save_paired_files
 from .embeddings import (
     EmbeddingMatrix,
     Model,
@@ -176,6 +176,17 @@ def _clean_documents(config: ExperimentConfig) -> list[str]:
     return synthetic_documents(noise.synthetic_chars, seed=config.seed, doc_chars=noise.doc_chars)
 
 
+def _remove_stale_pairs(level_dir: Path, corpus: Corpus) -> None:
+    """Delete the `<id>.ocr.txt`/`<id>.gt.txt` files of ids that `corpus`
+    lacks, which an earlier run left, so that `level_dir` loads as the
+    corpus the manifest describes."""
+    kept = {doc.id + suffix for doc in corpus.documents for suffix in (".ocr.txt", ".gt.txt")}
+    for pattern in ("*.ocr.txt", "*.gt.txt"):
+        for path in level_dir.rglob(pattern):
+            if path.relative_to(level_dir).as_posix() not in kept:
+                path.unlink()
+
+
 def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
     if config.noise is None:
         raise ConfigError("the noise command needs a 'noise' section in the config")
@@ -188,6 +199,7 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
         corpus = noisy_corpus(documents, spec)
         level_dir = base / f"cer{int(round(level * 100)):03d}"
         save_paired_files(corpus, level_dir)
+        _remove_stale_pairs(level_dir, corpus)
         report = corpus_error_rates(corpus)
         manifest.append(
             {

@@ -106,12 +106,16 @@ def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     `<word> <v1> ... <vdim>` line per word at 9 significant digits."""
     if not emb.is_dense:
         raise TypeError("only dense embeddings can be exported to the text format")
+    # tolist() gives Python floats, which format exactly as numpy's float32
+    # and float64 scalars do; converting a row at a time keeps one row of
+    # Python floats alive, not the whole matrix
+    row_format = " ".join(["{:.9g}"] * emb.dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(emb.words)} {emb.dim}\n")
         for word, vec in zip(emb.words, emb.vectors):
             if " " in word or not word:
                 raise ValueError(f"word not serializable in text format: {word!r}")
-            fh.write(word + " " + " ".join(f"{v:.9g}" for v in vec) + "\n")
+            fh.write(word + " " + row_format.format(*vec.tolist()) + "\n")
 
 
 def save_sparse_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:

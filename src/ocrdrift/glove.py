@@ -9,13 +9,15 @@ import numpy as np
 
 from .cooccur import CooccurrenceMatrix, Weighting
 from .embeddings import EmbeddingMatrix, Model, TrainConfig
-from .util import seeded_matrix, segment_sums
+from .util import seeded_matrix, segment_sums, segment_weighted_sums
 
 log = logging.getLogger(__name__)
 
 X_MAX = 100.0
 ALPHA = 0.75
 ADAGRAD_RATE = 0.05
+# the most bytes of gathered rows a batch step holds per matrix
+GATHER_BYTES = 1 << 20
 
 _W_STREAM = 3
 _C_STREAM = 4
@@ -103,14 +105,8 @@ def train_glove(
         order = rng.permutation(coo.nnz)
         for start in range(0, coo.nnz, config.batch_size):
             sel = order[start:start + config.batch_size]
-            i, j = rows[sel], cols[sel]
-            wi, cj = p.W[i], p.Cw[j]
-            diff = np.einsum("nd,nd->n", wi, cj) + p.bw[i] + p.bc[j] - log_counts[sel]
-            coef = 2.0 * weights[sel] * diff
-            _adagrad_update(p.W, acc.W, i, coef[:, None] * cj)
-            _adagrad_update(p.Cw, acc.Cw, j, coef[:, None] * wi)
-            _adagrad_update(p.bw, acc.bw, i, coef)
-            _adagrad_update(p.bc, acc.bc, j, coef)
+            _glove_batch_step(p, acc, rows.take(sel), cols.take(sel),
+                              log_counts.take(sel), weights.take(sel))
         if objective_log is not None:
             objective_log.append(glove_objective(matrix, p.W, p.Cw, p.bw, p.bc))
         log.debug("glove epoch %d/%d done", epoch + 1, config.epochs)
@@ -118,8 +114,43 @@ def train_glove(
     return EmbeddingMatrix(words=words, vectors=p.W + p.Cw, model=Model.GLOVE)
 
 
-def _adagrad_update(params: np.ndarray, acc: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    """Accumulate per-row gradient sums, then take one adaptive step."""
-    unique, sums = segment_sums(rows, grads)
-    acc[unique] += sums**2
-    params[unique] -= ADAGRAD_RATE * sums / np.sqrt(acc[unique])
+def _glove_batch_step(
+    p: _Params,
+    acc: _Params,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    log_counts: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """One AdaGrad step on a batch of nonzero cells (rows[n], cols[n]).
+
+    The cell dot products are taken from gathered rows, at most
+    GATHER_BYTES of each matrix at a time. Each vector gradient is a
+    grouped sum of coefficient-weighted rows read in place from the other
+    matrix, and both are summed before either matrix moves. So the step
+    holds no (n, dim) array, only O(n) vectors, two gathered chunks and
+    the per-row sums.
+    """
+    chunk = max(1, GATHER_BYTES // (p.W.itemsize * p.W.shape[1]))
+    dots = np.empty(len(rows))
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        dots[part] = np.einsum("nd,nd->n", p.W.take(rows[part], axis=0), p.Cw.take(cols[part], axis=0))
+    coef = 2.0 * weights * (dots + p.bw.take(rows) + p.bc.take(cols) - log_counts)
+    word_sums = segment_weighted_sums(rows, coef, cols, p.Cw)
+    context_sums = segment_weighted_sums(cols, coef, rows, p.W)
+    _adagrad_update(p.W, acc.W, *word_sums)
+    _adagrad_update(p.Cw, acc.Cw, *context_sums)
+    _adagrad_update(p.bw, acc.bw, *segment_sums(rows, coef))
+    _adagrad_update(p.bc, acc.bc, *segment_sums(cols, coef))
+
+
+def _adagrad_update(params: np.ndarray, acc: np.ndarray, unique: np.ndarray, sums: np.ndarray) -> None:
+    """One adaptive step on the distinct rows `unique`, from their summed
+    gradients `sums` (which it overwrites)."""
+    squared = acc.take(unique, axis=0)
+    squared += sums * sums
+    acc[unique] = squared
+    sums *= ADAGRAD_RATE
+    sums /= np.sqrt(squared, out=squared)
+    params[unique] -= sums

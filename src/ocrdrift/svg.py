@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -16,6 +15,12 @@ PALETTE = (
 
 WIDTH, HEIGHT = 840, 560
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 16, 40, 48
+
+
+def _escape(text: str) -> str:
+    """`text` with &, < and > as XML entities, as xml.sax.saxutils.escape
+    does; that module imports urllib.request, http.client and email."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def render_overlap_svg(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2}" y="{MARGIN_TOP - 14}" text-anchor="middle" '
-            f'font-size="16">{escape(title)}</text>'
+            f'font-size="16">{_escape(title)}</text>'
         )
     _draw_frame(parts, main, xticks=[0, 0.2, 0.4, 0.6, 0.8, 1.0],
                 yticks=[0, 0.2, 0.4, 0.6, 0.8, 1.0], tick_font=12)
@@ -144,7 +149,7 @@ def render_overlap_svg(
         y = legend_y + 18 * i
         parts.append(f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
                      f'stroke="{color}" stroke-width="2.5"/>')
-        parts.append(f'<text x="{legend_x + 32}" y="{y + 4}" font-size="12">{escape(s.label)}</text>')
+        parts.append(f'<text x="{legend_x + 32}" y="{y + 4}" font-size="12">{_escape(s.label)}</text>')
 
     # zoomed inset for the small-N region
     inset = _Axes(

@@ -163,9 +163,9 @@ def sgns_batch_step(
     scatter phase runs as grouped rank-one sums instead of materializing
     per-pair outer products.
     """
-    w = W[centers]
-    cp = C[contexts]
-    cn = C[negatives]
+    w = W.take(centers, axis=0)
+    cp = C.take(contexts, axis=0)
+    cn = C.take(negatives, axis=0)
     pos_coef = (sigmoid(np.einsum("bd,bd->b", w, cp)) - 1.0) * (-rate)
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
     d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
@@ -207,8 +207,8 @@ def cbow_batch_step(
     _, h = segment_weighted_sums(batch_idx, inv_counts[batch_idx], members, W)
     if len(h) != len(centers):
         raise ValueError("every position must have at least one context word")
-    o = C[centers]
-    cn = C[negatives]
+    o = C.take(centers, axis=0)
+    cn = C.take(negatives, axis=0)
     pos_coef = (sigmoid(np.einsum("bd,bd->b", h, o)) - 1.0) * (-rate)
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, h)) * (-rate)
     d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
@@ -259,7 +259,7 @@ def _train(
             negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
             progress = (epoch * batches_per_epoch + batch) / total_steps
             rate = initial_rate * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
-            step(W, C, *(array[sel] for array in examples), negatives, rate)
+            step(W, C, *(array.take(sel, axis=0) for array in examples), negatives, rate)
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
     return EmbeddingMatrix(words=vocab.words, vectors=W, model=model)

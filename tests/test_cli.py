@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from ocrdrift import cli, util
+from ocrdrift import cli, svg, util
 from ocrdrift.cli import main
-from ocrdrift.corpus import save_paired_files
+from ocrdrift.corpus import load_corpus, save_paired_files
 from ocrdrift.noise import NoiseSpec
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 
@@ -301,6 +301,26 @@ class TestNoiseCommand:
         )
         assert gt == source.read_text(encoding="utf-8")
 
+    def test_rerun_with_fewer_documents_leaves_no_stale_pairs(self, tmp_path):
+        out = tmp_path / "out"
+        level_dir = out / "noise" / "toy" / "cer010"
+        config = tmp_path / "c.json"
+        for doc_chars in (1_000, 2_000):
+            config.write_text(json.dumps({
+                "out_dir": str(out),
+                "seed": 3,
+                "noise": {"levels": [0.1], "synthetic_chars": 6_000,
+                          "doc_chars": doc_chars, "out_name": "toy"},
+            }), encoding="utf-8")
+            level_dir.mkdir(parents=True, exist_ok=True)
+            (level_dir / "notes.md").write_text("kept", encoding="utf-8")
+            assert main(["noise", "--config", str(config)]) == 0
+        manifest = json.loads((out / "noise" / "toy" / "manifest.json").read_text(encoding="utf-8"))
+        corpus = load_corpus(level_dir, format="paired", language="other")
+        assert manifest[0]["documents"] == len(corpus.documents) == 3
+        assert len(list(level_dir.glob("*.txt"))) == 6
+        assert (level_dir / "notes.md").read_text(encoding="utf-8") == "kept"
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, corpus_dir):
@@ -416,6 +436,26 @@ class TestScipyLoadedOnlyWhereUsed:
         config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out", runs=1,
                               models=[{"model": "ppmi", "window": 3, "min_count": 3}])
         assert "scipy.sparse" in self.scipy_modules_after("train", "--config", str(config))
+
+
+def test_svg_escape_matches_saxutils_without_its_imports():
+    """SVG labels are escaped as xml.sax.saxutils.escape escapes them, but
+    no command loads the urllib.request, http.client and email modules
+    that importing saxutils brings in."""
+    from xml.sax.saxutils import escape
+
+    for text in ["", "a & b", "<k=5>", "&amp; &lt;", "\"quoted\" 'label'", "é < ü > ß"]:
+        assert svg._escape(text) == escape(text)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ocrdrift.cli\n"
+        "print(sorted({'urllib.request', 'http.client', 'email'} & (set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=cli_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestTrainOutput:

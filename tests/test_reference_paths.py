@@ -23,6 +23,13 @@ trains the same jobs one after another in config order.
 Word error rates come from a bit-parallel edit distance that keeps one
 Python-int bit per ground-truth word. It must give the same integers as
 the numpy DP it replaced, which runs one vectorized row per OCR word.
+
+A GloVe batch step takes its dot products a bounded chunk of gathered
+rows at a time and its gradient sums straight from the parameter
+matrices. It must give the same vectors and objective log as the loop it
+replaced, which gathered whole batches and formed each gradient row, and
+it must hold no (batch, dim) array. The text export formats a row at a
+time and must write the bytes that formatting each numpy scalar wrote.
 """
 
 import json
@@ -37,7 +44,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ocrdrift import cli, overlap, util, word2vec
+from ocrdrift import cli, glove, overlap, util, word2vec
 from ocrdrift.config import load_config
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import PAD, Version, load_corpus, save_paired_files
@@ -860,3 +867,128 @@ class TestWordEditDistance:
             expected.append((doc.id, distance / len(gt)))
         report = corpus_error_rates(corpus)
         assert [(doc_id, wer) for doc_id, _, wer in report.per_document] == expected
+
+
+# ----------------------------------------------------------------------
+# GloVe: the batch step against the loop it replaced
+# ----------------------------------------------------------------------
+
+def reference_train_glove(matrix, config, objective_log=None):
+    """GloVe's batch loop as first written: fancy-index gathers of whole
+    batches, one (n, dim) gradient array per update and one grouped sum
+    of it."""
+    coo = matrix.counts.tocoo()
+    n_words, dim = matrix.size, config.dim
+    bound = 0.5 / dim
+    W, Cw, bw, bc = (util.seeded_matrix(n_words, width, config.seed, stream, -bound, bound)
+                     for width, stream in ((dim, glove._W_STREAM), (dim, glove._C_STREAM),
+                                           (1, glove._BW_STREAM), (1, glove._BC_STREAM)))
+    bw, bc = bw.ravel(), bc.ravel()
+    acc = [np.full_like(a, 1e-8) for a in (W, Cw, bw, bc)]
+
+    def adagrad_update(params, acc, rows, grads):
+        unique, sums = util.segment_sums(rows, grads)
+        acc[unique] += sums**2
+        params[unique] -= glove.ADAGRAD_RATE * sums / np.sqrt(acc[unique])
+
+    rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
+    log_counts, weights = np.log(coo.data), glove.cell_weight(coo.data)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(coo.nnz)
+        for start in range(0, coo.nnz, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            i, j = rows[sel], cols[sel]
+            wi, cj = W[i], Cw[j]
+            diff = np.einsum("nd,nd->n", wi, cj) + bw[i] + bc[j] - log_counts[sel]
+            coef = 2.0 * weights[sel] * diff
+            adagrad_update(W, acc[0], i, coef[:, None] * cj)
+            adagrad_update(Cw, acc[1], j, coef[:, None] * wi)
+            adagrad_update(bw, acc[2], i, coef)
+            adagrad_update(bc, acc[3], j, coef)
+        if objective_log is not None:
+            objective_log.append(glove.glove_objective(matrix, W, Cw, bw, bc))
+    return W + Cw
+
+
+def _glove_matrix(n_types=150, seed=8):
+    docs = [d.split() for d in synthetic_documents(60_000, seed=seed, n_types=n_types, n_topics=5,
+                                                   doc_chars=1_000)]
+    vocab = build_vocabulary(docs, min_count=1)
+    return count_cooccurrences(encode_documents(docs, vocab), 5, Weighting.HARMONIC)
+
+
+class TestGloveBatchStep:
+    @pytest.mark.parametrize("dim, epochs, batch_size, logged", [
+        (16, 3, 997, True),  # 997 does not divide nnz: a short last batch
+        (7, 2, 256, False),
+        (48, 1, 100_000, True),  # one batch of every cell
+    ])
+    def test_matches_reference_loop(self, dim, epochs, batch_size, logged):
+        matrix = _glove_matrix()
+        config = TrainConfig(model=Model.GLOVE, dim=dim, epochs=epochs, seed=4, batch_size=batch_size)
+        log, reference_log = ([], []) if logged else (None, None)
+        vectors = train_glove(matrix, config, objective_log=log).vectors
+        assert np.array_equal(vectors, reference_train_glove(matrix, config, reference_log))
+        assert log == reference_log
+
+    def test_dot_chunks_of_any_size(self, monkeypatch):
+        """A batch's dot products taken 1, 5 or all rows at a time."""
+        matrix = _glove_matrix(n_types=60)
+        config = TrainConfig(model=Model.GLOVE, dim=8, epochs=2, seed=2, batch_size=300)
+        reference = reference_train_glove(matrix, config)
+        for rows_per_chunk in (1, 5, 300):
+            monkeypatch.setattr(glove, "GATHER_BYTES", rows_per_chunk * 8 * 8)
+            assert np.array_equal(train_glove(matrix, config).vectors, reference), rows_per_chunk
+
+    def test_batch_memory_stays_within_budget(self):
+        """Working memory, as README states it: the training state, O(n)
+        vectors per batch of n cells, one GATHER_BYTES chunk of each matrix
+        and four (distinct rows, dim) arrays; no (n, dim) array."""
+        matrix = _glove_matrix()
+        n_words, nnz = matrix.size, matrix.counts.nnz
+        dim, batch = 64, 4096
+        config = TrainConfig(model=Model.GLOVE, dim=dim, epochs=2, seed=1, batch_size=batch)
+        # W, Cw, their accumulators and the result; biases; per-cell arrays
+        state = 5 * n_words * dim * 8 + 8 * n_words * 8 + 64 * nnz
+        per_batch = 16 * batch * 8 + 2 * glove.GATHER_BYTES + 4 * min(batch, n_words) * dim * 8
+        budget = state + per_batch
+        # the four (n, dim) arrays the reference loop holds at once exceed it
+        assert 4 * batch * dim * 8 > budget
+        tracemalloc.start()
+        try:
+            train_glove(matrix, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, f"peak {peak} bytes, budget {budget}"
+
+
+def reference_export(emb, path):
+    """The text format written one numpy scalar at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(emb.words)} {emb.dim}\n")
+        for word, vec in zip(emb.words, emb.vectors):
+            fh.write(word + " " + " ".join(f"{v:.9g}" for v in vec) + "\n")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_export_matches_per_value_format(tmp_path, dtype):
+    info = np.finfo(dtype)
+    special = np.array([
+        0.0, -0.0, 1.0, -1.0, 1 / 3, 123456789.0, 0.1,
+        info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+        info.tiny / 3, -info.tiny / 7, info.eps,
+        1e30, -1e30, 1e-30, -1e-30, 9.99999999e29, 1.00000001e-30,
+    ], dtype=dtype)
+    neighbours = np.concatenate([np.nextafter(special, dtype(np.inf)), np.nextafter(special, dtype(-np.inf))])
+    largest = np.array([info.max, -info.max, np.nextafter(info.max, dtype(0))], dtype=dtype)
+    rng = np.random.default_rng(5)
+    scaled = (rng.normal(size=240) * 10.0 ** rng.integers(-30, 31, size=240)).astype(dtype)
+    values = np.concatenate([special, neighbours, largest, scaled])
+    vectors = np.append(values, np.zeros(-len(values) % 6, dtype=dtype)).reshape(-1, 6)
+    assert vectors.dtype == dtype and np.isfinite(vectors).all()
+    emb = external([f"w{i}" for i in range(len(vectors))], vectors)
+    export_embeddings(emb, tmp_path / "fast.txt")
+    reference_export(emb, tmp_path / "reference.txt")
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
