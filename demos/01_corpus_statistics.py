@@ -2,8 +2,7 @@
 
 Builds a small synthetic OCR/ground-truth corpus on disk in the paired
 file layout, loads it back, and walks through the corpus-level numbers:
-document counts, alignment, character statistics, and 500-character
-splitting.
+document counts, alignment and character statistics.
 """
 
 import atexit
@@ -11,7 +10,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files, split_documents
+from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files
 from ocrdrift.noise import NoiseSpec
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 
@@ -35,14 +34,3 @@ for version in (Version.GROUND_TRUTH, Version.OCR):
         f"avg {stats.avg_chars:.0f}, min {stats.min_chars}, max {stats.max_chars}, "
         f"{stats.aligned_docs}/{stats.total_docs} aligned"
     )
-
-# transformer-style preprocessing caps documents at 500 characters;
-# concatenating the pieces reproduces each source document exactly
-pieces = split_documents(corpus, 500)
-print(f"split at 500 chars: {len(corpus)} documents -> {len(pieces)} pieces")
-first = corpus.documents[0]
-rebuilt = "".join(
-    d.gt_aligned for d in pieces.documents if d.id.startswith(first.id)
-)
-assert rebuilt == first.gt_aligned
-print("concatenation check passed")

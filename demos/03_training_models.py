@@ -13,7 +13,6 @@ from ocrdrift.corpus import Version
 from ocrdrift.embeddings import Model, RateProfile, TrainConfig
 from ocrdrift.glove import train_glove
 from ocrdrift.noise import NoiseSpec
-from ocrdrift.overlap import neighbor_sets
 from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import preprocess_corpus
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
@@ -41,17 +40,26 @@ harmonic = count_cooccurrences(tokens, window_size=5, weighting=Weighting.HARMON
 glove_config = TrainConfig(model=Model.GLOVE, dim=48, epochs=20, seed=0)
 embeddings["glove"] = train_glove(harmonic, glove_config)
 
+
+def nearest(emb, words, probe, n=5):
+    """The n words closest to `probe` by cosine; zero vectors rank last."""
+    rows = emb.vectors[[emb.word_to_row[w] for w in words]]
+    rows = rows if emb.is_dense else rows.toarray()
+    norms = np.linalg.norm(rows, axis=1)
+    sims = rows @ rows[words.index(probe)] / np.where(norms == 0, 1.0, norms)
+    sims[norms == 0] = -1.0
+    sims[words.index(probe)] = -np.inf
+    return [words[j] for j in np.argsort(-sims, kind="stable")[:n]]
+
+
 # the topic generator groups words into blocks; a well-trained model
 # should rank a word's topic-mates as its closest neighbors
 probe = embeddings["sgns"].words[0]
 shared = sorted(set(embeddings["ppmi"].words))
 print(f"\nnearest neighbors of {probe!r}:")
 for name, emb in embeddings.items():
-    sets = neighbor_sets(emb, shared)
-    query = shared.index(probe)
-    top = [shared[j] for j in sets[query].neighbors[:5]]
     kind = "sparse" if not emb.is_dense else f"dense d={emb.dim}"
-    print(f"  {name:>5} ({kind}): {top}")
+    print(f"  {name:>5} ({kind}): {nearest(emb, shared, probe)}")
 
 # same seed, same corpus: training is reproducible bit for bit
 again = train_sgns(tokens, sgns_config)

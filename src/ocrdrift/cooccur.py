@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .preprocess import TokenizedCorpus, Vocabulary, window_pairs
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class Weighting(Enum):

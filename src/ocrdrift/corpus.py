@@ -1,4 +1,4 @@
-"""Aligned OCR/ground-truth corpora: loading, splitting, and statistics.
+"""Aligned OCR/ground-truth corpora: loading and statistics.
 
 A corpus holds documents that exist in two versions of the same text: the
 OCR output and a human-verified ground truth. The two versions come padded
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -67,10 +66,9 @@ class CorpusFormat(Enum):
 
 @dataclass(frozen=True)
 class AlignedDocument:
-    """One document's OCR text, padded OCR/GT pair, and alignment status."""
+    """One document's padded OCR/GT pair and alignment status."""
 
     id: str
-    ocr_raw: str
     ocr_aligned: str
     gt_aligned: str
     is_aligned: bool
@@ -123,10 +121,14 @@ class CorpusStats:
 
 
 _ICDAR_GT_TAGS = ("[ GS_aligned]", "[GS_aligned]")
+# compute_stats counts the pieces that fixed-width splitting at this many
+# characters would make
+SPLIT_MAX_CHARS = 500
 
 
-def _parse_icdar_file(content: str) -> tuple[str, str, str]:
-    """Extract the (ocr_raw, ocr_aligned, gt_aligned) triple from one file."""
+def _parse_icdar_file(content: str) -> tuple[str, str]:
+    """Extract the (ocr_aligned, gt_aligned) pair from one file. The file
+    must open with an [OCR_toInput] section, whose text is not kept."""
     if not content.startswith("[OCR_toInput]"):
         raise ValueError("missing [OCR_toInput] tag")
     aligned_at = content.find("\n[OCR_aligned]")
@@ -148,24 +150,15 @@ def _parse_icdar_file(content: str) -> tuple[str, str, str]:
             body = body[1:]
         return body.rstrip("\n")
 
-    ocr_raw = strip_tag(content[:aligned_at], "[OCR_toInput]")
     ocr_aligned = strip_tag(content[aligned_at + 1:gt_at], "[OCR_aligned]")
     gt_aligned = strip_tag(content[gt_at + 1:], gt_tag)
-    return ocr_raw, ocr_aligned, gt_aligned
-
-
-def _infer_language(root: Path) -> Language:
-    for part in reversed(root.parts):
-        token = re.split(r"[_\-.]", part.lower())[0]
-        if token in _LANGUAGE_CODES:
-            return Language(_LANGUAGE_CODES[token])
-    return Language("unknown")
+    return ocr_aligned, gt_aligned
 
 
 def load_corpus(
     root_path: str | Path,
-    format: CorpusFormat | str = CorpusFormat.ICDAR,
-    language: str | Language | None = None,
+    format: CorpusFormat | str,
+    language: str | Language,
 ) -> Corpus:
     """Load every parseable document under `root_path`.
 
@@ -177,7 +170,7 @@ def load_corpus(
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
     fmt = CorpusFormat(format) if isinstance(format, str) else format
-    lang = Language.parse(language) if language is not None else _infer_language(root)
+    lang = Language.parse(language)
 
     documents: list[AlignedDocument] = []
     skipped: list[tuple[str, str]] = []
@@ -188,14 +181,13 @@ def load_corpus(
             rel = path.relative_to(root).as_posix()
             try:
                 content = path.read_text(encoding="utf-8")
-                ocr_raw, ocr_aligned, gt_aligned = _parse_icdar_file(content)
+                ocr_aligned, gt_aligned = _parse_icdar_file(content)
             except (ValueError, UnicodeDecodeError) as exc:
                 skipped.append((rel, str(exc)))
                 continue
             documents.append(
                 AlignedDocument(
                     id=rel[:-len(".txt")],
-                    ocr_raw=ocr_raw,
                     ocr_aligned=ocr_aligned,
                     gt_aligned=gt_aligned,
                     is_aligned=len(ocr_aligned) == len(gt_aligned),
@@ -219,7 +211,6 @@ def load_corpus(
             documents.append(
                 AlignedDocument(
                     id=doc_id,
-                    ocr_raw=ocr_text,
                     ocr_aligned=ocr_text,
                     gt_aligned=gt_text,
                     is_aligned=len(ocr_text) == len(gt_text),
@@ -241,11 +232,7 @@ def load_corpus(
 
 
 def save_paired_files(corpus: Corpus, out_dir: str | Path) -> None:
-    """Write `<id>.ocr.txt` / `<id>.gt.txt` pairs holding the aligned texts.
-
-    Only the aligned pair is stored; reloading a corpus whose raw OCR text
-    differs from its aligned OCR text will set ocr_raw = ocr_aligned.
-    """
+    """Write `<id>.ocr.txt` / `<id>.gt.txt` pairs holding the aligned texts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for doc in corpus.documents:
@@ -255,56 +242,11 @@ def save_paired_files(corpus: Corpus, out_dir: str | Path) -> None:
         (out / f"{doc.id}.gt.txt").write_text(doc.gt_aligned, encoding="utf-8")
 
 
-def _chunks(text: str, max_chars: int) -> list[str]:
-    if not text:
-        return [""]
-    return [text[i:i + max_chars] for i in range(0, len(text), max_chars)]
-
-
-def split_documents(corpus: Corpus, max_chars: int) -> Corpus:
-    """Split every document into pieces of at most `max_chars` characters.
-
-    Pieces are fixed-width slices, so concatenating the pieces of any field
-    reproduces that field exactly. Aligned documents stay aligned because
-    the two equal-length padded strings share slice boundaries.
-    """
-    if max_chars < 1:
-        raise ValueError("max_chars must be >= 1")
-    pieces: list[AlignedDocument] = []
-    for doc in corpus.documents:
-        raw_parts = _chunks(doc.ocr_raw, max_chars)
-        ocr_parts = _chunks(doc.ocr_aligned, max_chars)
-        gt_parts = _chunks(doc.gt_aligned, max_chars)
-        n = max(len(raw_parts), len(ocr_parts), len(gt_parts))
-        if n == 1:
-            pieces.append(doc)
-            continue
-        width = len(str(n - 1))
-        for i in range(n):
-            raw = raw_parts[i] if i < len(raw_parts) else ""
-            ocr = ocr_parts[i] if i < len(ocr_parts) else ""
-            gt = gt_parts[i] if i < len(gt_parts) else ""
-            pieces.append(
-                AlignedDocument(
-                    id=f"{doc.id}#{i:0{width}d}",
-                    ocr_raw=raw,
-                    ocr_aligned=ocr,
-                    gt_aligned=gt,
-                    is_aligned=doc.is_aligned and len(ocr) == len(gt),
-                )
-            )
-    return replace(corpus, documents=tuple(pieces))
-
-
-def compute_stats(
-    corpus: Corpus,
-    version: Version,
-    split_max_chars: int = 500,
-) -> CorpusStats:
+def compute_stats(corpus: Corpus, version: Version) -> CorpusStats:
     """Character statistics of the selected version, padding excluded.
 
     `split_docs` is the number of pieces fixed-width splitting at
-    `split_max_chars` would produce for that version. The average is kept
+    SPLIT_MAX_CHARS would produce for that version. The average is kept
     as a float; round it at presentation time.
     """
     if not corpus.documents:
@@ -314,7 +256,7 @@ def compute_stats(
     return CorpusStats(
         total_docs=len(lengths),
         aligned_docs=sum(1 for d in corpus.documents if d.is_aligned),
-        split_docs=sum(max(1, math.ceil(n / split_max_chars)) for n in lengths),
+        split_docs=sum(max(1, math.ceil(n / SPLIT_MAX_CHARS)) for n in lengths),
         avg_chars=total / len(lengths),
         min_chars=min(lengths),
         max_chars=max(lengths),

@@ -9,8 +9,12 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class Model(Enum):

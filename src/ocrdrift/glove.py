@@ -45,15 +45,25 @@ def glove_objective(
     bw: np.ndarray,
     bc: np.ndarray,
 ) -> float:
-    """sum over nonzero cells of f(x) * (w.c + b_w + b_c - ln x)^2."""
+    """sum over nonzero cells of f(x) * (w.c + b_w + b_c - ln x)^2.
+
+    Holds O(nnz) vectors and one GATHER_BYTES chunk of each matrix, not
+    the (nnz, dim) rows of every cell.
+    """
     coo = matrix.counts.tocoo()
-    diff = (
-        np.einsum("nd,nd->n", W[coo.row], Cw[coo.col])
-        + bw[coo.row]
-        + bc[coo.col]
-        - np.log(coo.data)
-    )
+    diff = _cell_dots(W, Cw, coo.row, coo.col) + bw[coo.row] + bc[coo.col] - np.log(coo.data)
     return float((cell_weight(coo.data) * diff**2).sum())
+
+
+def _cell_dots(W: np.ndarray, Cw: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """W[rows[n]] . Cw[cols[n]] for every n, gathering at most
+    GATHER_BYTES of rows from each matrix at a time."""
+    chunk = max(1, GATHER_BYTES // (W.itemsize * W.shape[1]))
+    dots = np.empty(len(rows))
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        dots[part] = np.einsum("nd,nd->n", W.take(rows[part], axis=0), Cw.take(cols[part], axis=0))
+    return dots
 
 
 def train_glove(
@@ -131,11 +141,7 @@ def _glove_batch_step(
     holds no (n, dim) array, only O(n) vectors, two gathered chunks and
     the per-row sums.
     """
-    chunk = max(1, GATHER_BYTES // (p.W.itemsize * p.W.shape[1]))
-    dots = np.empty(len(rows))
-    for start in range(0, len(rows), chunk):
-        part = slice(start, start + chunk)
-        dots[part] = np.einsum("nd,nd->n", p.W.take(rows[part], axis=0), p.Cw.take(cols[part], axis=0))
+    dots = _cell_dots(p.W, p.Cw, rows, cols)
     coef = 2.0 * weights * (dots + p.bw.take(rows) + p.bc.take(cols) - log_counts)
     word_sums = segment_weighted_sums(rows, coef, cols, p.Cw)
     context_sums = segment_weighted_sums(cols, coef, rows, p.W)

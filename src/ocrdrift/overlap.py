@@ -12,17 +12,21 @@ mean is an exact integer sum divided once.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import util
 from .embeddings import EmbeddingMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_RESAMPLES = 1000
@@ -135,57 +139,6 @@ def _descending_order(sims: np.ndarray) -> np.ndarray:
     return order
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """All other intersection words, closest first, for one query word.
-
-    Ids index into the intersection word list shared by the spaces under
-    comparison; the query word itself is excluded.
-    """
-
-    word: int
-    neighbors: np.ndarray
-
-    def top(self, k: int) -> np.ndarray:
-        return self.neighbors[:k]
-
-
-def neighbor_sets(
-    emb: EmbeddingMatrix,
-    intersection: Sequence[str],
-    block_size: int | None = None,
-) -> list[NeighborSet]:
-    """Exact cosine neighbor ranking of every intersection word.
-
-    `block_size` query rows are ranked at a time; by default as many as
-    BLOCK_BYTES allows.
-    """
-    size = len(intersection)
-    if size < 2:
-        raise ValueError("intersection must hold at least two words")
-    normalized, zero = _normalized_rows(emb, intersection)
-    out: list[NeighborSet] = []
-    block_size = block_size or _block_rows(size, normalized.shape[1])
-    for start in range(0, size, block_size):
-        stop = min(start + block_size, size)
-        # the query itself always occupies the final position; drop it
-        order = _descending_order(_similarities(normalized, zero, start, stop))[:, :-1]
-        for i in range(stop - start):
-            out.append(NeighborSet(word=start + i, neighbors=order[i].astype(np.int32)))
-    return out
-
-
-def overlap_at_k(r_ocr: NeighborSet, r_truth: NeighborSet, k: int) -> float:
-    """|top-k of one space  intersected with  top-k of the other| / k."""
-    size = len(r_ocr.neighbors)
-    if len(r_truth.neighbors) != size:
-        raise ValueError("neighbor sets come from different intersections")
-    if not 1 <= k <= size:
-        raise ValueError(f"k must be in [1, {size}], got {k}")
-    shared = np.intersect1d(r_ocr.neighbors[:k], r_truth.neighbors[:k], assume_unique=True)
-    return len(shared) / k
-
-
 def _bootstrap_bands(
     shared: np.ndarray, ks: np.ndarray, confidence: float, resamples: int, seed: int | tuple
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +210,14 @@ def evaluate_pair(
     confidence: float = DEFAULT_CONFIDENCE,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
-    block_size: int | None = None,
 ) -> OverlapCurve:
     """Overlap curve between two spaces over their shared vocabulary.
 
-    Works in query blocks (sized by BLOCK_BYTES unless `block_size` is
-    given) so the two full rank tables are never held at once: a
-    candidate is in both top-k sets exactly when the larger of its two
-    ranks is at most k, so per-word overlaps for the whole fraction grid
-    come from one cumulative count of the combined ranks.
+    Works in query blocks sized by BLOCK_BYTES, so the two full rank
+    tables are never held at once: a candidate is in both top-k sets
+    exactly when the larger of its two ranks is at most k, so per-word
+    overlaps for the whole fraction grid come from one cumulative count
+    of the combined ranks.
 
     Blocks are ranked by a pool of min(blocks, usable CPUs) threads.
     Each block writes only its own columns of the score table, and block
@@ -291,10 +243,10 @@ def evaluate_pair(
 
     shared = np.empty((len(grid), size), dtype=np.int32)
     positions = np.arange(size)
-    block_size = block_size or _block_rows(size, norm_a.shape[1], norm_b.shape[1])
+    block_rows = _block_rows(size, norm_a.shape[1], norm_b.shape[1])
 
     def rank_block(start: int) -> None:
-        stop = min(start + block_size, size)
+        stop = min(start + block_rows, size)
         rows = stop - start
         combined = np.zeros((rows, size), dtype=np.int64)
         for normalized, zero in ((norm_a, zero_a), (norm_b, zero_b)):
@@ -309,7 +261,7 @@ def evaluate_pair(
         np.cumsum(below, axis=1, out=below)
         shared[:, start:stop] = below[:, ks - 1].T
 
-    starts = range(0, size, block_size)
+    starts = range(0, size, block_rows)
     # numpy and scipy release the GIL while ranking, so threads rank
     # blocks side by side (BLAS adds none: see __init__.py)
     with ThreadPoolExecutor(min(len(starts), util.usable_cpus())) as pool:
@@ -362,13 +314,14 @@ def average_runs(curves: Sequence[OverlapCurve]) -> OverlapCurve:
 
 
 def write_curve_csv(curve: OverlapCurve, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "k", "mean", "ci_low", "ci_high"])
-        for n, k, m, lo, hi in zip(
-            curve.n_values, curve.k_values, curve.means, curve.ci_low, curve.ci_high
-        ):
-            writer.writerow([f"{n:g}", k, f"{m:.9g}", f"{lo:.9g}", f"{hi:.9g}"])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["N", "k", "mean", "ci_low", "ci_high"])
+    for n, k, m, lo, hi in zip(
+        curve.n_values, curve.k_values, curve.means, curve.ci_low, curve.ci_high
+    ):
+        writer.writerow([f"{n:g}", k, f"{m:.9g}", f"{lo:.9g}", f"{hi:.9g}"])
+    util.write_atomically(path, text.getvalue())
 
 
 def write_curve_json(curve: OverlapCurve, path: str | Path, metadata: dict | None = None) -> None:
@@ -390,7 +343,7 @@ def write_curve_json(curve: OverlapCurve, path: str | Path, metadata: dict | Non
             )
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    util.write_atomically(path, json.dumps(payload, indent=2) + "\n")
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .util import write_atomically
+
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
@@ -15,6 +17,8 @@ PALETTE = (
 
 WIDTH, HEIGHT = 840, 560
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 16, 40, 48
+# the inset zooms in on N <= INSET_MAX
+INSET_MAX = 0.2
 
 
 def _escape(text: str) -> str:
@@ -104,12 +108,12 @@ def render_overlap_svg(
     series: Sequence[CurveSeries],
     path: str | Path,
     title: str = "",
-    inset_max: float = 0.2,
 ) -> None:
     """Overlap-vs-N plot: full range plus a zoomed inset for small N.
 
     One line and shaded confidence band per series; the inset repeats the
-    region N <= inset_max where curves actually separate.
+    region N <= INSET_MAX where curves actually separate. The file is
+    replaced whole, through a temporary file.
     """
     if not series:
         raise ValueError("nothing to plot")
@@ -157,18 +161,18 @@ def render_overlap_svg(
         MARGIN_TOP + int(plot_h * 0.06),
         int(plot_w * 0.40),
         int(plot_h * 0.38),
-        (0.0, inset_max),
+        (0.0, INSET_MAX),
         (0.0, 1.0),
     )
     parts.append('<g id="inset">')
-    _draw_frame(parts, inset, xticks=[0, inset_max / 2, inset_max], yticks=[0, 0.5, 1.0], tick_font=10)
+    _draw_frame(parts, inset, xticks=[0, INSET_MAX / 2, INSET_MAX], yticks=[0, 0.5, 1.0], tick_font=10)
     for i, s in enumerate(series):
-        _draw_series(parts, inset, _clip(s, inset_max), PALETTE[i % len(PALETTE)], 1.4)
+        _draw_series(parts, inset, _clip(s, INSET_MAX), PALETTE[i % len(PALETTE)], 1.4)
     parts.append(
         f'<text x="{inset.x0 + inset.width / 2}" y="{inset.y0 - 5}" text-anchor="middle" '
-        f'font-size="11">N &#8804; {inset_max:g}</text>'
+        f'font-size="11">N &#8804; {INSET_MAX:g}</text>'
     )
     parts.append("</g>")
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_atomically(path, "\n".join(parts) + "\n")

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .corpus import PAD, AlignedDocument, Corpus, Language
+from .corpus import AlignedDocument, Corpus, Language
 from .noise import NoiseSpec, inject_noise
 
 
@@ -111,7 +111,6 @@ def noisy_corpus(
         docs.append(
             AlignedDocument(
                 id=f"doc{i:05d}",
-                ocr_raw=ocr_aligned.replace(PAD, ""),
                 ocr_aligned=ocr_aligned,
                 gt_aligned=gt_aligned,
                 is_aligned=True,

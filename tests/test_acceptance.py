@@ -20,9 +20,9 @@ from ocrdrift import util
 from ocrdrift.cli import main
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files
-from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.embeddings import EmbeddingMatrix, Model, RateProfile, TrainConfig
 from ocrdrift.noise import NoiseSpec, character_error_rate, corpus_error_rates, inject_noise, word_error_rate
-from ocrdrift.overlap import NeighborSet, evaluate_pair, k_for_fraction, overlap_at_k
+from ocrdrift.overlap import evaluate_pair, k_for_fraction
 from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import build_vocabulary, encode_documents, intersect_words, preprocess_corpus
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents, synthetic_text
@@ -34,12 +34,30 @@ pytestmark = pytest.mark.acceptance
 ICDAR_ROOT = os.environ.get("OCRDRIFT_ICDAR_ROOT")
 
 
+def cosine_top_k(vectors, query, k):
+    """The k rows closest to row `query` by cosine, the query excluded."""
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    sims = unit @ unit[query]
+    sims[query] = -np.inf
+    return np.argsort(-sims, kind="stable")[:k]
+
+
 def test_metric_oracles_exact():
     """Worked neighborhood example plus hand-computed CER/WER values."""
     assert k_for_fraction(0.01, 1000) == 10
-    top_a = NeighborSet(word=0, neighbors=np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 50]))
-    top_b = NeighborSet(word=0, neighbors=np.array([1, 2, 3, 4, 5, 60, 70, 80, 90, 99, 50]))
-    assert overlap_at_k(top_a, top_b, 10) == 0.5
+    # 21 words on an arc; word 0's ten nearest are words 1-10 in one
+    # space and words 1-5 and 11-15 in the other, so they share half
+    slots_a = np.arange(21)
+    slots_b = np.r_[np.arange(6), np.arange(11, 16), np.arange(6, 11), np.arange(16, 21)]
+    a, b = (np.column_stack([np.cos(0.05 * s), np.sin(0.05 * s)]) for s in (slots_a, slots_b))
+    top_a, top_b = cosine_top_k(a, 0, 10), cosine_top_k(b, 0, 10)
+    assert sorted(top_a) == list(range(1, 11))
+    assert len(np.intersect1d(top_a, top_b)) / 10 == 0.5
+    words = tuple(f"w{i:02d}" for i in range(21))
+    curve = evaluate_pair(EmbeddingMatrix(words, a, Model.EXTERNAL), EmbeddingMatrix(words, b, Model.EXTERNAL),
+                          words, n_grid=[10 / 21], resamples=1)
+    assert curve.k_values == (10,)
+    assert curve.shared[0, 0] / 10 == 0.5
 
     assert character_error_rate("abc", "abc") == 0.0
     assert character_error_rate("ab", "ac") == 0.5

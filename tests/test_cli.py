@@ -1,16 +1,22 @@
+import ast
 import csv
 import errno
+import importlib
+import inspect
 import json
 import multiprocessing
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
 
+import ocrdrift
 from ocrdrift import cli, svg, util
 from ocrdrift.cli import main
 from ocrdrift.corpus import load_corpus, save_paired_files
@@ -203,9 +209,9 @@ class TestErrorRatesCommand:
 
 
 class TestAtomicWrites:
-    """Tables, summaries and manifests go through `util.write_atomically`:
-    a write that fails partway leaves the previous file whole and no
-    `.partial` file behind."""
+    """Tables, summaries, manifests, curves and figures go through
+    `util.write_atomically`: a write that fails partway leaves the previous
+    file whole and no `.partial` file behind."""
 
     @staticmethod
     def fail_partway(monkeypatch, after):
@@ -232,14 +238,19 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [path]
 
-    # each command's last `outputs` writes are its tables, summaries and
-    # manifests; `noise` writes its corpus files first
-    @pytest.mark.parametrize("command, outputs", [("stats", 3), ("error-rates", 4), ("noise", 1)])
+    # each command's last `outputs` writes are its tables, summaries,
+    # manifests, curves and figure; `noise` writes its corpus files first,
+    # and `evaluate` writes a CSV and a JSON per model, then the figure
+    @pytest.mark.parametrize("command, outputs", [
+        ("stats", 3), ("error-rates", 4), ("noise", 1), ("evaluate", 5), ("report", 1)])
     def test_failed_rerun_keeps_previous_outputs(self, tmp_path, corpus_dir, monkeypatch, capsys,
                                                  command, outputs):
         out = tmp_path / "out"
-        config = write_config(tmp_path / "c.json", corpus_dir, out, noise={
+        config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1, noise={
             "levels": [0.1], "synthetic_chars": 5_000, "doc_chars": 1_000, "out_name": "toy"})
+        # evaluate reads what train writes, and report what evaluate writes
+        for prior in {"evaluate": ["train"], "report": ["train", "evaluate"]}.get(command, []):
+            assert main([prior, "--config", str(config)]) == 0
         calls = self.fail_partway(monkeypatch, after=10**6)
         assert main([command, "--config", str(config)]) == 0
         monkeypatch.undo()
@@ -436,6 +447,30 @@ class TestScipyLoadedOnlyWhereUsed:
         config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out", runs=1,
                               models=[{"model": "ppmi", "window": 3, "min_count": 3}])
         assert "scipy.sparse" in self.scipy_modules_after("train", "--config", str(config))
+
+
+def type_checking_namespace(module):
+    """The module's globals plus the imports it makes only for type
+    checkers, under `if TYPE_CHECKING:`."""
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            exec(compile(ast.Module(body=node.body, type_ignores=[]), module.__file__, "exec"), namespace)
+    return namespace
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(ocrdrift.__path__)))
+def test_annotations_resolve(name):
+    """Every annotation names something the module imports, at run time or
+    for type checkers. scipy is imported for type checkers only, so the
+    commands TestScipyLoadedOnlyWhereUsed runs still load none of it."""
+    module = importlib.import_module(f"ocrdrift.{name}")
+    namespace = type_checking_namespace(module)
+    defined = [obj for obj in vars(module).values()
+               if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ == module.__name__]
+    methods = [m for cls in defined if inspect.isclass(cls) for m in vars(cls).values() if inspect.isfunction(m)]
+    for obj in defined + methods:
+        typing.get_type_hints(obj, globalns=namespace)
 
 
 def test_svg_escape_matches_saxutils_without_its_imports():

@@ -12,13 +12,12 @@ from ocrdrift.corpus import (
     compute_stats,
     load_corpus,
     save_paired_files,
-    split_documents,
 )
 
 
-def write_icdar(path, ocr_raw, ocr_aligned, gt_aligned, gt_tag="[ GS_aligned]"):
+def write_icdar(path, ocr_input, ocr_aligned, gt_aligned, gt_tag="[ GS_aligned]"):
     path.write_text(
-        f"[OCR_toInput] {ocr_raw}\n[OCR_aligned] {ocr_aligned}\n{gt_tag} {gt_aligned}",
+        f"[OCR_toInput] {ocr_input}\n[OCR_aligned] {ocr_aligned}\n{gt_tag} {gt_aligned}",
         encoding="utf-8",
     )
 
@@ -26,7 +25,6 @@ def write_icdar(path, ocr_raw, ocr_aligned, gt_aligned, gt_tag="[ GS_aligned]"):
 def make_doc(doc_id, ocr, gt):
     return AlignedDocument(
         id=doc_id,
-        ocr_raw=ocr.replace("@", ""),
         ocr_aligned=ocr,
         gt_aligned=gt,
         is_aligned=len(ocr) == len(gt),
@@ -43,7 +41,6 @@ class TestIcdarLoading:
         write_icdar(tmp_path / "a.txt", "c t", "c@t", "cat")
         corpus = load_corpus(tmp_path, CorpusFormat.ICDAR, "dutch")
         (doc,) = corpus.documents
-        assert doc.ocr_raw == "c t"
         assert doc.ocr_aligned == "c@t"
         assert doc.gt_aligned == "cat"
         assert doc.is_aligned
@@ -51,18 +48,18 @@ class TestIcdarLoading:
 
     def test_gt_tag_variant_without_space_also_parses(self, tmp_path):
         write_icdar(tmp_path / "a.txt", "x", "x", "x", gt_tag="[GS_aligned]")
-        corpus = load_corpus(tmp_path, CorpusFormat.ICDAR)
+        corpus = load_corpus(tmp_path, CorpusFormat.ICDAR, "other")
         assert corpus.documents[0].gt_aligned == "x"
 
     def test_length_mismatch_marks_document_misaligned(self, tmp_path):
         write_icdar(tmp_path / "a.txt", "ab", "ab", "abc")
-        corpus = load_corpus(tmp_path, "icdar")
+        corpus = load_corpus(tmp_path, "icdar", "other")
         assert not corpus.documents[0].is_aligned
 
     def test_malformed_file_is_skipped_with_reason(self, tmp_path):
         write_icdar(tmp_path / "good.txt", "a", "a", "a")
         (tmp_path / "bad.txt").write_text("no tags here", encoding="utf-8")
-        corpus = load_corpus(tmp_path, "icdar")
+        corpus = load_corpus(tmp_path, "icdar", "other")
         assert len(corpus.documents) == 1
         assert corpus.report.loaded == 1
         assert corpus.report.skipped[0][0] == "bad.txt"
@@ -70,36 +67,30 @@ class TestIcdarLoading:
     def test_documents_sorted_by_id(self, tmp_path):
         for name in ("b.txt", "a.txt", "c.txt"):
             write_icdar(tmp_path / name, "x", "x", "x")
-        corpus = load_corpus(tmp_path, "icdar")
+        corpus = load_corpus(tmp_path, "icdar", "other")
         ids = [d.id for d in corpus.documents]
         assert ids == sorted(ids)
 
     def test_empty_directory_is_fatal(self, tmp_path):
         with pytest.raises(CorpusError, match="no documents"):
-            load_corpus(tmp_path, "icdar")
+            load_corpus(tmp_path, "icdar", "other")
 
     def test_missing_directory_is_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_corpus(tmp_path / "nope", "icdar")
-
-    def test_language_inferred_from_path(self, tmp_path):
-        root = tmp_path / "EN"
-        root.mkdir()
-        write_icdar(root / "a.txt", "x", "x", "x")
-        assert load_corpus(root, "icdar").language == Language("english")
+            load_corpus(tmp_path / "nope", "icdar", "other")
 
 
 class TestPairedFiles:
     def test_identical_pair_is_aligned(self, tmp_path):
         (tmp_path / "d1.ocr.txt").write_text("same text", encoding="utf-8")
         (tmp_path / "d1.gt.txt").write_text("same text", encoding="utf-8")
-        corpus = load_corpus(tmp_path, CorpusFormat.PAIRED_FILES)
+        corpus = load_corpus(tmp_path, CorpusFormat.PAIRED_FILES, "other")
         assert corpus.documents[0].is_aligned
 
     def test_unequal_lengths_not_aligned(self, tmp_path):
         (tmp_path / "d1.ocr.txt").write_text("short", encoding="utf-8")
         (tmp_path / "d1.gt.txt").write_text("longer text", encoding="utf-8")
-        corpus = load_corpus(tmp_path, "paired")
+        corpus = load_corpus(tmp_path, "paired", "other")
         assert not corpus.documents[0].is_aligned
 
     def test_orphan_files_reported(self, tmp_path):
@@ -107,7 +98,7 @@ class TestPairedFiles:
         (tmp_path / "d1.gt.txt").write_text("a", encoding="utf-8")
         (tmp_path / "d2.ocr.txt").write_text("b", encoding="utf-8")
         (tmp_path / "d3.gt.txt").write_text("c", encoding="utf-8")
-        corpus = load_corpus(tmp_path, "paired")
+        corpus = load_corpus(tmp_path, "paired", "other")
         assert len(corpus.documents) == 1
         reasons = {reason for _, reason in corpus.report.skipped}
         assert reasons == {"missing ground-truth file", "missing OCR file"}
@@ -121,51 +112,6 @@ class TestPairedFiles:
             assert (a.id, a.ocr_aligned, a.gt_aligned, a.is_aligned) == (
                 b.id, b.ocr_aligned, b.gt_aligned, b.is_aligned
             )
-
-
-class TestSplitDocuments:
-    def test_below_threshold_unchanged(self):
-        corpus = make_corpus([("x" * 400, "x" * 400)])
-        out = split_documents(corpus, 500)
-        assert len(out) == 1
-        assert out.documents[0] == corpus.documents[0]
-
-    def test_exact_halving(self):
-        corpus = make_corpus([("a" * 1000, "b" * 1000)])
-        out = split_documents(corpus, 500)
-        assert len(out) == 2
-        assert all(len(d.gt_aligned) == 500 for d in out.documents)
-
-    def test_concatenation_reproduces_source(self):
-        corpus = make_corpus([("abcdefg", "gfedcba"), ("xy", "yx")])
-        out = split_documents(corpus, 3)
-        for doc in corpus.documents:
-            pieces = [d for d in out.documents if d.id.startswith(doc.id)]
-            assert "".join(p.ocr_aligned for p in pieces) == doc.ocr_aligned
-            assert "".join(p.gt_aligned for p in pieces) == doc.gt_aligned
-            assert "".join(p.ocr_raw for p in pieces) == doc.ocr_raw
-
-    def test_idempotent(self):
-        corpus = make_corpus([("a" * 1234, "b" * 1234), ("c" * 77, "d" * 77)])
-        once = split_documents(corpus, 300)
-        twice = split_documents(once, 300)
-        assert [d.gt_aligned for d in once.documents] == [d.gt_aligned for d in twice.documents]
-
-    def test_single_char_pieces_allowed(self):
-        out = split_documents(make_corpus([("abc", "abc")]), 1)
-        assert [d.gt_aligned for d in out.documents] == ["a", "b", "c"]
-
-    def test_aligned_pieces_stay_aligned(self):
-        out = split_documents(make_corpus([("a" * 900, "b" * 900)]), 400)
-        assert all(d.is_aligned for d in out.documents)
-
-    def test_misaligned_parent_pieces_stay_misaligned(self):
-        out = split_documents(make_corpus([("a" * 1000, "b" * 980)]), 500)
-        assert not any(d.is_aligned for d in out.documents)
-
-    def test_invalid_max_chars(self):
-        with pytest.raises(ValueError):
-            split_documents(make_corpus([("a", "a")]), 0)
 
 
 class TestComputeStats:

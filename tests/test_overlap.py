@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ocrdrift import overlap
 from ocrdrift.embeddings import EmbeddingMatrix, Model
 from ocrdrift.overlap import (
-    NeighborSet,
     _bootstrap_bands,
     average_runs,
     default_n_grid,
     evaluate_pair,
     k_for_fraction,
-    neighbor_sets,
-    overlap_at_k,
     read_curve_csv,
     write_curve_csv,
     write_curve_json,
@@ -71,90 +69,140 @@ class TestKForFraction:
         assert grid[-1] == 1.0
 
 
+def every_k(size):
+    """A fraction grid whose neighborhood sizes are k = 1 .. size - 1."""
+    return [k / size for k in range(1, size)]
+
+
+def shared_counts(a, b):
+    """evaluate_pair's shared-neighbor counts, row k - 1 for each k."""
+    return evaluate_pair(a, b, a.words, n_grid=every_k(len(a.words)), resamples=1).shared
+
+
+def oracle_counts(vectors_a, vectors_b):
+    """Each word's shared top-k neighbors under the oracle ranking."""
+    size = len(vectors_a)
+    order_a = [oracle_neighbors(vectors_a, q) for q in range(size)]
+    order_b = [oracle_neighbors(vectors_b, q) for q in range(size)]
+    return np.array([
+        [len(set(oa[:k]) & set(ob[:k])) for oa, ob in zip(order_a, order_b)]
+        for k in range(1, size)
+    ])
+
+
+# a 3-word space ranking b first for a, and a first for b and the third word
+RANKED = [[1, 0.9], [1, 0], [0, 1]]
+
+
 class TestNeighborSets:
+    """The exact cosine ranking, seen through the shared-neighbor counts
+    evaluate_pair keeps for every neighborhood size."""
+
     def test_orthonormal_vectors_tie_break_alphabetically(self):
-        emb = embedding(["a", "b", "c"], np.eye(3))
-        sets = neighbor_sets(emb, ["a", "b", "c"])
-        assert list(sets[0].neighbors) == [1, 2]
-        assert list(sets[1].neighbors) == [0, 2]
-        assert list(sets[2].neighbors) == [0, 1]
+        # every cosine is 0: a ranks (b, c), b ranks (a, c), c ranks (a, b)
+        tied = embedding(["a", "b", "c"], np.eye(3))
+        counts = shared_counts(tied, embedding(["a", "b", "c"], RANKED))
+        assert counts[0].tolist() == [1, 1, 1]
 
     def test_cosine_ordering(self):
         emb = embedding(["a", "b", "c"], [[1, 0], [1, 0.01], [-1, 0]])
-        sets = neighbor_sets(emb, ["a", "b", "c"])
-        assert list(sets[0].neighbors) == [1, 2]
+        ranked = embedding(["a", "b", "c"], RANKED)
+        # c's nearest is b here, a there
+        assert shared_counts(emb, ranked)[0].tolist() == [1, 1, 0]
 
     def test_zero_vector_ranks_last(self):
-        emb = embedding(["a", "b", "z"], [[1, 0], [0.9, 0.1], [0, 0]])
-        sets = neighbor_sets(emb, ["a", "b", "z"])
-        assert list(sets[0].neighbors) == [1, 2]
-        # a zero query still ranks nonzero candidates (tied) before zero ones
-        assert list(sets[2].neighbors) == [0, 1]
+        # b is a's only other candidate with a cosine above -1, so it must
+        # outrank the zero vector z; a zero query ranks the others (tied)
+        # alphabetically
+        emb = embedding(["a", "b", "z"], [[1, 0], [-1, 0.1], [0, 0]])
+        ranked = embedding(["a", "b", "z"], RANKED)
+        assert shared_counts(emb, ranked)[0].tolist() == [1, 1, 1]
 
-    def test_matches_bruteforce_oracle_every_query(self):
+    def test_matches_bruteforce_oracle_every_query(self, monkeypatch):
         rng = np.random.default_rng(0)
-        emb = random_embedding(rng, 200, 8)
-        sets = neighbor_sets(emb, emb.words, block_size=64)
-        for q in range(200):
-            assert list(sets[q].neighbors) == oracle_neighbors(emb.vectors, q)
+        a = random_embedding(rng, 200, 8)
+        b = random_embedding(rng, 200, 8)
+        # 64-row query blocks
+        monkeypatch.setattr(overlap, "BLOCK_BYTES", 64 * 8 * 200)
+        np.testing.assert_array_equal(shared_counts(a, b), oracle_counts(a.vectors, b.vectors))
 
     @pytest.mark.parametrize("seed", range(1, 4))
-    def test_matches_bruteforce_oracle_spot_checks(self, seed):
+    def test_matches_bruteforce_oracle_spot_checks(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        emb = random_embedding(rng, 150, 6)
-        sets = neighbor_sets(emb, emb.words, block_size=64)
-        for q in (0, 57, 123, 149):
-            assert list(sets[q].neighbors) == oracle_neighbors(emb.vectors, q)
+        a = random_embedding(rng, 150, 6)
+        b = random_embedding(rng, 150, 6)
+        monkeypatch.setattr(overlap, "BLOCK_BYTES", 64 * 8 * 150)
+        queries = [0, 57, 123, 149]
+        expected = oracle_counts(a.vectors, b.vectors)[:, queries]
+        np.testing.assert_array_equal(shared_counts(a, b)[:, queries], expected)
 
     def test_missing_word_named_in_error(self):
         emb = embedding(["a", "b"], np.eye(2))
         with pytest.raises(KeyError, match="ghost"):
-            neighbor_sets(emb, ["a", "ghost"])
+            evaluate_pair(emb, emb, ["a", "ghost"])
 
     def test_self_excluded_and_length(self):
         rng = np.random.default_rng(0)
-        emb = random_embedding(rng, 30, 4)
-        sets = neighbor_sets(emb, emb.words)
-        for s in sets:
-            assert s.word not in s.neighbors
-            assert len(s.neighbors) == 29
-            assert len(set(s.neighbors.tolist())) == 29
+        a = random_embedding(rng, 30, 4)
+        b = random_embedding(rng, 30, 4)
+        counts = shared_counts(a, b)
+        # a word that counted itself would share it at k = 1
+        np.testing.assert_array_equal(counts, oracle_counts(a.vectors, b.vectors))
+        assert counts.shape == (29, 30)
+        assert np.all(counts[-1] == 29)
+
+
+def fan(order):
+    """A 2-D space in which the first word's neighbors, closest first,
+    are the words numbered in `order`."""
+    vectors = np.zeros((len(order) + 1, 2))
+    vectors[0] = (1.0, 0.0)
+    for rank, word in enumerate(order):
+        angle = 0.05 * (rank + 1)
+        vectors[word] = (np.cos(angle), np.sin(angle))
+    return embedding([f"w{i:02d}" for i in range(len(order) + 1)], vectors)
+
+
+def first_word_overlap(a, b, k):
+    """The first word's overlap at k between two spaces, by evaluate_pair."""
+    size = len(a.words)
+    curve = evaluate_pair(a, b, a.words, n_grid=[k / size], resamples=1)
+    assert curve.k_values == (k,)
+    return curve.shared[0, 0] / k
 
 
 class TestOverlapAtK:
-    def _sets(self, a, b):
-        return (
-            NeighborSet(word=0, neighbors=np.array(a)),
-            NeighborSet(word=0, neighbors=np.array(b)),
-        )
-
     def test_identical_sets(self):
-        sa, sb = self._sets([1, 2, 3, 4], [1, 2, 3, 4])
+        a = fan([1, 2, 3, 4])
         for k in range(1, 5):
-            assert overlap_at_k(sa, sb, k) == 1.0
+            assert first_word_overlap(a, a, k) == 1.0
 
     def test_half_shared_top_ten(self):
-        sa, sb = self._sets(list(range(1, 11)) + [99], [1, 2, 3, 4, 5, 20, 21, 22, 23, 24, 99])
-        assert overlap_at_k(sa, sb, 10) == 0.5
+        a = fan(list(range(1, 30)))
+        b = fan([1, 2, 3, 4, 5, 20, 21, 22, 23, 24] + list(range(6, 20)) + list(range(25, 30)))
+        assert first_word_overlap(a, b, 10) == 0.5
 
     def test_disjoint(self):
-        sa, sb = self._sets([1, 2, 3], [4, 5, 6])
-        assert overlap_at_k(sa, sb, 3) == 0.0
+        a, b = fan([1, 2, 3, 4, 5, 6]), fan([4, 5, 6, 1, 2, 3])
+        assert first_word_overlap(a, b, 3) == 0.0
 
     def test_symmetric(self):
-        sa, sb = self._sets([1, 2, 3, 4], [3, 4, 5, 6])
-        assert overlap_at_k(sa, sb, 3) == overlap_at_k(sb, sa, 3)
+        a, b = fan([1, 2, 3, 4, 5, 6]), fan([3, 4, 5, 6, 1, 2])
+        assert first_word_overlap(a, b, 3) == first_word_overlap(b, a, 3) == 1 / 3
+        rng = np.random.default_rng(14)
+        c, d = random_embedding(rng, 40, 5), random_embedding(rng, 40, 5)
+        np.testing.assert_array_equal(shared_counts(c, d), shared_counts(d, c))
 
     def test_k_out_of_range(self):
-        sa, sb = self._sets([1, 2], [1, 2])
-        with pytest.raises(ValueError):
-            overlap_at_k(sa, sb, 0)
-        with pytest.raises(ValueError):
-            overlap_at_k(sa, sb, 3)
+        a = fan([1, 2])
+        for fraction in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                evaluate_pair(a, a, a.words, n_grid=[fraction])
 
     def test_full_candidate_set_is_one(self):
-        sa, sb = self._sets([1, 2, 3], [3, 2, 1])
-        assert overlap_at_k(sa, sb, 3) == 1.0
+        a, b = fan([1, 2, 3]), fan([3, 2, 1])
+        assert first_word_overlap(a, b, 1) == 0.0
+        assert first_word_overlap(a, b, 3) == 1.0
 
 
 def one_row_band(counts, k, confidence, resamples, seed=0):
@@ -229,11 +277,10 @@ class TestEvaluatePair:
         a = random_embedding(rng, 40, 6)
         b = random_embedding(rng, 40, 6)
         curve = evaluate_pair(a, b, a.words, n_grid=[0.1, 0.5], resamples=10)
-        sets_a = neighbor_sets(a, a.words)
-        sets_b = neighbor_sets(b, b.words)
+        counts = oracle_counts(a.vectors, b.vectors)
         assert curve.shared.dtype == np.int32
         for gi, k in enumerate(curve.k_values):
-            expected = [overlap_at_k(sa, sb, k) for sa, sb in zip(sets_a, sets_b)]
+            expected = counts[k - 1] / k
             np.testing.assert_array_equal(curve.shared[gi] / k, expected)
             assert curve.means[gi] == pytest.approx(np.mean(expected))
 
@@ -272,7 +319,7 @@ class TestEvaluatePair:
         with pytest.raises(ValueError, match="'w0004' has a non-finite"):
             evaluate_pair(a, bad, a.words, n_grid=[0.5])
         with pytest.raises(ValueError, match="'w0004' has a non-finite"):
-            neighbor_sets(bad, a.words)
+            evaluate_pair(bad, a, a.words, n_grid=[0.5])
 
     def test_non_finite_sparse_vector_names_word(self):
         words = ("a", "b", "c", "d")
@@ -280,9 +327,9 @@ class TestEvaluatePair:
         vectors.data[-1] = np.nan
         emb = EmbeddingMatrix(words=words, vectors=vectors, model=Model.PPMI)
         with pytest.raises(ValueError, match="'d' has a non-finite"):
-            neighbor_sets(emb, words)
+            evaluate_pair(emb, emb, words, n_grid=[0.5])
         # words outside the intersection are not checked
-        assert len(neighbor_sets(emb, words[:3])) == 3
+        assert evaluate_pair(emb, emb, words[:3], n_grid=[0.5], resamples=1).intersection_size == 3
 
     def test_too_small_intersection(self):
         rng = np.random.default_rng(7)

@@ -65,8 +65,6 @@ from ocrdrift.overlap import (
     _similarities,
     average_runs,
     evaluate_pair,
-    neighbor_sets,
-    overlap_at_k,
 )
 from ocrdrift.noise import NoiseSpec, _word_edit_distance, corpus_error_rates
 from ocrdrift.ppmi import train_ppmi
@@ -388,6 +386,23 @@ def reference_order_block(normalized, zero_mask, start, stop):
     return np.argsort(-sims, axis=1, kind="stable")
 
 
+def reference_neighbors(emb, words, rows=None):
+    """Every word's other words, closest first, ranked `rows` query rows
+    at a time (all at once by default)."""
+    normalized, zero = _normalized_rows(emb, words)
+    rows = rows or len(words)
+    return np.vstack([
+        reference_order_block(normalized, zero, start, min(start + rows, len(words)))[:, :-1]
+        for start in range(0, len(words), rows)
+    ])
+
+
+def set_block_rows(monkeypatch, rows, words, *spaces):
+    """Make evaluate_pair rank `rows` query rows per block."""
+    width = max(len(words), *(emb.vectors.shape[1] for emb in spaces))
+    monkeypatch.setattr(overlap, "BLOCK_BYTES", rows * 8 * width)
+
+
 def assert_same_order(sims):
     expected = reference_order(sims)
     got = _descending_order(sims.copy())
@@ -466,34 +481,32 @@ class TestDescendingOrder:
         assert np.count_nonzero(sims == 0.0) > len(words)
         assert_blocks_match(emb, words, rows)
 
-    def test_neighbor_sets_with_ties_match_reference(self):
+    def test_blocked_ranking_with_ties_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(5)
-        vectors = rng.integers(-2, 3, size=(90, 4)).astype(np.float64)
         words = [f"w{i:02d}" for i in range(90)]
-        emb = external(words, vectors)
-        normalized, zero = _normalized_rows(emb, words)
-        for block_size in (1, 13, 90):
+        a, b = (external(words, rng.integers(-2, 3, size=(90, 4)).astype(np.float64)) for _ in range(2))
+        for rows in (1, 13, 90):
             # a block's cosines can round differently from another block
             # size's, so the reference ranks the same blocks
-            expected = np.vstack([
-                reference_order_block(normalized, zero, start, min(start + block_size, 90))[:, :-1]
-                for start in range(0, 90, block_size)
-            ])
-            sets = neighbor_sets(emb, words, block_size=block_size)
-            np.testing.assert_array_equal(np.stack([s.neighbors for s in sets]), expected)
+            set_block_rows(monkeypatch, rows, words, a, b)
+            curve = evaluate_pair(a, b, words, n_grid=[0.02, 0.1, 0.5, 1.0], resamples=10)
+            ref_a, ref_b = (reference_neighbors(emb, words, rows) for emb in (a, b))
+            for gi, k in enumerate(curve.k_values):
+                np.testing.assert_array_equal(curve.shared[gi], pairwise_counts(ref_a, ref_b, k))
 
-    def test_blocked_overlaps_with_ties_match_pairwise(self):
+    def test_blocked_overlaps_with_ties_match_pairwise(self, monkeypatch):
         rng = np.random.default_rng(6)
         words = [f"w{i:02d}" for i in range(70)]
         a = external(words, exact_tie_vectors(rng, 70))
         b = external(words, exact_tie_vectors(rng, 70))
-        sets_a, sets_b = neighbor_sets(a, words), neighbor_sets(b, words)
-        for block_size in (None, 1, 8):
-            curve = evaluate_pair(a, b, words, n_grid=[0.02, 0.1, 0.5, 1.0], resamples=10,
-                                  block_size=block_size)
+        # every cosine is exact, so one whole-table reference serves every block size
+        ref_a, ref_b = reference_neighbors(a, words), reference_neighbors(b, words)
+        for rows in (None, 1, 8):
+            if rows is not None:
+                set_block_rows(monkeypatch, rows, words, a, b)
+            curve = evaluate_pair(a, b, words, n_grid=[0.02, 0.1, 0.5, 1.0], resamples=10)
             for gi, k in enumerate(curve.k_values):
-                expected = [overlap_at_k(sa, sb, k) for sa, sb in zip(sets_a, sets_b)]
-                np.testing.assert_array_equal(curve.shared[gi] / k, expected)
+                np.testing.assert_array_equal(curve.shared[gi], pairwise_counts(ref_a, ref_b, k))
 
 
 def tie_pair(seed=6):
@@ -524,9 +537,9 @@ def reference_bands(shared, ks, confidence, resamples, seed):
     return np.percentile(means, q, axis=0)
 
 
-def pairwise_counts(sets_a, sets_b, k):
+def pairwise_counts(neighbors_a, neighbors_b, k):
     """Each word's shared top-k neighbors, one set intersection at a time."""
-    return [len(np.intersect1d(sa.top(k), sb.top(k))) for sa, sb in zip(sets_a, sets_b)]
+    return [len(np.intersect1d(na[:k], nb[:k])) for na, nb in zip(neighbors_a, neighbors_b)]
 
 
 class TestBootstrapBands:
@@ -565,9 +578,9 @@ class TestBootstrapBands:
         size = len(words)
         curves = [evaluate_pair(a, emb, words, n_grid=grid, resamples=50) for emb in (b, c)]
         pooled = average_runs(curves)
-        sets = {name: neighbor_sets(emb, words) for name, emb in (("a", a), ("b", b), ("c", c))}
+        ranked = {name: reference_neighbors(emb, words) for name, emb in (("a", a), ("b", b), ("c", c))}
         for gi, k in enumerate(pooled.k_values):
-            run_sums = [sum(pairwise_counts(sets["a"], sets[other], k)) for other in ("b", "c")]
+            run_sums = [sum(pairwise_counts(ranked["a"], ranked[other], k)) for other in ("b", "c")]
             for curve, total in zip(curves, run_sums):
                 assert curve.means[gi] == float(Fraction(total, size * k))
             assert pooled.means[gi] == float(Fraction(sum(run_sums), 2 * size * k))
@@ -605,19 +618,21 @@ def sparse_ppmi_pair():
 
 class TestThreadedRanking:
     @pytest.mark.parametrize("pair", [tie_pair, sparse_ppmi_pair])
-    @pytest.mark.parametrize("block_size", [1, 13, None])
-    def test_four_workers_match_one(self, monkeypatch, pool_sizes, pair, block_size):
+    @pytest.mark.parametrize("rows", [1, 13, None])
+    def test_four_workers_match_one(self, monkeypatch, pool_sizes, pair, rows):
         a, b, words = pair()
+        if rows is not None:
+            set_block_rows(monkeypatch, rows, words, a, b)
         grid = [0.02, 0.1, 0.5, 1.0]
         curves = []
         for cpus in (1, 4):
             monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
-            curves.append(evaluate_pair(a, b, words, n_grid=grid, resamples=50, block_size=block_size))
+            curves.append(evaluate_pair(a, b, words, n_grid=grid, resamples=50))
         one, four = curves
         assert one.shared.tobytes() == four.shared.tobytes()
         for field in ("means", "ci_low", "ci_high"):
             assert getattr(one, field).tobytes() == getattr(four, field).tobytes()
-        blocks = -(-len(words) // (block_size or len(words)))
+        blocks = -(-len(words) // (rows or len(words)))
         assert pool_sizes == [1, min(blocks, 4)]
 
     def test_a_failing_block_raises(self, monkeypatch):
@@ -627,8 +642,9 @@ class TestThreadedRanking:
             raise RuntimeError("block failed")
 
         monkeypatch.setattr(overlap, "_similarities", failing)
+        set_block_rows(monkeypatch, 8, words, a, b)
         with pytest.raises(RuntimeError, match="block failed"):
-            evaluate_pair(a, b, words, n_grid=[0.1], resamples=10, block_size=8)
+            evaluate_pair(a, b, words, n_grid=[0.1], resamples=10)
 
     def test_import_holds_openblas_to_one_thread(self):
         libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
@@ -873,6 +889,14 @@ class TestWordEditDistance:
 # GloVe: the batch step against the loop it replaced
 # ----------------------------------------------------------------------
 
+def reference_glove_objective(matrix, W, Cw, bw, bc):
+    """The GloVe objective as first written: the rows of every nonzero
+    cell gathered at once."""
+    coo = matrix.counts.tocoo()
+    diff = np.einsum("nd,nd->n", W[coo.row], Cw[coo.col]) + bw[coo.row] + bc[coo.col] - np.log(coo.data)
+    return float((glove.cell_weight(coo.data) * diff**2).sum())
+
+
 def reference_train_glove(matrix, config, objective_log=None):
     """GloVe's batch loop as first written: fancy-index gathers of whole
     batches, one (n, dim) gradient array per update and one grouped sum
@@ -907,7 +931,7 @@ def reference_train_glove(matrix, config, objective_log=None):
             adagrad_update(bw, acc[2], i, coef)
             adagrad_update(bc, acc[3], j, coef)
         if objective_log is not None:
-            objective_log.append(glove.glove_objective(matrix, W, Cw, bw, bc))
+            objective_log.append(reference_glove_objective(matrix, W, Cw, bw, bc))
     return W + Cw
 
 
@@ -916,6 +940,27 @@ def _glove_matrix(n_types=150, seed=8):
                                                    doc_chars=1_000)]
     vocab = build_vocabulary(docs, min_count=1)
     return count_cooccurrences(encode_documents(docs, vocab), 5, Weighting.HARMONIC)
+
+
+def glove_state_bytes(matrix, dim):
+    """W, Cw, their accumulators and the result; biases; per-cell arrays."""
+    n_words = matrix.size
+    return 5 * n_words * dim * 8 + 8 * n_words * 8 + 64 * matrix.counts.nnz
+
+
+def glove_batch_bytes(matrix, dim, n):
+    """README's bound on what a batch of n cells adds:
+    128 n + 2 GATHER_BYTES + 32 u dim, with u = min(n, vocabulary size)."""
+    return 128 * n + 2 * glove.GATHER_BYTES + 32 * min(n, matrix.size) * dim
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGloveBatchStep:
@@ -946,22 +991,25 @@ class TestGloveBatchStep:
         vectors per batch of n cells, one GATHER_BYTES chunk of each matrix
         and four (distinct rows, dim) arrays; no (n, dim) array."""
         matrix = _glove_matrix()
-        n_words, nnz = matrix.size, matrix.counts.nnz
         dim, batch = 64, 4096
         config = TrainConfig(model=Model.GLOVE, dim=dim, epochs=2, seed=1, batch_size=batch)
-        # W, Cw, their accumulators and the result; biases; per-cell arrays
-        state = 5 * n_words * dim * 8 + 8 * n_words * 8 + 64 * nnz
-        per_batch = 16 * batch * 8 + 2 * glove.GATHER_BYTES + 4 * min(batch, n_words) * dim * 8
-        budget = state + per_batch
+        budget = glove_state_bytes(matrix, dim) + glove_batch_bytes(matrix, dim, batch)
         # the four (n, dim) arrays the reference loop holds at once exceed it
         assert 4 * batch * dim * 8 > budget
-        tracemalloc.start()
-        try:
-            train_glove(matrix, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget, f"peak {peak} bytes, budget {budget}"
+        assert traced_peak(train_glove, matrix, config) <= budget
+
+    def test_objective_log_memory_stays_within_budget(self):
+        """Logging the objective adds at most what README allows one batch
+        of every nonzero cell; gathering both rows of every cell would not
+        fit."""
+        matrix = _glove_matrix()
+        dim, batch, nnz = 64, 4096, matrix.counts.nnz
+        config = TrainConfig(model=Model.GLOVE, dim=dim, epochs=2, seed=1, batch_size=batch)
+        budget = glove_state_bytes(matrix, dim) + glove_batch_bytes(matrix, dim, max(batch, nnz))
+        assert 2 * nnz * dim * 8 > budget
+        log = []
+        assert traced_peak(train_glove, matrix, config, objective_log=log) <= budget
+        assert len(log) == 2
 
 
 def reference_export(emb, path):
