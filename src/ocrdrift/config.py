@@ -13,6 +13,7 @@ from .overlap import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
 
 
 MAX_GRID_POINTS = 1000  # ten times the default grid
+MAX_RESAMPLES = 10_000  # ten times the default
 
 
 class ConfigError(Exception):
@@ -246,6 +247,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("confidence must be in (0, 1)")
     if config.bootstrap_resamples < 1:
         raise ConfigError("bootstrap_resamples must be >= 1")
+    if config.bootstrap_resamples > MAX_RESAMPLES:
+        raise ConfigError(
+            f"bootstrap_resamples is {config.bootstrap_resamples}; at most {MAX_RESAMPLES} are allowed"
+        )
     seen = set()
     for spec in config.models:
         _check_file_name("model label", spec.label)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cooccur import CooccurrenceMatrix, Weighting
 from .embeddings import EmbeddingMatrix, Model, TrainConfig
-from .util import seeded_matrix, segment_sums, segment_weighted_sums
+from .util import seeded_matrix, segment_weighted_sums
 
 log = logging.getLogger(__name__)
 
@@ -138,17 +138,20 @@ def _glove_batch_step(
     GATHER_BYTES of each matrix at a time. Each vector gradient is a
     grouped sum of coefficient-weighted rows read in place from the other
     matrix, and both are summed before either matrix moves. So the step
-    holds no (n, dim) array, only O(n) vectors, two gathered chunks and
-    the per-row sums.
+    holds no (n, dim) array, only O(n) vectors, two gathered chunks, the
+    per-row sums and one vocabulary-length bias sum at a time.
     """
     dots = _cell_dots(p.W, p.Cw, rows, cols)
     coef = 2.0 * weights * (dots + p.bw.take(rows) + p.bc.take(cols) - log_counts)
-    word_sums = segment_weighted_sums(rows, coef, cols, p.Cw)
-    context_sums = segment_weighted_sums(cols, coef, rows, p.W)
-    _adagrad_update(p.W, acc.W, *word_sums)
-    _adagrad_update(p.Cw, acc.Cw, *context_sums)
-    _adagrad_update(p.bw, acc.bw, *segment_sums(rows, coef))
-    _adagrad_update(p.bc, acc.bc, *segment_sums(cols, coef))
+    words, word_sums = segment_weighted_sums(rows, coef, cols, p.Cw)
+    contexts, context_sums = segment_weighted_sums(cols, coef, rows, p.W)
+    _adagrad_update(p.W, acc.W, words, word_sums)
+    _adagrad_update(p.Cw, acc.Cw, contexts, context_sums)
+    # bincount adds each word's terms in index order from zero, the order
+    # of a grouped sum, so the bias sums keep their bits
+    n_words = len(p.bw)
+    _adagrad_update(p.bw, acc.bw, words, np.bincount(rows, coef, n_words)[words])
+    _adagrad_update(p.bc, acc.bc, contexts, np.bincount(cols, coef, n_words)[contexts])
 
 
 def _adagrad_update(params: np.ndarray, acc: np.ndarray, unique: np.ndarray, sums: np.ndarray) -> None:

@@ -173,6 +173,7 @@ def _bootstrap_bands(
         counts = np.bincount(idx.ravel(), minlength=take * n).reshape(take, n)
         del idx
         means[done:done + take] = counts.astype(np.float64) @ table / (n * ks)
+        del counts  # not held while the next chunk is drawn
     low, high = np.percentile(
         means, [(1.0 - confidence) / 2.0 * 100.0, (1.0 + confidence) / 2.0 * 100.0], axis=0
     )
@@ -229,8 +230,11 @@ def evaluate_pair(
     config allows at most 1,000 grid points), two normalized copies of
     each space's intersection rows, at most six block arrays of at most
     BLOCK_BYTES each per ranking thread, and while resampling an 8-byte
-    copy of the table and at most two bootstrap chunks of
-    min(4M, resamples * size) 8-byte values.
+    copy of the table, at most two bootstrap chunks of
+    min(4M, resamples * size) 8-byte values, and the resamples *
+    len(n_grid) table of resampled means with at most two more of its
+    size (a chunk's product, or np.percentile's copy; a config allows at
+    most 10,000 resamples).
     """
     size = len(intersection)
     if size < 2:

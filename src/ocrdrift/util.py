@@ -67,18 +67,6 @@ def _group_csr(rows: np.ndarray, n_cols: int, data: np.ndarray, cols: np.ndarray
     return sorted_rows[starts], matrix
 
 
-def segment_sums(rows: np.ndarray, updates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum update rows that share an index; returns (unique_rows, sums).
-
-    Phrased as a sparse-matrix product: grouping is a one-hot CSR matrix,
-    so the accumulation runs in scipy's C kernel instead of np.add.at.
-    """
-    ones = np.ones(len(rows), dtype=updates.dtype)
-    cols = np.arange(len(rows), dtype=np.int64)
-    unique, matrix = _group_csr(rows, len(rows), ones, cols)
-    return unique, matrix @ updates
-
-
 def segment_weighted_sums(
     rows: np.ndarray,
     weights: np.ndarray,

@@ -1,15 +1,20 @@
 """Skip-gram with negative sampling and CBOW, trained from scratch.
 
 Both models keep two dense matrices: input vectors W (returned as the word
-embedding) and output vectors C. Each model has one objective, its batch
-loss (`sgns_batch_loss`, `cbow_batch_loss`): the negative-sampling
-logistic loss summed over the batch. Each batch step is exact SGD on that
-loss: `sgns_batch_step` and `cbow_batch_step` at rate r move W and C by
--r times its gradient, taken at the matrices before the step, which is
-what the gradient acceptance criterion checks against central
-differences. Batches are processed in a fixed seeded order, so a given
-seed always reproduces the same matrices bit for bit. The learning rate
-decays linearly to 1e-4 of its initial value over the whole run.
+embedding) and output vectors C, and share one objective and one step.
+An example is a target word and a row of input words; the hidden vector
+h is the mean of the inputs' W rows, and the target and each negative
+are scored against it through C. CBOW's inputs are a center's context
+words (-1 pads the slots a document edge cuts off) and its target is the
+center. Skip-gram is the one-slot case: a center is the only input and
+each context word is a target (Mikolov et al. 2013; Rong 2014).
+`batch_loss` is the negative-sampling logistic loss summed over a batch,
+and `batch_step` at rate r moves W and C by -r times its gradient, taken
+at the matrices before the step, which is what the gradient acceptance
+criterion checks against central differences. Batches are processed in
+a fixed seeded order, so a given seed always reproduces the same
+matrices bit for bit. The learning rate decays linearly to 1e-4 of its
+initial value over the whole run.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, Model, TrainConfig
 from .preprocess import TokenizedCorpus, window_pairs
-from .util import log_sigmoid, seeded_matrix, segment_sums, segment_weighted_sums, sigmoid
+from .util import log_sigmoid, seeded_matrix, segment_weighted_sums, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +81,8 @@ def _draw_negatives(rng: np.random.Generator, table: _NegativeTable, shape: tupl
 
 
 def _skipgram_pairs(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Skip-gram examples: each context word is the target of its center,
+    a one-slot input row. Per document, distance-major, left then right."""
     centers: list[np.ndarray] = []
     contexts: list[np.ndarray] = []
     for _, _, left, right in window_pairs(documents, window):
@@ -84,15 +91,15 @@ def _skipgram_pairs(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.
     if not centers:
         raise ValueError("corpus has no token pairs inside the window")
     return (
-        np.concatenate(centers).astype(np.int32),
         np.concatenate(contexts).astype(np.int32),
+        np.concatenate(centers).astype(np.int32)[:, None],
     )
 
 
-def _context_table(
-    documents: tuple[np.ndarray, ...], window: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per position: center id, fixed-width context ids (-1 padded), mask.
+def _context_table(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """CBOW examples: per position, the center id is the target of its
+    fixed-width row of context ids, -1 where a slot falls outside the
+    document.
 
     Slots are the offsets -window..-1 then 1..window; documents shorter
     than two tokens contribute no positions.
@@ -106,7 +113,7 @@ def _context_table(
         stop = start + len(left) + distance
         table[start + distance:stop, window - distance] = left
         table[start:stop - distance, window + distance - 1] = right
-    return centers, table, table >= 0
+    return centers, table
 
 
 @functools.lru_cache(maxsize=2)
@@ -120,101 +127,60 @@ def _pair_index(b: int, k: int) -> np.ndarray:
     return index
 
 
-def _update_outputs(
-    C: np.ndarray,
-    targets: np.ndarray,
-    negatives: np.ndarray,
-    pos_coef: np.ndarray,
-    neg_coef: np.ndarray,
-    hidden: np.ndarray,
-) -> None:
-    """C[targets[i]] += pos_coef[i] * hidden[i], and likewise for each negative.
-
-    Every output-side update is a coefficient times one batch row of
-    `hidden`: one grouped pass covers positives and negatives together.
-    """
-    rows = np.concatenate([targets, negatives.ravel()])
-    weights = np.concatenate([pos_coef, neg_coef.ravel()])
-    unique, sums = segment_weighted_sums(rows, weights, _pair_index(*negatives.shape), hidden)
-    C[unique] += sums
-
-
-def sgns_batch_loss(
-    W: np.ndarray, C: np.ndarray, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
-) -> float:
-    w = W[centers]
-    pos = np.einsum("bd,bd->b", w, C[contexts])
-    neg = np.einsum("bkd,bd->bk", C[negatives], w)
-    return float(-(log_sigmoid(pos).sum() + log_sigmoid(-neg).sum()))
-
-
-def sgns_batch_step(
-    W: np.ndarray,
-    C: np.ndarray,
-    centers: np.ndarray,
-    contexts: np.ndarray,
-    negatives: np.ndarray,
-    rate: float,
-) -> None:
-    """One SGD step on a batch of (center, context, negatives) triples.
-
-    The learning rate is folded into the logistic coefficients, and every
-    update is a coefficient-weighted copy of an existing row, so the
-    scatter phase runs as grouped rank-one sums instead of materializing
-    per-pair outer products.
-    """
-    w = W.take(centers, axis=0)
-    cp = C.take(contexts, axis=0)
-    cn = C.take(negatives, axis=0)
-    pos_coef = (sigmoid(np.einsum("bd,bd->b", w, cp)) - 1.0) * (-rate)
-    neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
-    d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
-    unique, sums = segment_sums(centers, d_w)
-    W[unique] += sums
-    _update_outputs(C, contexts, negatives, pos_coef, neg_coef, w)
-
-
-def cbow_batch_loss(
-    W: np.ndarray,
-    C: np.ndarray,
-    centers: np.ndarray,
-    table: np.ndarray,
-    mask: np.ndarray,
-    negatives: np.ndarray,
-) -> float:
+def _hidden(W: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """h[b], the mean of W over the ids in row b of `inputs` (-1 slots
+    hold none), and the (members, weights, batch rows) that form it."""
+    import scipy.sparse as sp
+    mask = inputs >= 0
     counts = mask.sum(axis=1)
-    h = (W[table] * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    pos = np.einsum("bd,bd->b", h, C[centers])
+    if not counts.all():
+        raise ValueError("every example must have at least one input word")
+    batch_idx, slot_idx = np.nonzero(mask)
+    members = inputs[batch_idx, slot_idx]
+    weights = (1.0 / counts).astype(W.dtype)[batch_idx]
+    # np.nonzero lists the inputs row by row, so the CSR rows are the batch rows
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    h = sp.csr_matrix((weights, members, indptr), shape=(len(inputs), len(W))) @ W
+    return h, members, weights, batch_idx
+
+
+def batch_loss(
+    W: np.ndarray, C: np.ndarray, targets: np.ndarray, inputs: np.ndarray, negatives: np.ndarray
+) -> float:
+    h = _hidden(W, inputs)[0]
+    pos = np.einsum("bd,bd->b", h, C[targets])
     neg = np.einsum("bkd,bd->bk", C[negatives], h)
     return float(-(log_sigmoid(pos).sum() + log_sigmoid(-neg).sum()))
 
 
-def cbow_batch_step(
+def batch_step(
     W: np.ndarray,
     C: np.ndarray,
-    centers: np.ndarray,
-    table: np.ndarray,
-    mask: np.ndarray,
+    targets: np.ndarray,
+    inputs: np.ndarray,
     negatives: np.ndarray,
     rate: float,
 ) -> None:
-    counts = mask.sum(axis=1)
-    batch_idx, slot_idx = np.nonzero(mask)
-    members = table[batch_idx, slot_idx]
-    inv_counts = (1.0 / counts).astype(W.dtype)
-    # h[b] = mean of the context vectors, as a grouped weighted gather;
-    # alignment with the batch requires every position to keep a context
-    _, h = segment_weighted_sums(batch_idx, inv_counts[batch_idx], members, W)
-    if len(h) != len(centers):
-        raise ValueError("every position must have at least one context word")
-    o = C.take(centers, axis=0)
+    """One SGD step on a batch of (target, input row, negatives) examples.
+
+    The learning rate is folded into the logistic coefficients, and every
+    update is a coefficient-weighted copy of an existing row, so the
+    scatter phase runs as grouped rank-one sums instead of materializing
+    per-example outer products.
+    """
+    h, members, weights, batch_idx = _hidden(W, inputs)
+    o = C.take(targets, axis=0)
     cn = C.take(negatives, axis=0)
     pos_coef = (sigmoid(np.einsum("bd,bd->b", h, o)) - 1.0) * (-rate)
     neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, h)) * (-rate)
     d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
-    unique, sums = segment_weighted_sums(members, inv_counts[batch_idx], batch_idx, d_h)
+    unique, sums = segment_weighted_sums(members, weights, batch_idx, d_h)
     W[unique] += sums
-    _update_outputs(C, centers, negatives, pos_coef, neg_coef, h)
+    # positives and negatives update C together, each a coefficient times h
+    rows = np.concatenate([targets, negatives.ravel()])
+    coefs = np.concatenate([pos_coef, neg_coef.ravel()])
+    unique, sums = segment_weighted_sums(rows, coefs, _pair_index(*negatives.shape), h)
+    C[unique] += sums
 
 
 def _init_matrices(words: tuple[str, ...], dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +195,12 @@ def _train(
     corpus: TokenizedCorpus,
     config: TrainConfig,
     model: Model,
-    build_examples: Callable[[tuple[np.ndarray, ...], int], tuple[np.ndarray, ...]],
-    step: Callable[..., None],
+    build_examples: Callable[[tuple[np.ndarray, ...], int], tuple[np.ndarray, np.ndarray]],
 ) -> EmbeddingMatrix:
     """The SGD loop both models share.
 
-    build_examples(documents, window) returns aligned per-example arrays;
-    every batch passes their selected rows, then the negatives and the
-    rate, to step(W, C, ...), which updates W and C in place.
+    build_examples(documents, window) returns aligned (targets, inputs)
+    arrays; every batch steps on their selected rows.
     """
     if config.model is not model:
         raise ValueError(f"config.model must be {model.name}, got {config.model}")
@@ -244,11 +208,11 @@ def _train(
 
     vocab = corpus.vocabulary
     W, C = _init_matrices(vocab.words, config.dim, config.seed)
-    examples = build_examples(corpus.documents, config.window)
+    targets, inputs = build_examples(corpus.documents, config.window)
     negative_table = _negative_table(vocab.frequencies)
     rng = np.random.default_rng(config.seed)
 
-    count = len(examples[0])
+    count = len(targets)
     batches_per_epoch = math.ceil(count / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     initial_rate = config.resolved_rate()
@@ -259,7 +223,7 @@ def _train(
             negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
             progress = (epoch * batches_per_epoch + batch) / total_steps
             rate = initial_rate * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
-            step(W, C, *(array.take(sel, axis=0) for array in examples), negatives, rate)
+            batch_step(W, C, targets.take(sel), inputs.take(sel, axis=0), negatives, rate)
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 
     return EmbeddingMatrix(words=vocab.words, vectors=W, model=model)
@@ -267,9 +231,9 @@ def _train(
 
 def train_sgns(corpus: TokenizedCorpus, config: TrainConfig) -> EmbeddingMatrix:
     """Train skip-gram vectors; returns the target-side (input) matrix."""
-    return _train(corpus, config, Model.SGNS, _skipgram_pairs, sgns_batch_step)
+    return _train(corpus, config, Model.SGNS, _skipgram_pairs)
 
 
 def train_cbow(corpus: TokenizedCorpus, config: TrainConfig) -> EmbeddingMatrix:
     """Train CBOW vectors: averaged context predicts the center word."""
-    return _train(corpus, config, Model.CBOW, _context_table, cbow_batch_step)
+    return _train(corpus, config, Model.CBOW, _context_table)

@@ -98,11 +98,12 @@ def test_ppmi_matches_dense_bruteforce():
 
 
 def test_gradients_match_finite_differences():
-    """One SGNS or CBOW batch step at rate r moves float64 W and C by -r
-    times the central-difference gradient (h = 1e-5) of that model's batch
-    loss, to a relative error below 1e-4, on 100 random small batches per
-    model with repeated centers, a positive target that is also one of
-    its negatives, a repeated negative and masked CBOW slots."""
+    """One word2vec batch step at rate r moves float64 W and C by -r
+    times the central-difference gradient (h = 1e-5) of the batch loss,
+    to a relative error below 1e-4, on 100 random small batches for each
+    model's table shape (skip-gram's one-slot rows, CBOW's context rows)
+    with repeated centers, a positive target that is also one of its
+    negatives, a repeated negative and -1 CBOW slots."""
     for model in (Model.SGNS, Model.CBOW):
         for trial in range(100):
             error = step_gradient_error(model, (77, trial))

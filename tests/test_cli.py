@@ -107,6 +107,12 @@ class TestConfigAndExitCodes:
         assert "the configuration lists no languages" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_too_many_resamples_is_exit_2(self, tmp_path, corpus_dir, capsys):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out", bootstrap_resamples=10_001)
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert "bootstrap_resamples is 10001; at most 10000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_truncated_sparse_archive_is_exit_2(self, tmp_path, corpus_dir, capsys):
         out = tmp_path / "out"
         config = write_config(tmp_path / "c.json", corpus_dir, out, runs=1,

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ocrdrift.config import (
+    MAX_RESAMPLES,
     ConfigError,
     ExperimentConfig,
     LanguageSource,
@@ -87,6 +88,8 @@ BAD_VALUES = {
     "alphabet with padding": ({"noise": {"levels": [0.1], "alphabet": "ab@"}}, "noise section", "'@'"),
     "n_grid of 1981 points": ({"n_grid": {"start": 0.01, "step": 0.0005}}, "n_grid", "1981"),
     "n_grid list of 1001 points": ({"n_grid": [0.5] * 1001}, "n_grid", "1001"),
+    "bootstrap_resamples 0": ({"bootstrap_resamples": 0}, "bootstrap_resamples"),
+    "bootstrap_resamples 10001": ({"bootstrap_resamples": 10_001}, "bootstrap_resamples", "10001"),
     "unknown top-level key": ({"epoch": 50}, "'epoch'", "config"),
     "unknown language key": ({"languages": [{"language": "other", "path": "c", "formt": "paired"}]},
                              "'formt'", "languages[0]"),
@@ -103,6 +106,11 @@ def test_bad_value_is_a_config_error_naming_it(tmp_path, fields, named):
         load(tmp_path, {"out_dir": "out", **fields})
     for text in named:
         assert text in str(info.value)
+
+
+def test_resamples_up_to_the_cap_are_accepted(tmp_path):
+    config = load(tmp_path, {"out_dir": "out", "bootstrap_resamples": MAX_RESAMPLES})
+    assert config.bootstrap_resamples == MAX_RESAMPLES == 10_000
 
 
 @pytest.mark.parametrize("step", [1e-12, 5e-324])

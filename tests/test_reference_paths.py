@@ -16,6 +16,10 @@ the same draws, and one evaluation must stay within its stated memory.
 Blocks are ranked by a pool of threads: any worker count must give the
 same curve, and importing ocrdrift must hold OpenBLAS to one thread.
 
+Skip-gram trains through CBOW's step, with each center as a one-slot
+row of inputs. That step must move W and C exactly as skip-gram's own
+kernel did, which took each center's W row as the hidden vector.
+
 `train` runs its (model, version, run) jobs in worker processes. Its
 files, manifest and progress lines must equal those of a plain loop that
 trains the same jobs one after another in config order.
@@ -28,8 +32,10 @@ A GloVe batch step takes its dot products a bounded chunk of gathered
 rows at a time and its gradient sums straight from the parameter
 matrices. It must give the same vectors and objective log as the loop it
 replaced, which gathered whole batches and formed each gradient row, and
-it must hold no (batch, dim) array. The text export formats a row at a
-time and must write the bytes that formatting each numpy scalar wrote.
+it must hold no (batch, dim) array. Its bias sums come from bincount and
+must equal the grouped sums it replaced. The text export formats a row
+at a time and must write the bytes that formatting each numpy scalar
+wrote.
 """
 
 import json
@@ -96,6 +102,16 @@ def reference_group_csr(rows, n_cols, data, cols):
     indptr = np.append(starts, len(order)).astype(np.int64)
     matrix = sp.csr_matrix((data[order], cols[order], indptr), shape=(len(starts), n_cols))
     return sorted_rows[starts], matrix
+
+
+def reference_segment_sums(rows, updates):
+    """Update rows summed per distinct index, as a one-hot CSR product:
+    the grouping GloVe's biases and skip-gram's W took before bincount
+    and the shared word2vec step."""
+    ones = np.ones(len(rows), dtype=updates.dtype)
+    cols = np.arange(len(rows), dtype=np.int64)
+    unique, matrix = _group_csr(rows, len(rows), ones, cols)
+    return unique, matrix @ updates
 
 
 def reference_draw_negatives(rng, table, shape):
@@ -226,6 +242,49 @@ def test_training_matches_reference_paths(monkeypatch, model):
 
 
 # ----------------------------------------------------------------------
+# skip-gram: the shared step on one-slot rows against its own kernel
+# ----------------------------------------------------------------------
+
+def reference_sgns_batch_step(W, C, centers, contexts, negatives, rate):
+    """The skip-gram step as written before CBOW's step took it over:
+    each center's own W row is the hidden vector."""
+    w = W.take(centers, axis=0)
+    cp = C.take(contexts, axis=0)
+    cn = C.take(negatives, axis=0)
+    pos_coef = (util.sigmoid(np.einsum("bd,bd->b", w, cp)) - 1.0) * (-rate)
+    neg_coef = util.sigmoid(np.einsum("bkd,bd->bk", cn, w)) * (-rate)
+    d_w = pos_coef[:, None] * cp + np.einsum("bk,bkd->bd", neg_coef, cn)
+    unique, sums = reference_segment_sums(centers, d_w)
+    W[unique] += sums
+    rows = np.concatenate([contexts, negatives.ravel()])
+    weights = np.concatenate([pos_coef, neg_coef.ravel()])
+    b, k = negatives.shape
+    index = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
+    unique, sums = util.segment_weighted_sums(rows, weights, index, w)
+    C[unique] += sums
+
+
+@pytest.mark.parametrize("dim", [7, 48])
+@pytest.mark.parametrize("pairs", [1, 997, 16_384])
+def test_one_slot_step_matches_skipgram_kernel(pairs, dim):
+    rng = np.random.default_rng(pairs + dim)
+    V = 300
+    W = rng.uniform(-0.5, 0.5, (V, dim)).astype(np.float32)
+    C = rng.uniform(-0.5, 0.5, (V, dim)).astype(np.float32)
+    # a small vocabulary repeats centers; half the batch shares a few more
+    centers = rng.integers(0, V, pairs).astype(np.int32)
+    centers[: pairs // 2] = centers[: pairs // 2] % 5
+    contexts = rng.integers(0, V, pairs).astype(np.int32)
+    negatives = rng.integers(0, V, (pairs, 5)).astype(np.int32)
+    ref_W, ref_C = W.copy(), C.copy()
+    for rate in (0.025, 0.0125):
+        word2vec.batch_step(W, C, contexts, centers[:, None], negatives, rate)
+        reference_sgns_batch_step(ref_W, ref_C, centers, contexts, negatives, rate)
+    assert np.array_equal(W, ref_W)
+    assert np.array_equal(C, ref_C)
+
+
+# ----------------------------------------------------------------------
 # window enumeration: each consumer against its own window loop
 # ----------------------------------------------------------------------
 
@@ -244,7 +303,8 @@ def reference_skipgram_pairs(documents, window):
             contexts.append(left)
     if not centers:
         raise ValueError("corpus has no token pairs inside the window")
-    return np.concatenate(centers).astype(np.int32), np.concatenate(contexts).astype(np.int32)
+    # each context word is a target, its center a one-slot input row
+    return np.concatenate(contexts).astype(np.int32), np.concatenate(centers).astype(np.int32)[:, None]
 
 
 def reference_context_table(documents, window):
@@ -266,8 +326,7 @@ def reference_context_table(documents, window):
         table_parts.append(table)
     if not center_parts:
         raise ValueError("corpus has no token pairs inside the window")
-    table = np.concatenate(table_parts, axis=0)
-    return np.concatenate(center_parts), table, table >= 0
+    return np.concatenate(center_parts), np.concatenate(table_parts, axis=0)
 
 
 def reference_cooccurrences(corpus, window_size, weighting):
@@ -552,6 +611,19 @@ class TestBootstrapBands:
         ref_low, ref_high = reference_bands(shared, ks, 0.9, resamples, seed)
         np.testing.assert_allclose(low, ref_low, rtol=0, atol=1e-12)
         np.testing.assert_allclose(high, ref_high, rtol=0, atol=1e-12)
+
+    def test_memory_stays_within_budget(self):
+        """What evaluate_pair's docstring allows resampling: an 8-byte copy
+        of the counts, two draw chunks and three (resamples, grid) tables.
+        Three chunks are drawn, and each is freed before the next."""
+        n, grid, resamples = 2_000, 100, 5_000
+        rng = np.random.default_rng(4)
+        ks = np.full(grid, 10)
+        shared = rng.integers(0, 11, size=(grid, n)).astype(np.int32)
+        chunk_bytes = min(4_000_000, resamples * n) * 8
+        budget = grid * n * 8 + 2 * chunk_bytes + 3 * resamples * grid * 8
+        assert 3 * chunk_bytes > budget
+        assert traced_peak(_bootstrap_bands, shared, ks, 0.95, resamples, 1) <= budget
 
     def test_constant_rows_get_zero_width_at_the_mean(self):
         rng = np.random.default_rng(8)
@@ -911,7 +983,7 @@ def reference_train_glove(matrix, config, objective_log=None):
     acc = [np.full_like(a, 1e-8) for a in (W, Cw, bw, bc)]
 
     def adagrad_update(params, acc, rows, grads):
-        unique, sums = util.segment_sums(rows, grads)
+        unique, sums = reference_segment_sums(rows, grads)
         acc[unique] += sums**2
         params[unique] -= glove.ADAGRAD_RATE * sums / np.sqrt(acc[unique])
 
@@ -950,8 +1022,9 @@ def glove_state_bytes(matrix, dim):
 
 def glove_batch_bytes(matrix, dim, n):
     """README's bound on what a batch of n cells adds:
-    128 n + 2 GATHER_BYTES + 32 u dim, with u = min(n, vocabulary size)."""
-    return 128 * n + 2 * glove.GATHER_BYTES + 32 * min(n, matrix.size) * dim
+    128 n + 8 V + 2 GATHER_BYTES + 32 u dim, with V the vocabulary size
+    and u = min(n, V)."""
+    return 128 * n + 8 * matrix.size + 2 * glove.GATHER_BYTES + 32 * min(n, matrix.size) * dim
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -4,15 +4,7 @@ import pytest
 from ocrdrift.embeddings import Model, RateProfile, TrainConfig
 from ocrdrift.preprocess import build_vocabulary, encode_documents
 from ocrdrift.util import sigmoid
-from ocrdrift.word2vec import (
-    _context_table,
-    cbow_batch_loss,
-    cbow_batch_step,
-    sgns_batch_loss,
-    sgns_batch_step,
-    train_cbow,
-    train_sgns,
-)
+from ocrdrift.word2vec import _context_table, batch_loss, batch_step, train_cbow, train_sgns
 
 
 def tokenized(docs):
@@ -43,8 +35,8 @@ def relative_error(analytic, numeric):
 def random_batch(rng, model):
     """Float64 W, C and a small batch over a few words, so rows collide:
     repeated centers, a positive target that is also one of its row's
-    negatives, a negative drawn twice and, for CBOW, masked slots that
-    hold real ids (only the mask may exclude them)."""
+    negatives, a negative drawn twice and, for CBOW, -1 slots. Skip-gram
+    inputs are one-slot rows of centers."""
     V, dim, b, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 9), (2, 6), (3, 7), (2, 5)))
     W = rng.uniform(-1, 1, (V, dim))
     C = rng.uniform(-1, 1, (V, dim))
@@ -55,21 +47,15 @@ def random_batch(rng, model):
     if model is Model.SGNS:
         contexts = rng.integers(0, V, b).astype(np.int32)
         negatives[2, 0] = contexts[2]
-        return W, C, (centers, contexts, negatives)
+        return W, C, (contexts, centers[:, None], negatives)
     slots = 2 * int(rng.integers(1, 4))
-    table = rng.integers(0, V, (b, slots)).astype(np.int32)
+    ids = rng.integers(0, V, (b, slots))
     mask = rng.random((b, slots)) < 0.6
     mask[0] = False
     mask[np.arange(b), rng.integers(0, slots, b)] = True
     # in CBOW the center is the positive target
     negatives[2, 0] = centers[2]
-    return W, C, (centers, table, mask, negatives)
-
-
-BATCH_OBJECTIVES = {
-    Model.SGNS: (sgns_batch_loss, sgns_batch_step),
-    Model.CBOW: (cbow_batch_loss, cbow_batch_step),
-}
+    return W, C, (centers, np.where(mask, ids, -1).astype(np.int32), negatives)
 
 
 def step_gradient_error(model, seed):
@@ -77,13 +63,12 @@ def step_gradient_error(model, seed):
     to W and C and -r times the central-difference gradient of the
     model's batch loss on the same batch."""
     rng = np.random.default_rng(seed)
-    loss, step = BATCH_OBJECTIVES[model]
     W, C, batch = random_batch(rng, model)
     rate = float(rng.uniform(0.01, 1.0))
     W_after, C_after = W.copy(), C.copy()
-    step(W_after, C_after, *batch, rate)
+    batch_step(W_after, C_after, *batch, rate)
     return max(
-        relative_error(after - before, -rate * central_difference(lambda: loss(W, C, *batch), before))
+        relative_error(after - before, -rate * central_difference(lambda: batch_loss(W, C, *batch), before))
         for before, after in ((W, W_after), (C, C_after))
     )
 
@@ -113,9 +98,10 @@ class TestBatchStep:
         for seed in range(trials):
             rng = np.random.default_rng(seed)
             W, C, centers, contexts, negatives = self._batch(rng, 30, 16, 64, 5)
-            before = sgns_batch_loss(W, C, centers, contexts, negatives)
-            sgns_batch_step(W, C, centers, contexts, negatives, 1e-4)
-            after = sgns_batch_loss(W, C, centers, contexts, negatives)
+            batch = (contexts, centers[:, None], negatives)
+            before = batch_loss(W, C, *batch)
+            batch_step(W, C, *batch, 1e-4)
+            after = batch_loss(W, C, *batch)
             decreased += after < before
         assert decreased >= 0.95 * trials
 
@@ -132,9 +118,10 @@ class TestBatchStep:
             mask = rng.random((b, slots)) < 0.8
             mask[:, 0] = True
             negatives = rng.integers(0, V, (b, 5)).astype(np.int32)
-            before = cbow_batch_loss(W, C, centers, table, mask, negatives)
-            cbow_batch_step(W, C, centers, table, mask, negatives, 1e-4)
-            after = cbow_batch_loss(W, C, centers, table, mask, negatives)
+            batch = (centers, np.where(mask, table, -1), negatives)
+            before = batch_loss(W, C, *batch)
+            batch_step(W, C, *batch, 1e-4)
+            after = batch_loss(W, C, *batch)
             decreased += after < before
         assert decreased >= 0.95 * trials
 
@@ -143,7 +130,7 @@ class TestBatchStep:
         W, C, centers, contexts, negatives = self._batch(rng, 20, 8, 100, 3)
         W2, C2 = W.copy(), C.copy()
         rate = 0.05
-        sgns_batch_step(W, C, centers, contexts, negatives, rate)
+        batch_step(W, C, contexts, centers[:, None], negatives, rate)
 
         w = W2[centers]
         cp = C2[contexts]
@@ -169,7 +156,7 @@ class TestBatchStep:
         negatives = rng.integers(0, V, (b, k)).astype(np.int32)
         W2, C2 = W.copy(), C.copy()
         rate = 0.05
-        cbow_batch_step(W, C, centers, table, mask, negatives, rate)
+        batch_step(W, C, centers, table, negatives, rate)
 
         h = np.zeros((b, dim))
         for row in range(b):
@@ -186,6 +173,21 @@ class TestBatchStep:
         np.add.at(C2, negatives.reshape(-1), -rate * (nc[:, :, None] * h[:, None, :]).reshape(-1, dim))
         np.testing.assert_allclose(W, W2, atol=1e-12)
         np.testing.assert_allclose(C, C2, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", ["step", "loss"])
+    def test_row_without_inputs_is_a_value_error(self, kernel):
+        rng = np.random.default_rng(7)
+        W, C = rng.uniform(-1, 1, (2, 5, 3))
+        targets = np.array([0, 2], dtype=np.int32)
+        inputs = np.array([[1, -1], [-1, -1]], dtype=np.int32)
+        negatives = np.array([[3], [4]], dtype=np.int32)
+        W_before, C_before = W.copy(), C.copy()
+        with pytest.raises(ValueError, match="at least one input word"):
+            if kernel == "step":
+                batch_step(W, C, targets, inputs, negatives, 0.1)
+            else:
+                batch_loss(W, C, targets, inputs, negatives)
+        assert np.array_equal(W, W_before) and np.array_equal(C, C_before)
 
 
 class TestTraining:
@@ -266,12 +268,12 @@ class TestTraining:
 class TestContextTable:
     def test_window_covering_whole_three_token_document(self):
         tc = tokenized([["a", "b", "c"]])
-        centers, table, mask = _context_table(tc.documents, window=5)
+        centers, table = _context_table(tc.documents, window=5)
         assert len(centers) == 3
         # every position sees exactly the other two tokens
-        assert list(mask.sum(axis=1)) == [2, 2, 2]
+        assert list((table >= 0).sum(axis=1)) == [2, 2, 2]
 
     def test_edge_positions_have_partial_windows(self):
         tc = tokenized([["a", "b", "c", "d", "e"]])
-        _, _, mask = _context_table(tc.documents, window=2)
-        assert list(mask.sum(axis=1)) == [2, 3, 4, 3, 2]
+        _, table = _context_table(tc.documents, window=2)
+        assert list((table >= 0).sum(axis=1)) == [2, 3, 4, 3, 2]
