@@ -50,6 +50,7 @@ from .embeddings import (
     export_embeddings,
     import_embeddings,
     load_sparse_embeddings,
+    read_embedding_words,
     save_sparse_embeddings,
 )
 from .glove import train_glove
@@ -376,55 +377,89 @@ def _load_embedding(path: Path) -> EmbeddingMatrix:
     return import_embeddings(path)
 
 
+def _embedding_paths(config: ExperimentConfig, out: Path) -> dict[tuple[str, str, int], Path]:
+    """Every embedding file of one language's evaluation, keyed by (label,
+    version, run). Each file must exist and each OCR or ground-truth
+    entry must have its partner of the same label and run; no embedding
+    is read before all of them are checked."""
+    paths: dict[tuple[str, str, int], Path] = {}
+    # a manifest is only required when this config trains models;
+    # purely external comparisons evaluate imported vectors directly
+    if any(spec.train.model is not Model.EXTERNAL for spec in config.models):
+        manifest_path = out / "manifest.json"
+        if not manifest_path.is_file():
+            raise MissingArtifactError(
+                f"no embedding manifest at {manifest_path}; run the train command first"
+            )
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for entry in manifest["entries"]:
+            emb_path = out / entry["embedding_path"]
+            if not emb_path.is_file():
+                raise MissingArtifactError(f"embedding file missing: {emb_path}")
+            paths[(entry["model"], entry["version"], entry["run"])] = emb_path
+    for spec in config.models:
+        if spec.train.model is Model.EXTERNAL:
+            paths[(spec.label, Version.OCR.value, 0)] = spec.ocr_path
+            paths[(spec.label, Version.GROUND_TRUTH.value, 0)] = spec.gt_path
+    if not paths:
+        raise MissingArtifactError("manifest lists no embeddings")
+    ocr, gt = Version.OCR.value, Version.GROUND_TRUTH.value
+    for label, version, run in sorted(paths):
+        if version == ocr and (label, gt, run) not in paths:
+            raise MissingArtifactError(f"missing ground-truth embedding for {label} run {run}")
+        if version == gt and (label, ocr, run) not in paths:
+            raise MissingArtifactError(f"missing OCR embedding for {label} run {run}")
+    return paths
+
+
 def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
+    """Overlap curves of every configured model, per language.
+
+    Reading order: first the word list of every embedding file, one file
+    at a time, to form the shared vocabulary; then, per label and run,
+    the OCR and ground-truth embeddings of that one pair, which are freed
+    once its curve is computed. Peak memory is the larger of two phases,
+    whatever the number of models:
+    - evaluating a pair: the two largest embeddings as loaded, plus
+      `evaluate_pair`'s stated budget, plus the curves of the runs done
+      so far, each its count table (4 bytes per grid point and shared
+      word) and under 256 bytes more per grid point;
+    - pooling a label's runs (`average_runs`): every run's count table,
+      their pooled copy, and the resampling of the pooled table, whose
+      draw chunks are capped at `overlap.BOOTSTRAP_CHUNK` values.
+
+    Missing files and unpaired entries are found before anything is
+    ranked. A bad value that only a full load finds still exits 2
+    naming the file, but only when its pair is reached: the curves of
+    labels finished before it stay written, each atomically.
+    """
     sources = config.for_language(lang)
     n_grid = config.n_grid or default_n_grid()
-    trainable = [m for m in config.models if m.train.model is not Model.EXTERNAL]
     for src in sources:
         out = config.out_dir / src.language.name
-        loaded: dict[tuple[str, str, int], EmbeddingMatrix] = {}
-        # a manifest is only required when this config trains models;
-        # purely external comparisons evaluate imported vectors directly
-        manifest_path = out / "manifest.json"
-        if trainable:
-            if not manifest_path.is_file():
-                raise MissingArtifactError(
-                    f"no embedding manifest at {manifest_path}; run the train command first"
-                )
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            for entry in manifest["entries"]:
-                emb_path = out / entry["embedding_path"]
-                if not emb_path.is_file():
-                    raise MissingArtifactError(f"embedding file missing: {emb_path}")
-                loaded[(entry["model"], entry["version"], entry["run"])] = _load_embedding(emb_path)
-        for spec in config.models:
-            if spec.train.model is Model.EXTERNAL:
-                loaded[(spec.label, Version.OCR.value, 0)] = _load_embedding(spec.ocr_path)
-                loaded[(spec.label, Version.GROUND_TRUTH.value, 0)] = _load_embedding(spec.gt_path)
-
-        if not loaded:
-            raise MissingArtifactError("manifest lists no embeddings")
-        intersection = intersect_words([emb.words for emb in loaded.values()])
+        paths = _embedding_paths(config, out)
+        first, *rest = paths.values()
+        intersection = read_embedding_words(first)
+        for path in rest:
+            intersection = intersect_words([intersection, read_embedding_words(path)])
 
         curves_dir = out / "curves"
         curves_dir.mkdir(parents=True, exist_ok=True)
         series = []
-        labels = sorted({label for label, _, _ in loaded})
+        labels = sorted({label for label, _, _ in paths})
         for label in labels:
             runs = sorted(
-                run for lbl, version, run in loaded
+                run for lbl, version, run in paths
                 if lbl == label and version == Version.OCR.value
             )
             per_run = []
             for run in runs:
-                key_ocr = (label, Version.OCR.value, run)
-                key_gt = (label, Version.GROUND_TRUTH.value, run)
-                if key_gt not in loaded:
-                    raise MissingArtifactError(f"missing ground-truth embedding for {label} run {run}")
+                # the pair lives only as this call's arguments: it is freed
+                # before the next pair is loaded
                 per_run.append(
                     evaluate_pair(
-                        loaded[key_ocr],
-                        loaded[key_gt],
+                        _load_embedding(paths[(label, Version.OCR.value, run)]),
+                        _load_embedding(paths[(label, Version.GROUND_TRUTH.value, run)]),
                         intersection,
                         n_grid,
                         confidence=config.confidence,
@@ -458,6 +493,8 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 f"{src.language.name}/{label}: overlap {curve.means[0]:.3f} at N={curve.n_values[0]:g} "
                 f"({curve.runs_averaged} runs, |V|={curve.intersection_size})"
             )
+            # the next label's pairs are evaluated without this label's tables
+            del per_run, curve
         render_overlap_svg(series, out / "overlap.svg", title=f"Neighbor overlap ({src.language.name})")
     return 0
 

@@ -6,10 +6,11 @@ import itertools
 import os
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
@@ -138,24 +139,33 @@ def save_sparse_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     )
 
 
-def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Sparse rows written by `save_sparse_embeddings`; a damaged,
-    incomplete or inconsistent archive is a ValueError naming the file."""
-    import scipy.sparse as sp
+@contextmanager
+def _sparse_archive(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
+    """The open archive at `path`; a damaged, incomplete or inconsistent
+    archive, found on opening it or while reading its members, is a
+    ValueError naming the file."""
     try:
         with np.load(path, allow_pickle=False) as payload:
-            matrix = sp.csr_matrix(
-                (payload["data"], payload["indices"], payload["indptr"]),
-                shape=tuple(payload["shape"]),
-            )
-            # the constructor checks array shapes, not index bounds
-            matrix.check_format(full_check=True)
-            words = tuple(str(w) for w in payload["words"])
-            return EmbeddingMatrix(words=words, vectors=matrix, model=Model(str(payload["model"])))
+            yield payload
     except FileNotFoundError:
         raise
     except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, ValueError, OSError) as exc:
         raise ValueError(f"{path}: not a valid sparse embedding archive: {exc}") from None
+
+
+def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
+    """Sparse rows written by `save_sparse_embeddings`; a damaged,
+    incomplete or inconsistent archive is a ValueError naming the file."""
+    import scipy.sparse as sp
+    with _sparse_archive(path) as payload:
+        matrix = sp.csr_matrix(
+            (payload["data"], payload["indices"], payload["indptr"]),
+            shape=tuple(payload["shape"]),
+        )
+        # the constructor checks array shapes, not index bounds
+        matrix.check_format(full_check=True)
+        words = tuple(str(w) for w in payload["words"])
+        return EmbeddingMatrix(words=words, vectors=matrix, model=Model(str(payload["model"])))
 
 
 def _fast_rows(lines: list[str], count: int, dim: int) -> tuple[list[str], np.ndarray] | None:
@@ -209,28 +219,36 @@ def _rows_one_by_one(lines: list[str], count: int, dim: int, path: str | Path) -
     return words, vectors
 
 
+def _text_header(fh: TextIO, path: str | Path) -> tuple[int, int]:
+    """(count, dim) from the header line of an open text embedding file;
+    a header that is malformed, or that declares more rows than the file
+    can hold, is a ValueError naming the file and line 1."""
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise ValueError(f"{path}: malformed header at line 1")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"{path}: malformed header at line 1") from None
+    if count < 1 or dim < 1:
+        raise ValueError(f"{path}: malformed header at line 1")
+    # a row takes at least 2 * dim + 1 bytes (a word, then a space
+    # and a digit per value): a header that declares more rows than
+    # the file can hold is refused before the array is allocated
+    size = os.fstat(fh.fileno()).st_size
+    if count * (2 * dim + 1) > size:
+        raise ValueError(
+            f"{path}: header declares {count} rows of {dim} values, "
+            f"more than its {size} bytes can hold, at line 1"
+        )
+    return count, dim
+
+
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read the text format back; errors name the offending line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"{path}: malformed header at line 1")
-            try:
-                count, dim = int(header[0]), int(header[1])
-            except ValueError:
-                raise ValueError(f"{path}: malformed header at line 1") from None
-            if count < 1 or dim < 1:
-                raise ValueError(f"{path}: malformed header at line 1")
-            # a row takes at least 2 * dim + 1 bytes (a word, then a space
-            # and a digit per value): a header that declares more rows than
-            # the file can hold is refused before the array is allocated
-            size = os.fstat(fh.fileno()).st_size
-            if count * (2 * dim + 1) > size:
-                raise ValueError(
-                    f"{path}: header declares {count} rows of {dim} values, "
-                    f"more than its {size} bytes can hold, at line 1"
-                )
+            count, dim = _text_header(fh, path)
             # one line past the declared rows is enough to refuse the file
             lines = list(itertools.islice(fh, count + 1))
     except UnicodeDecodeError as exc:
@@ -242,3 +260,26 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     if bad_rows.size:
         raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")
     return EmbeddingMatrix(words=tuple(words), vectors=vectors, model=Model.EXTERNAL)
+
+
+def read_embedding_words(path: str | Path) -> tuple[str, ...]:
+    """The word list of an embedding file, without its vectors: the
+    `words` member of a `.npz` archive (no scipy needed), else the first
+    field of each row of a text file. For a valid file these are the
+    words a full load gives. The header, archive and encoding checks are
+    the loaders'; a fault in the vector values is found by the full load."""
+    if Path(path).suffix == ".npz":
+        with _sparse_archive(path) as payload:
+            return tuple(str(w) for w in payload["words"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            count, dim = _text_header(fh, path)
+            words = []
+            for lineno, line in enumerate(itertools.islice(fh, count), start=2):
+                fields = line.split(maxsplit=1)
+                if not fields:
+                    raise ValueError(f"{path}: expected {dim + 1} fields, got 0 at line {lineno}")
+                words.append(fields[0])
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    return tuple(words)

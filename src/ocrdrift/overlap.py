@@ -34,6 +34,11 @@ DEFAULT_RESAMPLES = 1000
 # of a block takes at most this many bytes, so ranking memory stays
 # bounded whatever the vocabulary size.
 BLOCK_BYTES = 1 << 20
+# Resampling draws its column indices in chunks of at most this many
+# 8-byte values, so its memory does not grow with the pooled width of a
+# run-averaged curve. The draw stream and the exact integer sums do not
+# depend on the chunking, so the band does not either.
+BOOTSTRAP_CHUNK = 1 << 20
 
 
 def default_n_grid() -> tuple[float, ...]:
@@ -164,7 +169,7 @@ def _bootstrap_bands(
     rng = np.random.default_rng(seed)
     table = shared.T.astype(np.float64)
     means = np.empty((resamples, len(shared)), dtype=np.float64)
-    chunk = max(1, 4_000_000 // n)
+    chunk = max(1, BOOTSTRAP_CHUNK // n)
     for done in range(0, resamples, chunk):
         take = min(chunk, resamples - done)
         idx = rng.integers(0, n, size=(take, n))
@@ -227,14 +232,16 @@ def evaluate_pair(
 
     Memory budget: besides the inputs it holds the shared-neighbor count
     table the returned curve keeps, len(n_grid) * size 4-byte values (a
-    config allows at most 1,000 grid points), two normalized copies of
-    each space's intersection rows, at most six block arrays of at most
-    BLOCK_BYTES each per ranking thread, and while resampling an 8-byte
-    copy of the table, at most two bootstrap chunks of
-    min(4M, resamples * size) 8-byte values, and the resamples *
-    len(n_grid) table of resampled means with at most two more of its
-    size (a chunk's product, or np.percentile's copy; a config allows at
-    most 10,000 resamples).
+    config allows at most 1,000 grid points), and the larger of two
+    phases, since the normalized rows are freed before resampling starts:
+    - ranking: two normalized copies of each space's intersection rows
+      and at most six block arrays of at most BLOCK_BYTES each per
+      ranking thread;
+    - resampling: an 8-byte copy of the table, at most two bootstrap
+      chunks of min(BOOTSTRAP_CHUNK, resamples * size) 8-byte values,
+      and the resamples * len(n_grid) table of resampled means with at
+      most two more of its size (a chunk's product, or np.percentile's
+      copy; a config allows at most 10,000 resamples).
     """
     size = len(intersection)
     if size < 2:
@@ -271,6 +278,7 @@ def evaluate_pair(
     with ThreadPoolExecutor(min(len(starts), util.usable_cpus())) as pool:
         # list() re-raises the first block's exception
         list(pool.map(rank_block, starts))
+    del norm_a, norm_b, zero_a, zero_b  # not held while resampling
 
     means = shared.sum(axis=1, dtype=np.int64) / (size * ks)
     low, high = _bootstrap_bands(shared, ks, confidence, resamples, (seed,))

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import pkgutil
+import shutil
 import signal
 import subprocess
 import sys
@@ -396,6 +397,48 @@ class TestTrainEvaluateReport:
                 assert float(row["mean"]) == 1.0
                 assert float(row["ci_low"]) == 1.0
                 assert float(row["ci_high"]) == 1.0
+
+
+class TestEvaluateOnePairAtATime:
+    """`evaluate` checks every file and pairing before it ranks anything,
+    then loads one (OCR, ground truth) pair at a time."""
+
+    @staticmethod
+    def copy_trained(trained, tmp_path, drop=lambda entry: False):
+        """The trained embeddings and manifest, without the entries `drop`
+        selects, under a new out_dir; returns its config and directory."""
+        config, out = trained
+        copy = tmp_path / "out"
+        shutil.copytree(out / "other" / "embeddings", copy / "other" / "embeddings")
+        manifest = json.loads((out / "other" / "manifest.json").read_text(encoding="utf-8"))
+        manifest["entries"] = [e for e in manifest["entries"] if not drop(e)]
+        (copy / "other" / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        new_config = tmp_path / "c.json"
+        new_config.write_text(json.dumps(dict(payload, out_dir=str(copy))), encoding="utf-8")
+        return new_config, copy / "other"
+
+    @pytest.mark.parametrize("version, missing", [("ocr", "OCR"), ("gt", "ground-truth")])
+    def test_unpaired_entry_is_exit_3_before_any_curve(self, trained, tmp_path, capsys, version, missing):
+        # sgns-fast sorts after ppmi, whose curve must not be written either
+        config, out = self.copy_trained(
+            trained, tmp_path, drop=lambda e: (e["model"], e["version"], e["run"]) == ("sgns-fast", version, 1))
+        assert main(["evaluate", "--config", str(config)]) == 3
+        assert f"missing {missing} embedding for sgns-fast run 1" in capsys.readouterr().err
+        assert not (out / "curves").exists()
+        assert not (out / "overlap.svg").exists()
+
+    def test_bad_value_in_a_later_pair_is_exit_2_after_earlier_curves(self, trained, tmp_path, capsys):
+        config, out = self.copy_trained(trained, tmp_path)
+        bad = out / "embeddings" / "sgns-fast_ocr_run1.txt"
+        lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+        word, _, rest = lines[1].split(" ", 2)
+        lines[1] = f"{word} abc {rest}"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert f"{bad}: non-numeric value at line 2" in capsys.readouterr().err
+        written = sorted(p.name for p in (out / "curves").iterdir())
+        assert written == ["ppmi.csv", "ppmi.json"]
 
 
 def cli_env():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ocrdrift import embeddings
 from ocrdrift.embeddings import (
     EmbeddingMatrix,
     Model,
@@ -10,6 +16,7 @@ from ocrdrift.embeddings import (
     export_embeddings,
     import_embeddings,
     load_sparse_embeddings,
+    read_embedding_words,
     save_sparse_embeddings,
 )
 
@@ -217,6 +224,82 @@ class TestSparseFormat:
         path = self.write_archive(tmp_path / "rows.npz", model=np.array("bert"))
         with pytest.raises(ValueError, match="rows.npz: .*'bert'"):
             load_sparse_embeddings(path)
+
+
+class TestWordsOnly:
+    """`read_embedding_words` reads a file's words without its vectors,
+    through the loaders' own header and archive checks."""
+
+    def test_text_words_equal_full_load(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        rng = np.random.default_rng(3)
+        export_embeddings(dense_embedding(["alpha", "béta", "δ", "gamma"], rng.normal(size=(4, 3))), path)
+        assert read_embedding_words(path) == import_embeddings(path).words
+        # tabs and runs of blanks, and a value only the line-by-line path reads
+        path.write_text("3 2\n a\t1 2\nb  1_000 2\nc 3 4\n", encoding="utf-8")
+        assert read_embedding_words(path) == import_embeddings(path).words == ("a", "b", "c")
+
+    def test_npz_words_equal_full_load(self, tmp_path):
+        path = tmp_path / "rows.npz"
+        rows = sp.random(5, 9, density=0.3, format="csr", random_state=2)
+        save_sparse_embeddings(EmbeddingMatrix(words=("v", "w", "x", "y", "zé"), vectors=rows, model=Model.PPMI), path)
+        assert read_embedding_words(path) == load_sparse_embeddings(path).words
+
+    @pytest.mark.parametrize("content", [
+        b"x y\nw 1\n",
+        b"0 3\n",
+        b"99999 99999\nw 1 2\n",
+        b"2 1\nw\xe9 1\nv 2\n",
+    ])
+    def test_text_header_and_encoding_errors_are_the_loaders(self, tmp_path, content):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as full:
+            import_embeddings(path)
+        with pytest.raises(ValueError) as words:
+            read_embedding_words(path)
+        assert str(words.value) == str(full.value)
+        assert str(words.value).startswith(f"{path}: ")
+
+    def test_blank_row_named(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("3 1\na 1\n\nc 3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt: expected 2 fields, got 0 at line 3"):
+            read_embedding_words(path)
+
+    def test_damaged_archive_named(self, tmp_path):
+        """A truncated archive, or a byte flipped anywhere, is a ValueError
+        naming the file, or leaves the words readable."""
+        path = TestSparseFormat.write_archive(tmp_path / "rows.npz")
+        intact = path.read_bytes()
+        path.write_bytes(intact[:200])
+        with pytest.raises(ValueError, match="rows.npz: not a valid sparse embedding archive"):
+            read_embedding_words(path)
+        for pos in range(len(intact)):
+            damaged = bytearray(intact)
+            damaged[pos] ^= 0xFF
+            path.write_bytes(damaged)
+            try:
+                read_embedding_words(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: not a valid sparse embedding archive")
+
+    def test_npz_words_without_scipy(self, tmp_path):
+        """Reading an archive's words leaves scipy unimported: a child
+        process reads them and reports the scipy modules it then holds."""
+        path = TestSparseFormat.write_archive(tmp_path / "rows.npz")
+        probe = (
+            "import sys\n"
+            "from ocrdrift.embeddings import read_embedding_words\n"
+            "print(' '.join(read_embedding_words(sys.argv[1])))\n"
+            "print(' '.join(m for m in ('scipy', 'scipy.sparse') if m in sys.modules) or '-')\n"
+        )
+        src = str(Path(embeddings.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", probe, str(path)],
+                                capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["x y z", "-"]
 
 
 class TestEmbeddingMatrix:

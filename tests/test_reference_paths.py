@@ -12,7 +12,8 @@ stable tie order, in blocks sized by a byte budget, and bootstraps every
 grid row from one set of resample counts. The orderings must equal a
 stable argsort, the curve means must equal the exact fractions of summed
 shared-neighbor counts, the bands must equal plain per-resample means of
-the same draws, and one evaluation must stay within its stated memory.
+the same draws, and one evaluation must stay within its stated memory,
+as must a whole `evaluate` command over one run and over three.
 Blocks are ranked by a pool of threads: any worker count must give the
 same curve, and importing ocrdrift must hold OpenBLAS to one thread.
 
@@ -40,9 +41,11 @@ wrote.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +68,7 @@ from ocrdrift.embeddings import (
 from ocrdrift.glove import train_glove
 from ocrdrift.overlap import (
     BLOCK_BYTES,
+    BOOTSTRAP_CHUNK,
     _bootstrap_bands,
     _descending_order,
     _normalized_rows,
@@ -582,7 +586,8 @@ def random_pair(seed=7):
 
 def reference_bands(shared, ks, confidence, resamples, seed):
     """Plain per-resample means of the per-word fractions, over the same
-    draws, chunked the same way."""
+    draws. They are taken in chunks of 4M values, not BOOTSTRAP_CHUNK:
+    the draw stream does not depend on the chunking."""
     rng = np.random.default_rng(seed)
     n = shared.shape[1]
     chunk = max(1, 4_000_000 // n)
@@ -615,12 +620,12 @@ class TestBootstrapBands:
     def test_memory_stays_within_budget(self):
         """What evaluate_pair's docstring allows resampling: an 8-byte copy
         of the counts, two draw chunks and three (resamples, grid) tables.
-        Three chunks are drawn, and each is freed before the next."""
-        n, grid, resamples = 2_000, 100, 5_000
+        Ten chunks are drawn, and each is freed before the next."""
+        n, grid, resamples = 2_000, 20, 5_000
         rng = np.random.default_rng(4)
         ks = np.full(grid, 10)
         shared = rng.integers(0, 11, size=(grid, n)).astype(np.int32)
-        chunk_bytes = min(4_000_000, resamples * n) * 8
+        chunk_bytes = min(BOOTSTRAP_CHUNK, resamples * n) * 8
         budget = grid * n * 8 + 2 * chunk_bytes + 3 * resamples * grid * 8
         assert 3 * chunk_bytes > budget
         assert traced_peak(_bootstrap_bands, shared, ks, 0.95, resamples, 1) <= budget
@@ -742,30 +747,46 @@ def _stored_bytes(vectors):
     return vectors.data.nbytes + vectors.indices.nbytes + vectors.indptr.nbytes
 
 
+def _resampling_bytes(grid, width, resamples):
+    """What evaluate_pair's docstring allows resampling `width` columns:
+    an 8-byte copy of the table, two draw chunks and three tables of
+    resampled means."""
+    return (grid * width * 8 + 2 * min(BOOTSTRAP_CHUNK, resamples * width) * 8
+            + 3 * resamples * grid * 8)
+
+
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
-    """Working memory, as evaluate_pair's docstring states it: two
-    normalized copies of each space, the score table, six block arrays of
-    BLOCK_BYTES per ranking thread and two bootstrap draw chunks."""
-    # a fixed thread count, so the budget does not grow with the CPUs
-    workers = 2
+    """Working memory, as evaluate_pair's docstring states it: the score
+    table plus the larger of two phases, ranking (two normalized copies
+    of each space, six block arrays of BLOCK_BYTES per ranking thread)
+    and resampling (an 8-byte copy of the table, two draw chunks and
+    three tables of resampled means), not their sum."""
+    # a fixed thread count, so the budget does not grow with the CPUs, and
+    # blocks small enough that the normalized copies weigh in the budget
+    workers, block_bytes = 2, 1 << 18
     monkeypatch.setattr(util, "usable_cpus", lambda: workers)
-    size, grid, resamples = 3_000, [0.01, 0.1], 20
+    monkeypatch.setattr(overlap, "BLOCK_BYTES", block_bytes)
+    size, grid = 3_000, [0.01, 0.1]
     words = [f"w{i:05d}" for i in range(size)]
     if kind == "dense":
         rng = np.random.default_rng(12)
-        a = external(words, rng.normal(size=(size, 8)))
-        b = external(words, np.round(rng.normal(size=(size, 8))))
+        a = external(words, rng.normal(size=(size, 64)))
+        b = external(words, np.round(rng.normal(size=(size, 64))))
     else:
         # wider than the intersection, like PPMI rows over a model's vocabulary
         a, b = (external(words, sp.random(size, 2 * size, density=0.01, format="csr", random_state=seed),
                          Model.PPMI) for seed in (1, 2))
-    budget = (
-        2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
-        + len(grid) * size * 4
-        + workers * 6 * BLOCK_BYTES
-        + 2 * min(4_000_000, resamples * size) * 8
-    )
+    normalized = 2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
+    ranking = normalized + workers * 6 * block_bytes
+    # resamples whose two draw chunks fill the ranking budget less a
+    # quarter of the normalized copies: resampling alone fits, but not
+    # beside the one normalized copy of each space that ranking used
+    resamples = (ranking - normalized // 4) // (2 * size * 8)
+    assert resamples * size <= BOOTSTRAP_CHUNK
+    resampling = _resampling_bytes(len(grid), size, resamples)
+    budget = len(grid) * size * 4 + max(ranking, resampling)
+    assert resampling + normalized // 2 > budget
     # one (rows, size) array of a fixed 1024-row block alone exceeds it
     assert 1024 * size * 8 > budget
     tracemalloc.start()
@@ -776,6 +797,81 @@ def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
         tracemalloc.stop()
     assert curve.shared.shape == (len(grid), size)
     assert peak <= budget, f"peak {peak} bytes, budget {budget}"
+
+
+@pytest.fixture(scope="module")
+def three_runs(tmp_path_factory):
+    """The config of a trained output directory with three SGNS runs and
+    one PPMI run, over a vocabulary large enough that embeddings dominate
+    memory."""
+    root = tmp_path_factory.mktemp("three_runs")
+    docs = synthetic_documents(100_000, seed=21, n_types=3_000, doc_chars=1_000)
+    save_paired_files(noisy_corpus(docs, NoiseSpec(target_cer=0.08, seed=5)), root / "corpus")
+    config = root / "c.json"
+    config.write_text(json.dumps({
+        "out_dir": str(root / "out"),
+        "seed": 13,
+        "runs": 3,
+        "languages": [{"language": "other", "path": str(root / "corpus"), "format": "paired"}],
+        "models": [
+            {"model": "ppmi", "window": 2, "min_count": 1},
+            {"model": "sgns", "rate_profile": "fast", "dim": 64, "window": 2,
+             "epochs": 1, "min_count": 1, "batch_size": 4096},
+        ],
+    }), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    return load_config(config)
+
+
+def test_cmd_evaluate_memory_stays_within_budget(tmp_path, monkeypatch, three_runs):
+    """cmd_evaluate's traced peak, as its docstring states it: the larger
+    of evaluating a pair (the two largest embeddings as loaded, plus
+    evaluate_pair's budget, plus the curves of the runs done so far, each
+    its count table and under 256 bytes per grid point) and pooling a
+    label's runs. Going from 1 run to 3 adds no more than two curves, and
+    what the later pairs take to load beyond the first."""
+    workers = 2
+    monkeypatch.setattr(util, "usable_cpus", lambda: workers)
+    config = three_runs
+    grid, resamples = len(overlap.default_n_grid()), config.bootstrap_resamples
+    trained = config.out_dir / "other"
+    manifest = json.loads((trained / "manifest.json").read_text(encoding="utf-8"))
+    load_peaks, stored = {}, {}
+    for entry in manifest["entries"]:
+        path = trained / entry["embedding_path"]
+        load_peaks[path] = traced_peak(cli._load_embedding, path)
+        stored[path] = _stored_bytes(cli._load_embedding(path).vectors)
+    pairs = [(trained / a["embedding_path"], trained / b["embedding_path"])
+             for a in manifest["entries"] for b in manifest["entries"]
+             if (a["model"], a["run"], a["version"], b["version"]) == (b["model"], b["run"], "ocr", "gt")]
+    ranked = max(stored[ocr] + stored[gt] for ocr, gt in pairs)
+    # what the later SGNS runs' pairs take to load beyond run 0's
+    sgns_loads = [load_peaks[ocr] + load_peaks[gt] for ocr, gt in pairs if "sgns" in ocr.name]
+    later_loads = max(sgns_loads) - sgns_loads[0]
+    peaks, sizes = {}, {}
+    for runs in (3, 1):
+        out = tmp_path / f"runs{runs}"
+        shutil.copytree(trained / "embeddings", out / "other" / "embeddings")
+        entries = [e for e in manifest["entries"] if e["run"] < runs]
+        (out / "other" / "manifest.json").write_text(json.dumps(dict(manifest, entries=entries)), encoding="utf-8")
+        run_config = replace(config, out_dir=out)
+        # the first call loads what the process keeps for good
+        cli.cmd_evaluate(run_config, None)
+        peaks[runs] = traced_peak(cli.cmd_evaluate, run_config, None)
+        sizes[runs] = json.loads((out / "other" / "curves" / "sgns-fast.json").read_text(encoding="utf-8"))["intersection_size"]
+    size = sizes[1]
+    assert sizes[3] == size
+    curve_bytes = grid * (4 * size + 256)
+    embeddings = sum(sorted(load_peaks.values())[-2:])
+    pair = grid * size * 4 + max(2 * ranked + workers * 6 * BLOCK_BYTES,
+                                 _resampling_bytes(grid, size, resamples))
+    for runs in (1, 3):
+        evaluating = embeddings + pair + (runs - 1) * curve_bytes
+        # every run's table, their pooled copy, and resampling it
+        pooling = 2 * runs * grid * size * 4 + _resampling_bytes(grid, runs * size, resamples)
+        budget = max(evaluating, pooling)
+        assert peaks[runs] <= budget, f"runs {runs}: peak {peaks[runs]} bytes, budget {budget}"
+    assert peaks[3] - peaks[1] <= 2 * curve_bytes + later_loads, peaks
 
 
 # ----------------------------------------------------------------------
