@@ -308,6 +308,15 @@ def _train_in_workers(jobs: list[_TrainJob]) -> None:
     lines and manifests come from here, in job order. A job's exception
     cancels the jobs not yet started and is raised here; a worker killed
     by a signal raises BrokenProcessPool.
+
+    Each worker holds one job at a time: its corpus and matrices plus a
+    working set that README bounds per job, with V the vocabulary size.
+    Co-occurrence counting (PPMI, GloVe) over P entries in S (document,
+    distance) slices holds at most 50·P + 8·V + 512·S bytes. An SGNS or CBOW batch of b examples, k negatives
+    and s input slots adds at most 64·b·(k + 1 + s) + 8·b·dim +
+    util.GATHER_BYTES + 8·u·dim bytes, u = min(b·max(k + 1, s), V). A
+    GloVe batch of n cells adds at most 128·n + 8·V +
+    2·util.GATHER_BYTES + 32·u·dim bytes, u = min(n, V).
     """
     # fork: workers inherit the imported modules and the corpora instead
     # of importing and unpickling them. It is safe here because a fork-based

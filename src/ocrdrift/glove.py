@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import util
 from .cooccur import CooccurrenceMatrix, Weighting
 from .embeddings import EmbeddingMatrix, Model, TrainConfig
 from .util import seeded_matrix, segment_weighted_sums
@@ -16,8 +17,6 @@ log = logging.getLogger(__name__)
 X_MAX = 100.0
 ALPHA = 0.75
 ADAGRAD_RATE = 0.05
-# the most bytes of gathered rows a batch step holds per matrix
-GATHER_BYTES = 1 << 20
 
 _W_STREAM = 3
 _C_STREAM = 4
@@ -47,7 +46,7 @@ def glove_objective(
 ) -> float:
     """sum over nonzero cells of f(x) * (w.c + b_w + b_c - ln x)^2.
 
-    Holds O(nnz) vectors and one GATHER_BYTES chunk of each matrix, not
+    Holds O(nnz) vectors and one util.GATHER_BYTES chunk of each matrix, not
     the (nnz, dim) rows of every cell.
     """
     coo = matrix.counts.tocoo()
@@ -57,8 +56,8 @@ def glove_objective(
 
 def _cell_dots(W: np.ndarray, Cw: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """W[rows[n]] . Cw[cols[n]] for every n, gathering at most
-    GATHER_BYTES of rows from each matrix at a time."""
-    chunk = max(1, GATHER_BYTES // (W.itemsize * W.shape[1]))
+    util.GATHER_BYTES of rows from each matrix at a time."""
+    chunk = max(1, util.GATHER_BYTES // (W.itemsize * W.shape[1]))
     dots = np.empty(len(rows))
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
@@ -135,7 +134,7 @@ def _glove_batch_step(
     """One AdaGrad step on a batch of nonzero cells (rows[n], cols[n]).
 
     The cell dot products are taken from gathered rows, at most
-    GATHER_BYTES of each matrix at a time. Each vector gradient is a
+    util.GATHER_BYTES of each matrix at a time. Each vector gradient is a
     grouped sum of coefficient-weighted rows read in place from the other
     matrix, and both are summed before either matrix moves. So the step
     holds no (n, dim) array, only O(n) vectors, two gathered chunks, the

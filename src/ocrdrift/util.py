@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+# the most bytes of gathered rows a training step holds per matrix
+GATHER_BYTES = 1 << 20
+
 
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the platform

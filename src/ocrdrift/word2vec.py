@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import util
 from .embeddings import EmbeddingMatrix, Model, TrainConfig
 from .preprocess import TokenizedCorpus, window_pairs
 from .util import log_sigmoid, seeded_matrix, segment_weighted_sums, sigmoid
@@ -144,12 +145,23 @@ def _hidden(W: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return h, members, weights, batch_idx
 
 
+def _row_chunks(C: np.ndarray, negatives: np.ndarray) -> list[slice]:
+    """Slices of a batch's rows whose target and negative rows of C
+    together take at most util.GATHER_BYTES."""
+    b, k = negatives.shape
+    rows = max(1, util.GATHER_BYTES // (C.itemsize * C.shape[1] * (k + 1)))
+    return [slice(start, start + rows) for start in range(0, b, rows)]
+
+
 def batch_loss(
     W: np.ndarray, C: np.ndarray, targets: np.ndarray, inputs: np.ndarray, negatives: np.ndarray
 ) -> float:
     h = _hidden(W, inputs)[0]
-    pos = np.einsum("bd,bd->b", h, C[targets])
-    neg = np.einsum("bkd,bd->bk", C[negatives], h)
+    pos = np.empty(len(h), dtype=np.result_type(h, C))
+    neg = np.empty(negatives.shape, dtype=pos.dtype)
+    for part in _row_chunks(C, negatives):
+        pos[part] = np.einsum("bd,bd->b", h[part], C.take(targets[part], axis=0))
+        neg[part] = np.einsum("bkd,bd->bk", C.take(negatives[part], axis=0), h[part])
     return float(-(log_sigmoid(pos).sum() + log_sigmoid(-neg).sum()))
 
 
@@ -166,14 +178,23 @@ def batch_step(
     The learning rate is folded into the logistic coefficients, and every
     update is a coefficient-weighted copy of an existing row, so the
     scatter phase runs as grouped rank-one sums instead of materializing
-    per-example outer products.
+    per-example outer products. The coefficients and the gradient at h
+    are taken one `_row_chunks` slice at a time, so the step holds no
+    (batch, negatives, dim) array; each row's values do not depend on the
+    slicing, and the grouped sums run over the whole batch.
     """
     h, members, weights, batch_idx = _hidden(W, inputs)
-    o = C.take(targets, axis=0)
-    cn = C.take(negatives, axis=0)
-    pos_coef = (sigmoid(np.einsum("bd,bd->b", h, o)) - 1.0) * (-rate)
-    neg_coef = sigmoid(np.einsum("bkd,bd->bk", cn, h)) * (-rate)
-    d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
+    # the dtype each whole-batch expression would have had
+    pos_coef = np.empty(len(h), dtype=np.result_type(h, C, rate))
+    neg_coef = np.empty(negatives.shape, dtype=pos_coef.dtype)
+    d_h = np.empty(h.shape, dtype=pos_coef.dtype)
+    for part in _row_chunks(C, negatives):
+        o = C.take(targets[part], axis=0)
+        cn = C.take(negatives[part], axis=0)
+        pos_coef[part] = (sigmoid(np.einsum("bd,bd->b", h[part], o)) - 1.0) * (-rate)
+        neg_coef[part] = sigmoid(np.einsum("bkd,bd->bk", cn, h[part])) * (-rate)
+        d_h[part] = pos_coef[part, None] * o + np.einsum("bk,bkd->bd", neg_coef[part], cn)
+        del o, cn  # freed before the next slice is gathered
     unique, sums = segment_weighted_sums(members, weights, batch_idx, d_h)
     W[unique] += sums
     # positives and negatives update C together, each a coefficient times h

@@ -19,7 +19,11 @@ same curve, and importing ocrdrift must hold OpenBLAS to one thread.
 
 Skip-gram trains through CBOW's step, with each center as a one-slot
 row of inputs. That step must move W and C exactly as skip-gram's own
-kernel did, which took each center's W row as the hidden vector.
+kernel did, which took each center's W row as the hidden vector. The
+step and the loss score a batch a bounded chunk of gathered rows at a
+time: at any chunk size they must give what whole-batch gathers gave,
+and a step must stay within its stated memory. So must co-occurrence
+counting.
 
 `train` runs its (model, version, run) jobs in worker processes. Its
 files, manifest and progress lines must equal those of a plain loop that
@@ -84,6 +88,7 @@ from ocrdrift.preprocess import (
     build_vocabulary,
     encode_documents,
     preprocess_corpus,
+    window_pairs,
 )
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
 from ocrdrift.util import _group_csr
@@ -289,6 +294,105 @@ def test_one_slot_step_matches_skipgram_kernel(pairs, dim):
 
 
 # ----------------------------------------------------------------------
+# word2vec: scores from bounded chunks of gathered rows
+# ----------------------------------------------------------------------
+
+def reference_batch_loss(W, C, targets, inputs, negatives):
+    """The loss from whole-batch gathers of C."""
+    h = word2vec._hidden(W, inputs)[0]
+    pos = np.einsum("bd,bd->b", h, C[targets])
+    neg = np.einsum("bkd,bd->bk", C[negatives], h)
+    return float(-(util.log_sigmoid(pos).sum() + util.log_sigmoid(-neg).sum()))
+
+
+def reference_batch_step(W, C, targets, inputs, negatives, rate):
+    """The step from whole-batch gathers of C: it held the
+    (batch, negatives, dim) rows of every negative at once."""
+    h, members, weights, batch_idx = word2vec._hidden(W, inputs)
+    o = C.take(targets, axis=0)
+    cn = C.take(negatives, axis=0)
+    pos_coef = (util.sigmoid(np.einsum("bd,bd->b", h, o)) - 1.0) * (-rate)
+    neg_coef = util.sigmoid(np.einsum("bkd,bd->bk", cn, h)) * (-rate)
+    d_h = pos_coef[:, None] * o + np.einsum("bk,bkd->bd", neg_coef, cn)
+    unique, sums = util.segment_weighted_sums(members, weights, batch_idx, d_h)
+    W[unique] += sums
+    rows = np.concatenate([targets, negatives.ravel()])
+    coefs = np.concatenate([pos_coef, neg_coef.ravel()])
+    b, k = negatives.shape
+    index = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
+    unique, sums = util.segment_weighted_sums(rows, coefs, index, h)
+    C[unique] += sums
+
+
+def word2vec_batch(model, dim, b=100, k=5, V=40, slots=6, seed=0):
+    """Float32 W, C (as training keeps them) and a batch over V words.
+    Skip-gram inputs are one slot; CBOW rows have -1 slots, and at least
+    one input each."""
+    rng = np.random.default_rng(seed + dim)
+    W, C = rng.uniform(-0.5, 0.5, (2, V, dim)).astype(np.float32)
+    targets = rng.integers(0, V, b).astype(np.int32)
+    negatives = rng.integers(0, V, (b, k)).astype(np.int32)
+    if model is Model.SGNS:
+        return W, C, (targets, rng.integers(0, V, (b, 1)).astype(np.int32), negatives)
+    inputs = np.where(rng.random((b, slots)) < 0.6, rng.integers(0, V, (b, slots)), -1)
+    inputs[np.arange(b), rng.integers(0, slots, b)] = rng.integers(0, V, b)
+    return W, C, (targets, inputs.astype(np.int32), negatives)
+
+
+def set_chunk_rows(monkeypatch, rows, C, k):
+    """util.GATHER_BYTES that fits `rows` batch rows of target and
+    negative rows of C."""
+    monkeypatch.setattr(util, "GATHER_BYTES", rows * C.itemsize * C.shape[1] * (k + 1))
+
+
+@pytest.mark.parametrize("model", [Model.SGNS, Model.CBOW])
+@pytest.mark.parametrize("dim", [7, 16, 48])
+def test_word2vec_chunks_of_any_size(monkeypatch, model, dim):
+    """A batch's scores taken 1, 13 (a short last chunk of 9) or all 100
+    rows at a time give the whole-batch step's W and C and its loss."""
+    W, C, batch = word2vec_batch(model, dim)
+    ref_W, ref_C = W.copy(), C.copy()
+    ref_losses = [reference_batch_loss(ref_W, ref_C, *batch)]
+    for rate in (0.025, 0.0125):
+        reference_batch_step(ref_W, ref_C, *batch, rate)
+        ref_losses.append(reference_batch_loss(ref_W, ref_C, *batch))
+    for rows, chunks in ((1, 100), (13, 8), (100, 1)):
+        set_chunk_rows(monkeypatch, rows, C, batch[2].shape[1])
+        assert len(word2vec._row_chunks(C, batch[2])) == chunks
+        got_W, got_C = W.copy(), C.copy()
+        losses = [word2vec.batch_loss(got_W, got_C, *batch)]
+        for rate in (0.025, 0.0125):
+            word2vec.batch_step(got_W, got_C, *batch, rate)
+            losses.append(word2vec.batch_loss(got_W, got_C, *batch))
+        assert np.array_equal(got_W, ref_W), rows
+        assert np.array_equal(got_C, ref_C), rows
+        assert losses == ref_losses, rows
+
+
+def word2vec_batch_bytes(b, k, slots, dim, V):
+    """README's bound on what one float32 batch of b examples with k
+    negatives and `slots` input slots adds: 64 b (k + 1 + slots) +
+    8 b dim + GATHER_BYTES + 8 u dim, where u = min(b max(k + 1, slots), V)
+    bounds the distinct rows one update touches."""
+    u = min(b * max(k + 1, slots), V)
+    return 64 * b * (k + 1 + slots) + 8 * b * dim + util.GATHER_BYTES + 8 * u * dim
+
+
+@pytest.mark.parametrize("model", [Model.SGNS, Model.CBOW])
+def test_word2vec_batch_memory_stays_within_budget(model):
+    """One batch step holds O(batch (negatives + slots)) vectors, two
+    (batch, dim) arrays, one GATHER_BYTES chunk of gathered rows and the
+    per-row sums; no (batch, negatives, dim) array."""
+    b, k, dim, V = 16_384, 5, 100, 3_000
+    W, C, batch = word2vec_batch(model, dim, b, k, V)
+    budget = word2vec_batch_bytes(b, k, batch[1].shape[1], dim, V)
+    # the gathered negative rows a whole-batch step held exceed it
+    assert 4 * b * k * dim > budget
+    word2vec._pair_index.cache_clear()
+    assert traced_peak(word2vec.batch_step, W, C, *batch, 0.025) <= budget
+
+
+# ----------------------------------------------------------------------
 # window enumeration: each consumer against its own window loop
 # ----------------------------------------------------------------------
 
@@ -433,6 +537,20 @@ class TestWindowEnumeration:
             raised += isinstance(outcome(_skipgram_pairs, docs, window), str)
         # both the error path and the array path are exercised
         assert 0 < raised < 300
+
+
+def test_cooccurrence_memory_stays_within_budget():
+    """README's bound on counting P entries (each in-window pair once per
+    direction) over S (document, distance) slices: 50 P + 8 V + 512 S
+    bytes, for the int64 index and float64 weight slices, their
+    concatenated copies and scipy's int32 index copies."""
+    docs = [d.split() for d in synthetic_documents(300_000, seed=1, n_types=2_000, n_topics=5,
+                                                   doc_chars=1_000)]
+    corpus = encode_documents(docs, build_vocabulary(docs, min_count=1))
+    lengths = [len(left) for _, _, left, _ in window_pairs(corpus.documents, 5)]
+    budget = 50 * 2 * sum(lengths) + 8 * len(corpus.vocabulary) + 512 * len(lengths)
+    for weighting in Weighting:
+        assert traced_peak(count_cooccurrences, corpus, 5, weighting) <= budget
 
 
 def reference_order(sims):
@@ -1120,7 +1238,7 @@ def glove_batch_bytes(matrix, dim, n):
     """README's bound on what a batch of n cells adds:
     128 n + 8 V + 2 GATHER_BYTES + 32 u dim, with V the vocabulary size
     and u = min(n, V)."""
-    return 128 * n + 8 * matrix.size + 2 * glove.GATHER_BYTES + 32 * min(n, matrix.size) * dim
+    return 128 * n + 8 * matrix.size + 2 * util.GATHER_BYTES + 32 * min(n, matrix.size) * dim
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -1152,7 +1270,7 @@ class TestGloveBatchStep:
         config = TrainConfig(model=Model.GLOVE, dim=8, epochs=2, seed=2, batch_size=300)
         reference = reference_train_glove(matrix, config)
         for rows_per_chunk in (1, 5, 300):
-            monkeypatch.setattr(glove, "GATHER_BYTES", rows_per_chunk * 8 * 8)
+            monkeypatch.setattr(util, "GATHER_BYTES", rows_per_chunk * 8 * 8)
             assert np.array_equal(train_glove(matrix, config).vectors, reference), rows_per_chunk
 
     def test_batch_memory_stays_within_budget(self):
