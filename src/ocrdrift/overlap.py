@@ -119,28 +119,38 @@ def _similarities(
 
 def _descending_order(sims: np.ndarray) -> np.ndarray:
     """Candidate indices per row by descending similarity, ties broken by
-    index: exactly `np.argsort(-sims, axis=1, kind="stable")`. Overwrites
-    `sims`.
+    index: exactly `np.argsort(-sims, axis=1, kind="stable")` for
+    similarities below 2.0 (cosines, and -inf).
 
-    The words are alphabetical, so ties resolve alphabetically. The
-    default (SIMD) argsort does the sorting; rows that hold equal values
-    then get each run of equal values put back in index order by sorting
-    (run number, index) keys.
+    The words are alphabetical, so ties resolve alphabetically. One value
+    sort of int64 keys does the argsort's work, because a value sort is
+    much faster than an argsort. A key is the bits of `2.0 - sims` in
+    float64: that is positive, so integer order is value order, and -0.0
+    and 0.0 give one key. The candidate index replaces the low
+    ceil(log2(size)) bits, so keys of distinct cosines can share their
+    high bits; each row holding such a run is re-sorted by (run, -cosine,
+    index).
     """
-    np.negative(sims, out=sims)
-    order = np.argsort(sims, axis=1)
-    sims.sort(axis=1)
-    new_run = sims[:, 1:] != sims[:, :-1]
-    tied = np.flatnonzero(~new_run.all(axis=1))
-    if tied.size:
-        size = order.shape[1]
-        keys = np.zeros((tied.size, size), dtype=np.int64)
-        np.cumsum(new_run[tied], axis=1, out=keys[:, 1:])
-        keys *= size
-        keys += order[tied]
-        keys.sort(axis=1)
-        np.remainder(keys, size, out=keys)
-        order[tied] = keys
+    size = sims.shape[1]
+    mask = (1 << (size - 1).bit_length()) - 1
+    keys = np.subtract(2.0, sims, dtype=np.float64).view(np.int64)
+    keys &= ~mask
+    keys |= np.arange(size)
+    keys.sort(axis=1)
+    # same_high[q, j]: sorted keys j and j + 1 share their high bits
+    same_high = keys[:, 1:] <= keys[:, :-1] | mask
+    order = np.bitwise_and(keys, mask, out=keys)
+    if same_high.any():
+        # cosines in key order, gathered through flat indices
+        offsets = np.arange(0, sims.size, size)[:, None]
+        order += offsets
+        ranked = sims.reshape(-1).take(order)
+        order -= offsets
+        distinct = same_high & (ranked[:, 1:] != ranked[:, :-1])
+        for q in np.flatnonzero(distinct.any(axis=1)):
+            # within a run, the order is ascending index already
+            runs = np.concatenate(([0], np.cumsum(~same_high[q])))
+            order[q] = order[q, np.lexsort((-ranked[q], runs))]
     return order
 
 
@@ -235,7 +245,7 @@ def evaluate_pair(
     config allows at most 1,000 grid points), and the larger of two
     phases, since the normalized rows are freed before resampling starts:
     - ranking: two normalized copies of each space's intersection rows
-      and at most six block arrays of at most BLOCK_BYTES each per
+      and at most five block arrays of at most BLOCK_BYTES each per
       ranking thread;
     - resampling: an 8-byte copy of the table, at most two bootstrap
       chunks of min(BOOTSTRAP_CHUNK, resamples * size) 8-byte values,
@@ -246,6 +256,12 @@ def evaluate_pair(
     size = len(intersection)
     if size < 2:
         raise ValueError("intersection must hold at least two words")
+    seen: set[str] = set()
+    for w in intersection:
+        # a repeated word would be its own neighbor and inflate the curve
+        if w in seen:
+            raise ValueError(f"intersection word {w!r} appears more than once")
+        seen.add(w)
     grid = tuple(n_grid) if n_grid is not None else default_n_grid()
     ks = np.array([k_for_fraction(n, size) for n in grid], dtype=np.int64)
 
@@ -259,15 +275,23 @@ def evaluate_pair(
     def rank_block(start: int) -> None:
         stop = min(start + block_rows, size)
         rows = stop - start
-        combined = np.zeros((rows, size), dtype=np.int64)
-        for normalized, zero in ((norm_a, zero_a), (norm_b, zero_b)):
-            order = _descending_order(_similarities(normalized, zero, start, stop))
-            ranks = np.empty_like(order)
-            np.put_along_axis(ranks, order, np.broadcast_to(positions, order.shape), axis=1)
-            np.maximum(combined, ranks, out=combined)
-            del order, ranks
+        offsets = np.arange(0, rows * size, size)[:, None]
+        # ground-truth ranks, scattered through flat indices; put()
+        # repeats the positions for every row
+        order = _descending_order(_similarities(norm_b, zero_b, start, stop))
+        order += offsets
+        ranks_b = np.empty(rows * size, dtype=np.int64)
+        np.put(ranks_b, order, positions)
+        del order
+        order = _descending_order(_similarities(norm_a, zero_a, start, stop))
+        order += offsets
+        # combined[q, p]: the larger of the OCR rank p and the ground-truth
+        # rank of the candidate at OCR position p
+        combined = ranks_b.take(order)
+        del order, ranks_b
+        np.maximum(combined, positions, out=combined)
         # below[q, k - 1]: candidates whose larger 0-based rank is below k
-        combined += np.arange(0, rows * size, size)[:, None]
+        combined += offsets
         below = np.bincount(combined.ravel(), minlength=rows * size).reshape(rows, size)
         np.cumsum(below, axis=1, out=below)
         shared[:, start:stop] = below[:, ks - 1].T

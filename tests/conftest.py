@@ -1,4 +1,13 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# CI (GitHub sets CI) draws the same examples every run, so a failing
+# property test replays locally under `CI=1 pytest ...`
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

@@ -337,6 +337,17 @@ class TestEvaluatePair:
         with pytest.raises(ValueError):
             evaluate_pair(a, a, a.words[:1], n_grid=[0.5])
 
+    def test_repeated_intersection_word_names_word(self):
+        rng = np.random.default_rng(8)
+        a = random_embedding(rng, 20, 4)
+        b = random_embedding(rng, 20, 4)
+        # a repeat would rank the word among its own neighbors
+        words = list(a.words) + ["w0007"]
+        with pytest.raises(ValueError, match="'w0007' appears more than once"):
+            evaluate_pair(a, b, words, n_grid=[0.1])
+        with pytest.raises(ValueError, match="'w0003' appears more than once"):
+            evaluate_pair(a, b, ["w0003", "w0003"], n_grid=[0.5])
+
 
 class TestAverageRuns:
     def _curve(self, rng, a, b, seed=0):

@@ -1,19 +1,23 @@
 """The training hot path against its simple reference implementations.
 
-Grouping sorts small ids as uint16 (numpy's radix sort) and negative
-sampling resolves most draws through a guide table. Both must give exactly
-what an int64 stable argsort and a binary search on every draw give, so
-trained vectors stay byte-identical. The skip-gram pairs, the CBOW context
-table and the co-occurrence counts all come from one window enumerator and
-must equal what a window loop of their own gives.
+Grouping sorts ids below 2**32 as one or two uint16 keys (numpy's radix
+sort) and negative sampling resolves most draws through a guide table.
+Both must give exactly what an int64 stable argsort and a binary search
+on every draw give, so trained vectors stay byte-identical. The
+skip-gram pairs, the CBOW context table and the co-occurrence counts all
+come from one window enumerator and must equal what a window loop of
+their own gives.
 
-Evaluation ranks with the default (unstable) argsort and then restores the
-stable tie order, in blocks sized by a byte budget, and bootstraps every
-grid row from one set of resample counts. The orderings must equal a
-stable argsort, the curve means must equal the exact fractions of summed
-shared-neighbor counts, the bands must equal plain per-resample means of
-the same draws, and one evaluation must stay within its stated memory,
-as must a whole `evaluate` command over one run and over three.
+Evaluation ranks each block by one value sort of int64 keys that carry
+the candidate index in their low bits, and re-sorts the rows where
+distinct cosines share a key's high bits. Blocks are sized by a byte
+budget, and every grid row is bootstrapped from one set of resample
+counts. The orderings must equal a stable argsort, also for cosines 1 ulp
+apart, signed zeros and sizes on either side of an index-bit boundary.
+The curve means must equal the exact fractions of summed shared-neighbor
+counts, the bands must equal plain per-resample means of the same draws,
+and one evaluation must stay within its stated memory, as must a whole
+`evaluate` command over one run and over three.
 Blocks are ranked by a pool of threads: any worker count must give the
 same curve, and importing ocrdrift must hold OpenBLAS to one thread.
 
@@ -56,6 +60,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrdrift import cli, glove, overlap, util, word2vec
 from ocrdrift.config import load_config
@@ -158,6 +164,17 @@ class TestGroupCsr:
         data = rng.normal(size=n)
         cols = rng.integers(0, 300, n)
         assert_same_grouping(rows, 300, data, cols)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_ids_up_to_2_31_sort_as_two_uint16_keys(self, dtype):
+        rng = np.random.default_rng(9)
+        n = 5_000
+        # repeats, equal low halves with different high halves, and the extremes
+        rows = rng.choice(rng.integers(0, 2**31 - 1, 300), n)
+        rows[:200] = (rng.integers(1, 2**15, 200) << 16) | 7
+        rows[200:210] = [0, 2**31 - 1, 65_535, 65_536, 2**31 - 1, 0, 65_536, 1, 2**16 + 1, 2**30]
+        rows = rows.astype(dtype)
+        assert_same_grouping(rows, 300, rng.normal(size=n), rng.integers(0, 300, n))
 
     def test_ids_on_the_uint16_boundary(self):
         rows = np.array([65_535, 0, 65_535, 65_534, 0, 65_535], dtype=np.int32)
@@ -627,6 +644,15 @@ class TestDescendingOrder:
         sims[::3] = rng.random((len(sims[::3]), size))
         assert_same_order(sims)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float32_cosines(self, seed):
+        rng = np.random.default_rng(seed)
+        sims = rng.uniform(-1.0, 1.0, size=(20, 300)).astype(np.float32)
+        sims[::2, ::3] = np.nextafter(np.float32(0.3), np.float32(1.0))
+        sims[1::2, ::5] = -0.0
+        sims[:, -1] = -np.inf
+        assert_same_order(sims)
+
     def test_signed_zeros_tie(self):
         sims = np.array([[0.0, -0.0, 0.5, -0.0, 0.0, -1.0, -0.0, -np.inf]])
         assert_same_order(sims)
@@ -640,6 +666,66 @@ class TestDescendingOrder:
     def test_all_rows_tied_and_none_tied(self):
         assert_same_order(np.zeros((7, 50)))
         assert_same_order(np.random.default_rng(1).random((7, 50)))
+
+    @pytest.mark.parametrize("value", [0.7, -0.3, 1.0, 2**-60, -np.inf])
+    def test_rows_of_one_value(self, value):
+        assert_same_order(np.full((4, 300), value))
+
+    def test_rows_of_minus_one_and_minus_inf(self):
+        sims = np.random.default_rng(2).random((4, 40))
+        sims[0] = -1.0
+        sims[1] = -np.inf
+        sims[2, ::2] = -1.0
+        sims[3, 1::3] = -np.inf
+        sims[3, ::4] = -1.0
+        assert_same_order(sims)
+
+    @pytest.mark.parametrize("size", [1, 2, 2_048, 2_049])
+    def test_sizes_around_the_index_bits(self, size):
+        """2,048 candidates take 11 index bits and 2,049 take 12."""
+        rng = np.random.default_rng(size)
+        pool = np.array([0.5, np.nextafter(0.5, 1.0), 0.0, -0.0, -1.0, -np.inf, 0.25])
+        tied = pool[rng.integers(0, len(pool), size=(3, size))]
+        assert_same_order(tied)
+        assert_same_order(rng.uniform(-1.0, 1.0, size=(3, size)))
+
+    @pytest.mark.parametrize("spacing", ["ulp", "below_key_resolution"])
+    def test_distinct_cosines_sharing_a_key_are_repaired(self, monkeypatch, spacing):
+        """Cosines 1 ulp apart round to one `2.0 - sims` value, and cosines
+        2**-45 apart differ only in the low bits the index replaces: both
+        need the (run, -cosine, index) repair."""
+        rng = np.random.default_rng(3)
+        size = 2_000
+        steps = rng.integers(0, 6, size=(5, size))
+        if spacing == "ulp":
+            sims = np.full((5, size), 0.3)
+            for step in range(1, 6):
+                sims[steps >= step] = np.nextafter(sims[steps >= step], 1.0)
+        else:
+            sims = 0.5 + steps * 2.0**-45
+        sims[4] = rng.random(size)  # one row without a shared key
+        repaired = []
+        lexsort = np.lexsort
+
+        def counting_lexsort(keys):
+            repaired.append(keys)
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        assert_same_order(sims)
+        assert len(repaired) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_few_distinct_values_match_stable_argsort(self, data):
+        base = data.draw(st.floats(-1.0, 1.0))
+        pool = [base, np.nextafter(base, 2.0), np.nextafter(base, -2.0), base + 2.0**-44,
+                0.0, -0.0, -1.0, -np.inf]
+        pool += data.draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+        rows, size = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 80))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * size,
+                                   max_size=rows * size))
+        assert_same_order(np.array(pool)[np.array(picks)].reshape(rows, size))
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_dense_ties_and_zero_vectors(self, rows):
@@ -877,7 +963,7 @@ def _resampling_bytes(grid, width, resamples):
 def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
     """Working memory, as evaluate_pair's docstring states it: the score
     table plus the larger of two phases, ranking (two normalized copies
-    of each space, six block arrays of BLOCK_BYTES per ranking thread)
+    of each space, five block arrays of BLOCK_BYTES per ranking thread)
     and resampling (an 8-byte copy of the table, two draw chunks and
     three tables of resampled means), not their sum."""
     # a fixed thread count, so the budget does not grow with the CPUs, and
@@ -896,7 +982,7 @@ def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
         a, b = (external(words, sp.random(size, 2 * size, density=0.01, format="csr", random_state=seed),
                          Model.PPMI) for seed in (1, 2))
     normalized = 2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
-    ranking = normalized + workers * 6 * block_bytes
+    ranking = normalized + workers * 5 * block_bytes
     # resamples whose two draw chunks fill the ranking budget less a
     # quarter of the normalized copies: resampling alone fits, but not
     # beside the one normalized copy of each space that ranking used
