@@ -52,16 +52,12 @@ def _group_csr(rows: np.ndarray, n_cols: int, data: np.ndarray, cols: np.ndarray
     """CSR matrix whose row g selects the entries with the g-th distinct
     value of `rows`; returns (unique_rows, matrix)."""
     import scipy.sparse as sp
-    low, high = (rows.min(), rows.max()) if len(rows) else (0, 0)
-    if 0 <= low and high < 1 << 32:
-        # numpy's stable sort of 16-bit keys is a radix sort; sorting by
-        # the low 16 bits and then stably by the high 16 gives the one
-        # stable order, so the grouping is unchanged
-        order = np.argsort(rows.astype(np.uint16), kind="stable")
-        if high >= 1 << 16:
-            order = order[np.argsort((rows[order] >> 16).astype(np.uint16), kind="stable")]
-    else:
-        order = np.argsort(rows, kind="stable")
+    keys = rows
+    if len(rows) and 0 <= rows.min() and rows.max() < 1 << 16:
+        # numpy's stable sort of 16-bit keys is a radix sort; a stable
+        # sort has exactly one result, so the grouping is unchanged
+        keys = rows.astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
     sorted_rows = rows[order]
     boundary = np.empty(len(order), dtype=bool)
     boundary[:1] = True

@@ -1,12 +1,11 @@
 """The training hot path against its simple reference implementations.
 
-Grouping sorts ids below 2**32 as one or two uint16 keys (numpy's radix
-sort) and negative sampling resolves most draws through a guide table.
-Both must give exactly what an int64 stable argsort and a binary search
-on every draw give, so trained vectors stay byte-identical. The
-skip-gram pairs, the CBOW context table and the co-occurrence counts all
-come from one window enumerator and must equal what a window loop of
-their own gives.
+Grouping sorts ids below 2**16 as uint16 keys (numpy's radix sort) and
+negative sampling resolves most draws through a guide table. Both must
+give exactly what an int64 stable argsort and a binary search on every
+draw give, so trained vectors stay byte-identical. The skip-gram pairs,
+the CBOW context table and the co-occurrence counts all come from one
+window enumerator and must equal what a window loop of their own gives.
 
 Evaluation ranks each block by one value sort of int64 keys that carry
 the candidate index in their low bits, and re-sorts the rows where
@@ -166,7 +165,7 @@ class TestGroupCsr:
         assert_same_grouping(rows, 300, data, cols)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_ids_up_to_2_31_sort_as_two_uint16_keys(self, dtype):
+    def test_ids_up_to_2_31(self, dtype):
         rng = np.random.default_rng(9)
         n = 5_000
         # repeats, equal low halves with different high halves, and the extremes
