@@ -17,7 +17,7 @@ import numpy as np
 from ocrdrift.corpus import Version
 from ocrdrift.embeddings import Model, RateProfile, TrainConfig
 from ocrdrift.noise import NoiseSpec
-from ocrdrift.overlap import average_runs, evaluate_pair, write_curve_csv
+from ocrdrift.overlap import evaluate_pair, overlap_curve, write_curve_csv
 from ocrdrift.preprocess import intersect_words, preprocess_corpus
 from ocrdrift.svg import CurveSeries, render_overlap_svg
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
@@ -40,13 +40,13 @@ grid = [i / 100 for i in range(1, 101)]
 series = []
 for level in (0.05, 0.15, 0.30):
     corpus = noisy_corpus(docs, NoiseSpec(target_cer=level, seed=23))
-    runs = []
+    tables = []
     for run in range(2):  # average two seeded runs per level
         emb_ocr = train(corpus, Version.OCR, seed=run)
         emb_gt = train(corpus, Version.GROUND_TRUTH, seed=run)
         shared = intersect_words([emb_ocr.words, emb_gt.words])
-        runs.append(evaluate_pair(emb_ocr, emb_gt, shared, grid, resamples=300, seed=5))
-    curve = average_runs(runs)
+        tables.append(evaluate_pair(emb_ocr, emb_gt, shared, grid))
+    curve = overlap_curve(tables, grid, resamples=300, seed=5)
     write_curve_csv(curve, workdir / f"overlap_cer{int(level * 100):03d}.csv")
     series.append(CurveSeries(
         label=f"CER {level:.2f}",

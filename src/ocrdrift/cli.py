@@ -61,9 +61,9 @@ from .noise import (
     write_histogram_csv,
 )
 from .overlap import (
-    average_runs,
     default_n_grid,
     evaluate_pair,
+    overlap_curve,
     read_curve_csv,
     write_curve_csv,
     write_curve_json,
@@ -426,16 +426,15 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
 
     Reading order: first the word list of every embedding file, one file
     at a time, to form the shared vocabulary; then, per label and run,
-    the OCR and ground-truth embeddings of that one pair, which are freed
-    once its curve is computed. Peak memory is the larger of two phases,
+    the OCR and ground-truth embeddings of that one pair, freed once
+    `evaluate_pair` has ranked it into a count table; then one
+    `overlap_curve` per label. Peak memory is the larger of two phases,
     whatever the number of models:
-    - evaluating a pair: the two largest embeddings as loaded, plus
-      `evaluate_pair`'s stated budget, plus the curves of the runs done
-      so far, each its count table (4 bytes per grid point and shared
-      word) and under 256 bytes more per grid point;
-    - pooling a label's runs (`average_runs`): every run's count table,
-      their pooled copy, and the resampling of the pooled table, whose
-      draw chunks are capped at `overlap.BOOTSTRAP_CHUNK` values.
+    - ranking a pair: the two largest embeddings as loaded, plus
+      `evaluate_pair`'s stated budget, plus the count tables of the runs
+      done so far (4 bytes per grid point and shared word each);
+    - making a label's curve: every run's table plus `overlap_curve`'s
+      stated budget, whose draw chunks are capped at BOOTSTRAP_CHUNK.
 
     Missing files and unpaired entries are found before anything is
     ranked. A bad value that only a full load finds still exits 2
@@ -461,22 +460,18 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 run for lbl, version, run in paths
                 if lbl == label and version == Version.OCR.value
             )
-            per_run = []
-            for run in runs:
-                # the pair lives only as this call's arguments: it is freed
-                # before the next pair is loaded
-                per_run.append(
-                    evaluate_pair(
-                        _load_embedding(paths[(label, Version.OCR.value, run)]),
-                        _load_embedding(paths[(label, Version.GROUND_TRUTH.value, run)]),
-                        intersection,
-                        n_grid,
-                        confidence=config.confidence,
-                        resamples=config.bootstrap_resamples,
-                        seed=config.seed,
-                    )
+            # each pair lives only as its call's arguments: it is freed
+            # before the next pair is loaded
+            tables = [
+                evaluate_pair(
+                    _load_embedding(paths[(label, Version.OCR.value, run)]),
+                    _load_embedding(paths[(label, Version.GROUND_TRUTH.value, run)]),
+                    intersection,
+                    n_grid,
                 )
-            curve = average_runs(per_run)
+                for run in runs
+            ]
+            curve = overlap_curve(tables, n_grid, config.confidence, config.bootstrap_resamples, config.seed)
             write_curve_csv(curve, curves_dir / f"{label}.csv")
             write_curve_json(
                 curve,
@@ -484,7 +479,7 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 metadata={
                     "language": src.language.name,
                     "model": label,
-                    "runs": len(per_run),
+                    "runs": len(tables),
                     "seed": config.seed,
                     "intersection_size": curve.intersection_size,
                 },
@@ -503,25 +498,26 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 f"({curve.runs_averaged} runs, |V|={curve.intersection_size})"
             )
             # the next label's pairs are evaluated without this label's tables
-            del per_run, curve
+            del tables, curve
         render_overlap_svg(series, out / "overlap.svg", title=f"Neighbor overlap ({src.language.name})")
     return 0
 
 
 def cmd_report(config: ExperimentConfig, lang: str | None) -> int:
     sources = config.for_language(lang)
+    # evaluate's order; a CSV of a label no longer configured is not plotted
+    labels = sorted(spec.label for spec in config.models)
     for src in sources:
         out = config.out_dir / src.language.name
-        curves_dir = out / "curves"
-        csv_paths = sorted(curves_dir.glob("*.csv")) if curves_dir.is_dir() else []
-        if not csv_paths:
-            raise MissingArtifactError(
-                f"no curve CSVs under {curves_dir}; run the evaluate command first"
-            )
         series = []
-        for path in csv_paths:
+        for label in labels:
+            path = out / "curves" / f"{label}.csv"
+            if not path.is_file():
+                raise MissingArtifactError(
+                    f"no curve CSV for {label!r} at {path}; run the evaluate command first"
+                )
             n, _, mean, lo, hi = read_curve_csv(path)
-            series.append(CurveSeries(label=path.stem, n=n, mean=mean, ci_low=lo, ci_high=hi))
+            series.append(CurveSeries(label=label, n=n, mean=mean, ci_low=lo, ci_high=hi))
         render_overlap_svg(series, out / "overlap.svg", title=f"Neighbor overlap ({src.language.name})")
         print(f"{src.language.name}: rendered {out / 'overlap.svg'}")
     return 0

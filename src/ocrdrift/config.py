@@ -174,12 +174,16 @@ def _parse_n_grid(payload) -> tuple[float, ...]:
         # an infinite steps (a subnormal step), which round() cannot take
         if steps >= MAX_GRID_POINTS - 0.5:
             raise ConfigError(f"n_grid has {steps + 1:.0f} points; at most {MAX_GRID_POINTS} are allowed")
-        return tuple(round(start + i * step, 10) for i in range(int(round(steps)) + 1))
-    if len(payload) > MAX_GRID_POINTS:
+        grid = tuple(round(start + i * step, 10) for i in range(int(round(steps)) + 1))
+    elif len(payload) > MAX_GRID_POINTS:
         raise ConfigError(f"n_grid has {len(payload)} points; at most {MAX_GRID_POINTS} are allowed")
-    grid = _floats(payload)
+    else:
+        grid = _floats(payload)
+    # a range's last point can pass 1, and its rounding can repeat a point
     if not grid or any(not 0 < v <= 1 for v in grid):
         raise ConfigError("n_grid fractions must lie in (0, 1]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("n_grid fractions must be strictly increasing")
     return grid
 
 
@@ -241,6 +245,8 @@ def _check_file_name(kind: str, name) -> None:
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.runs < 1:
         raise ConfigError("runs must be >= 1")
     if not 0 < config.confidence < 1:
@@ -290,4 +296,4 @@ def apply_overrides(
         changes["out_dir"] = Path(out_dir)
     if seed is not None:
         changes["seed"] = seed
-    return replace(config, **changes) if changes else config
+    return validate_config(replace(config, **changes)) if changes else config

@@ -16,7 +16,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -197,13 +197,7 @@ def _bootstrap_bands(
 
 @dataclass(frozen=True)
 class OverlapCurve:
-    """Mean overlap with confidence band per neighborhood fraction.
-
-    `shared` holds each word's count of shared neighbors, an int32 table
-    with one row per fraction and columns pooled over words and averaged
-    runs; a word's overlap is its count over the row's `k_values` entry.
-    Run averaging re-bootstraps this table.
-    """
+    """Mean overlap with confidence band per neighborhood fraction."""
 
     n_values: tuple[float, ...]
     k_values: tuple[int, ...]
@@ -211,11 +205,9 @@ class OverlapCurve:
     ci_low: np.ndarray
     ci_high: np.ndarray
     intersection_size: int
-    shared: np.ndarray
     runs_averaged: int = 1
     confidence: float = DEFAULT_CONFIDENCE
     resamples: int = DEFAULT_RESAMPLES
-    seed: int = 0
 
 
 def evaluate_pair(
@@ -223,35 +215,29 @@ def evaluate_pair(
     emb_truth: EmbeddingMatrix,
     intersection: Sequence[str],
     n_grid: Sequence[float] | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
-) -> OverlapCurve:
-    """Overlap curve between two spaces over their shared vocabulary.
+) -> np.ndarray:
+    """Shared-neighbor counts between two spaces over their shared
+    vocabulary: an int32 (len(n_grid), len(intersection)) table whose
+    entry [g, w] is how many of word w's top-k neighbors, k the size for
+    fraction n_grid[g], the two spaces share. `overlap_curve` turns one
+    or more runs' tables into a curve.
 
     Works in query blocks sized by BLOCK_BYTES, so the two full rank
     tables are never held at once: a candidate is in both top-k sets
     exactly when the larger of its two ranks is at most k, so per-word
-    overlaps for the whole fraction grid come from one cumulative count
-    of the combined ranks.
+    counts for the whole fraction grid come from one cumulative count of
+    the combined ranks.
 
     Blocks are ranked by a pool of min(blocks, usable CPUs) threads.
-    Each block writes only its own columns of the score table, and block
-    bounds do not depend on the thread count, so the curve does not
+    Each block writes only its own columns of the table, and block
+    bounds do not depend on the thread count, so the table does not
     either.
 
-    Memory budget: besides the inputs it holds the shared-neighbor count
-    table the returned curve keeps, len(n_grid) * size 4-byte values (a
-    config allows at most 1,000 grid points), and the larger of two
-    phases, since the normalized rows are freed before resampling starts:
-    - ranking: two normalized copies of each space's intersection rows
-      and at most five block arrays of at most BLOCK_BYTES each per
-      ranking thread;
-    - resampling: an 8-byte copy of the table, at most two bootstrap
-      chunks of min(BOOTSTRAP_CHUNK, resamples * size) 8-byte values,
-      and the resamples * len(n_grid) table of resampled means with at
-      most two more of its size (a chunk's product, or np.percentile's
-      copy; a config allows at most 10,000 resamples).
+    Memory budget: besides the inputs, the returned table of
+    len(n_grid) * size 4-byte values (a config allows at most 1,000 grid
+    points), two normalized copies of each space's intersection rows and
+    at most five block arrays of at most BLOCK_BYTES each per ranking
+    thread.
     """
     size = len(intersection)
     if size < 2:
@@ -302,10 +288,44 @@ def evaluate_pair(
     with ThreadPoolExecutor(min(len(starts), util.usable_cpus())) as pool:
         # list() re-raises the first block's exception
         list(pool.map(rank_block, starts))
-    del norm_a, norm_b, zero_a, zero_b  # not held while resampling
+    return shared
 
-    means = shared.sum(axis=1, dtype=np.int64) / (size * ks)
-    low, high = _bootstrap_bands(shared, ks, confidence, resamples, (seed,))
+
+def overlap_curve(
+    tables: Sequence[np.ndarray],
+    n_grid: Sequence[float] | None = None,
+    confidence: float = DEFAULT_CONFIDENCE,
+    resamples: int = DEFAULT_RESAMPLES,
+    seed: int = 0,
+) -> OverlapCurve:
+    """The overlap curve of one or more runs' `evaluate_pair` tables,
+    all over the same intersection and grid.
+
+    The runs' columns are pooled: a point's mean is the summed shared
+    neighbors over (runs * words * k), and its band is bootstrapped once
+    over the pooled columns. One table resamples stream (seed,), more
+    than one stream (seed, 1).
+
+    Memory budget: besides the inputs, the pooled copy of the tables when
+    there is more than one, an 8-byte copy of the pooled table, at most
+    two bootstrap chunks of min(BOOTSTRAP_CHUNK, resamples * runs * words)
+    8-byte values, and the resamples * len(n_grid) table of resampled
+    means with at most two more of its size (a chunk's product, or
+    np.percentile's copy; a config allows at most 10,000 resamples).
+    """
+    if not tables:
+        raise ValueError("no tables to pool")
+    grid = tuple(n_grid) if n_grid is not None else default_n_grid()
+    size = tables[0].shape[1]
+    if any(t.shape != (len(grid), size) for t in tables):
+        raise ValueError("tables differ in shape from each other or from the grid")
+    ks = np.array([k_for_fraction(n, size) for n in grid], dtype=np.int64)
+    pooled = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+    means = pooled.sum(axis=1, dtype=np.int64) / (pooled.shape[1] * ks)
+    # the extra stream component keeps the pooled resample set distinct
+    # from a single run's
+    stream = (seed,) if len(tables) == 1 else (seed, 1)
+    low, high = _bootstrap_bands(pooled, ks, confidence, resamples, stream)
     return OverlapCurve(
         n_values=grid,
         k_values=tuple(int(k) for k in ks),
@@ -313,39 +333,9 @@ def evaluate_pair(
         ci_low=low,
         ci_high=high,
         intersection_size=size,
-        shared=shared,
-        runs_averaged=1,
+        runs_averaged=len(tables),
         confidence=confidence,
         resamples=resamples,
-        seed=seed,
-    )
-
-
-def average_runs(curves: Sequence[OverlapCurve]) -> OverlapCurve:
-    """Pointwise mean across runs, re-bootstrapping pooled per-word counts."""
-    if not curves:
-        raise ValueError("no curves to average")
-    head = curves[0]
-    for c in curves[1:]:
-        if c.n_values != head.n_values or c.k_values != head.k_values:
-            raise ValueError("curves evaluated on different fraction grids")
-        if c.intersection_size != head.intersection_size:
-            raise ValueError("curves evaluated on different intersections")
-    if len(curves) == 1:
-        return head
-    ks = np.array(head.k_values, dtype=np.int64)
-    pooled = np.concatenate([c.shared for c in curves], axis=1)
-    means = pooled.sum(axis=1, dtype=np.int64) / (pooled.shape[1] * ks)
-    # the extra stream component keeps the pooled resample set distinct
-    # from the single-run one
-    low, high = _bootstrap_bands(pooled, ks, head.confidence, head.resamples, (head.seed, 1))
-    return replace(
-        head,
-        means=means,
-        ci_low=low,
-        ci_high=high,
-        shared=pooled,
-        runs_averaged=sum(c.runs_averaged for c in curves),
     )
 
 

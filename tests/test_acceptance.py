@@ -22,7 +22,7 @@ from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files
 from ocrdrift.embeddings import EmbeddingMatrix, Model, RateProfile, TrainConfig
 from ocrdrift.noise import NoiseSpec, character_error_rate, corpus_error_rates, inject_noise, word_error_rate
-from ocrdrift.overlap import evaluate_pair, k_for_fraction
+from ocrdrift.overlap import evaluate_pair, k_for_fraction, overlap_curve
 from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import build_vocabulary, encode_documents, intersect_words, preprocess_corpus
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents, synthetic_text
@@ -54,10 +54,10 @@ def test_metric_oracles_exact():
     assert sorted(top_a) == list(range(1, 11))
     assert len(np.intersect1d(top_a, top_b)) / 10 == 0.5
     words = tuple(f"w{i:02d}" for i in range(21))
-    curve = evaluate_pair(EmbeddingMatrix(words, a, Model.EXTERNAL), EmbeddingMatrix(words, b, Model.EXTERNAL),
-                          words, n_grid=[10 / 21], resamples=1)
-    assert curve.k_values == (10,)
-    assert curve.shared[0, 0] / 10 == 0.5
+    shared = evaluate_pair(EmbeddingMatrix(words, a, Model.EXTERNAL), EmbeddingMatrix(words, b, Model.EXTERNAL),
+                           words, n_grid=[10 / 21])
+    assert k_for_fraction(10 / 21, 21) == 10
+    assert shared[0, 0] / 10 == 0.5
 
     assert character_error_rate("abc", "abc") == 0.0
     assert character_error_rate("ab", "ac") == 0.5
@@ -121,7 +121,7 @@ def test_self_overlap_identity():
                                       rate_profile=RateProfile.FAST, batch_size=4096))
     ppmi = train_ppmi(count_cooccurrences(tc, 5, Weighting.FLAT))
     for emb in (sgns, ppmi):
-        curve = evaluate_pair(emb, emb, emb.words, resamples=200, seed=3)
+        curve = overlap_curve([evaluate_pair(emb, emb, emb.words)], resamples=200, seed=3)
         assert len(curve.n_values) == 100
         assert np.all(curve.means == 1.0)
         assert np.all(curve.ci_high - curve.ci_low == 0.0)
@@ -229,7 +229,8 @@ def test_noise_degrades_embeddings_monotonically():
     common = intersect_words([clean.words] + [emb.words for emb in noisy])
     means, widths = [], []
     for lev, emb in zip(levels, noisy):
-        curve = evaluate_pair(emb, clean, common, n_grid=[0.05], resamples=1000, seed=7)
+        curve = overlap_curve([evaluate_pair(emb, clean, common, n_grid=[0.05])], [0.05],
+                              resamples=1000, seed=7)
         means.append(float(curve.means[0]))
         widths.append(float(curve.ci_high[0] - curve.ci_low[0]))
         print(f"cer={lev:.2f}: overlap={means[-1]:.4f} ci_width={widths[-1]:.4f}")

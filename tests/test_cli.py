@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import ocrdrift
-from ocrdrift import cli, svg, util
+from ocrdrift import cli, overlap, svg, util
 from ocrdrift.cli import main
 from ocrdrift.corpus import load_corpus, save_paired_files
 from ocrdrift.noise import NoiseSpec
@@ -113,6 +113,17 @@ class TestConfigAndExitCodes:
         assert main(["evaluate", "--config", str(config)]) == 2
         assert "bootstrap_resamples is 10001; at most 10000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_exit_2_before_any_file(self, tmp_path, corpus_dir, capsys, where):
+        out = tmp_path / "out"
+        if where == "config":
+            config, flags = write_config(tmp_path / "c.json", corpus_dir, out, seed=-1), []
+        else:
+            config, flags = write_config(tmp_path / "c.json", corpus_dir, out), ["--seed", "-1"]
+        assert main(["train", "--config", str(config), *flags]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncated_sparse_archive_is_exit_2(self, tmp_path, corpus_dir, capsys):
         out = tmp_path / "out"
@@ -384,6 +395,33 @@ class TestTrainEvaluateReport:
         assert main(["report", "--config", str(config)]) == 0
         assert svg_path.exists()
 
+    def test_one_bootstrap_per_label(self, trained, tmp_path, monkeypatch):
+        config, _ = TestEvaluateOnePairAtATime.copy_trained(trained, tmp_path)
+        calls = []
+        bootstrap = overlap._bootstrap_bands
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return bootstrap(*args)
+
+        monkeypatch.setattr(overlap, "_bootstrap_bands", counted)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        # ppmi has one run; sgns-fast two, pooled into one table
+        assert len(calls) == 2
+        assert calls[1][1] == 2 * calls[0][1]
+
+    def test_report_plots_configured_labels_as_evaluate_does(self, trained, tmp_path, capsys):
+        config, out = TestEvaluateOnePairAtATime.copy_trained(trained, tmp_path)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        written = (out / "overlap.svg").read_bytes()
+        # a curve of a label no longer configured
+        shutil.copy(out / "curves" / "ppmi.csv", out / "curves" / "old.csv")
+        assert main(["report", "--config", str(config)]) == 0
+        assert (out / "overlap.svg").read_bytes() == written
+        (out / "curves" / "sgns-fast.csv").unlink()
+        assert main(["report", "--config", str(config)]) == 3
+        assert "no curve CSV for 'sgns-fast'" in capsys.readouterr().err
+
     def test_identical_versions_pin_curves_at_one(self, tmp_path, corpus_dir):
         docs = synthetic_documents(20_000, seed=4, n_types=80, doc_chars=600)
         corpus = noisy_corpus(docs, NoiseSpec(target_cer=0.0, seed=1))
@@ -476,8 +514,10 @@ class TestScipyLoadedOnlyWhereUsed:
             "levels": [0.1], "synthetic_chars": 5_000, "doc_chars": 1_000, "out_name": "toy"})
         curves = out / "other" / "curves"
         curves.mkdir(parents=True)
-        (curves / "toy.csv").write_text(
-            "N,k,mean,ci_low,ci_high\n0.5,2,0.75,0.5,1.0\n1.0,4,1.0,1.0,1.0\n", encoding="utf-8")
+        # report plots the configured labels' curves
+        for label in ("ppmi", "sgns-fast"):
+            (curves / f"{label}.csv").write_text(
+                "N,k,mean,ci_low,ci_high\n0.5,2,0.75,0.5,1.0\n1.0,4,1.0,1.0,1.0\n", encoding="utf-8")
         for command in ("stats", "error-rates", "noise", "report"):
             assert self.scipy_modules_after(command, "--config", str(config)) == ["-"], command
         assert (out / "other" / "error_rates.csv").is_file()

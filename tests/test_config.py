@@ -88,6 +88,14 @@ BAD_VALUES = {
     "alphabet with padding": ({"noise": {"levels": [0.1], "alphabet": "ab@"}}, "noise section", "'@'"),
     "n_grid of 1981 points": ({"n_grid": {"start": 0.01, "step": 0.0005}}, "n_grid", "1981"),
     "n_grid list of 1001 points": ({"n_grid": [0.5] * 1001}, "n_grid", "1001"),
+    "n_grid unsorted": ({"n_grid": [0.5, 0.1, 0.3]}, "n_grid", "strictly increasing"),
+    "n_grid repeated": ({"n_grid": [0.1, 0.2, 0.2]}, "n_grid", "strictly increasing"),
+    # both points round to 0.5 at 10 decimals
+    "n_grid range repeated": ({"n_grid": {"start": 0.5, "stop": 0.5000000000001, "step": 1e-13}},
+                              "n_grid", "strictly increasing"),
+    # 101 points from 0.01 in steps of 0.00994 end at 1.004
+    "n_grid range past 1": ({"n_grid": {"step": 0.00994}}, "n_grid", "(0, 1]"),
+    "seed -1": ({"seed": -1}, "seed", "-1"),
     "bootstrap_resamples 0": ({"bootstrap_resamples": 0}, "bootstrap_resamples"),
     "bootstrap_resamples 10001": ({"bootstrap_resamples": 10_001}, "bootstrap_resamples", "10001"),
     "unknown top-level key": ({"epoch": 50}, "'epoch'", "config"),

@@ -6,10 +6,10 @@ from ocrdrift import overlap
 from ocrdrift.embeddings import EmbeddingMatrix, Model
 from ocrdrift.overlap import (
     _bootstrap_bands,
-    average_runs,
     default_n_grid,
     evaluate_pair,
     k_for_fraction,
+    overlap_curve,
     read_curve_csv,
     write_curve_csv,
     write_curve_json,
@@ -76,7 +76,7 @@ def every_k(size):
 
 def shared_counts(a, b):
     """evaluate_pair's shared-neighbor counts, row k - 1 for each k."""
-    return evaluate_pair(a, b, a.words, n_grid=every_k(len(a.words)), resamples=1).shared
+    return evaluate_pair(a, b, a.words, n_grid=every_k(len(a.words)))
 
 
 def oracle_counts(vectors_a, vectors_b):
@@ -166,9 +166,8 @@ def fan(order):
 def first_word_overlap(a, b, k):
     """The first word's overlap at k between two spaces, by evaluate_pair."""
     size = len(a.words)
-    curve = evaluate_pair(a, b, a.words, n_grid=[k / size], resamples=1)
-    assert curve.k_values == (k,)
-    return curve.shared[0, 0] / k
+    assert k_for_fraction(k / size, size) == k
+    return evaluate_pair(a, b, a.words, n_grid=[k / size])[0, 0] / k
 
 
 class TestOverlapAtK:
@@ -245,11 +244,16 @@ class TestBootstrap:
             _bootstrap_bands(np.full((1, 2), 2**52), np.array([2**52]), 0.95, 10, 0)
 
 
+def one_run_curve(a, b, n_grid=None, **bootstrap):
+    """The curve of one run, over a's words."""
+    return overlap_curve([evaluate_pair(a, b, a.words, n_grid)], n_grid, **bootstrap)
+
+
 class TestEvaluatePair:
     def test_identical_embeddings_pin_curve_at_one(self):
         rng = np.random.default_rng(0)
         emb = random_embedding(rng, 60, 6)
-        curve = evaluate_pair(emb, emb, emb.words, resamples=50)
+        curve = one_run_curve(emb, emb, resamples=50)
         assert np.all(curve.means == 1.0)
         assert np.all(curve.ci_low == 1.0)
         assert np.all(curve.ci_high == 1.0)
@@ -258,7 +262,7 @@ class TestEvaluatePair:
         rng = np.random.default_rng(1)
         a = random_embedding(rng, 50, 5)
         b = random_embedding(rng, 50, 5)
-        curve = evaluate_pair(a, b, a.words, n_grid=[1.0], resamples=50)
+        curve = one_run_curve(a, b, [1.0], resamples=50)
         assert curve.means[0] == 1.0
         assert curve.k_values[0] == 49
 
@@ -266,7 +270,7 @@ class TestEvaluatePair:
         rng = np.random.default_rng(2)
         a = random_embedding(rng, 500, 20)
         b = random_embedding(rng, 500, 20)
-        curve = evaluate_pair(a, b, a.words, n_grid=[0.1], resamples=1000, seed=5)
+        curve = one_run_curve(a, b, [0.1], resamples=1000, seed=5)
         k = curve.k_values[0]
         expected = k / 499
         se = (curve.ci_high[0] - curve.ci_low[0]) / (2 * 1.96)
@@ -276,12 +280,13 @@ class TestEvaluatePair:
         rng = np.random.default_rng(3)
         a = random_embedding(rng, 40, 6)
         b = random_embedding(rng, 40, 6)
-        curve = evaluate_pair(a, b, a.words, n_grid=[0.1, 0.5], resamples=10)
+        table = evaluate_pair(a, b, a.words, n_grid=[0.1, 0.5])
+        curve = overlap_curve([table], [0.1, 0.5], resamples=10)
         counts = oracle_counts(a.vectors, b.vectors)
-        assert curve.shared.dtype == np.int32
+        assert table.dtype == np.int32
         for gi, k in enumerate(curve.k_values):
             expected = counts[k - 1] / k
-            np.testing.assert_array_equal(curve.shared[gi] / k, expected)
+            np.testing.assert_array_equal(table[gi] / k, expected)
             assert curve.means[gi] == pytest.approx(np.mean(expected))
 
     def test_rotation_and_scale_invariance(self):
@@ -290,15 +295,15 @@ class TestEvaluatePair:
         b = random_embedding(rng, 80, 10)
         q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
         rotated = embedding(a.words, 3.7 * (a.vectors @ q))
-        c1 = evaluate_pair(a, b, a.words, n_grid=[0.05, 0.2], resamples=20, seed=1)
-        c2 = evaluate_pair(rotated, b, a.words, n_grid=[0.05, 0.2], resamples=20, seed=1)
+        c1 = one_run_curve(a, b, [0.05, 0.2], resamples=20, seed=1)
+        c2 = one_run_curve(rotated, b, [0.05, 0.2], resamples=20, seed=1)
         np.testing.assert_allclose(c1.means, c2.means, atol=1e-12)
 
     def test_ci_brackets_mean(self):
         rng = np.random.default_rng(5)
         a = random_embedding(rng, 100, 8)
         b = random_embedding(rng, 100, 8)
-        curve = evaluate_pair(a, b, a.words, n_grid=[0.05, 0.3, 0.8], resamples=500)
+        curve = one_run_curve(a, b, [0.05, 0.3, 0.8], resamples=500)
         assert np.all(curve.ci_low <= curve.means)
         assert np.all(curve.means <= curve.ci_high)
 
@@ -329,7 +334,7 @@ class TestEvaluatePair:
         with pytest.raises(ValueError, match="'d' has a non-finite"):
             evaluate_pair(emb, emb, words, n_grid=[0.5])
         # words outside the intersection are not checked
-        assert evaluate_pair(emb, emb, words[:3], n_grid=[0.5], resamples=1).intersection_size == 3
+        assert evaluate_pair(emb, emb, words[:3], n_grid=[0.5]).shape == (1, 3)
 
     def test_too_small_intersection(self):
         rng = np.random.default_rng(7)
@@ -349,16 +354,19 @@ class TestEvaluatePair:
             evaluate_pair(a, b, ["w0003", "w0003"], n_grid=[0.5])
 
 
+GRID = [0.1, 0.5]
+
+
 class TestAverageRuns:
-    def _curve(self, rng, a, b, seed=0):
-        return evaluate_pair(a, b, a.words, n_grid=[0.1, 0.5], resamples=200, seed=seed)
+    """overlap_curve pooling several runs' tables."""
 
     def test_identical_runs_keep_means(self):
         rng = np.random.default_rng(8)
         a = random_embedding(rng, 40, 5)
         b = random_embedding(rng, 40, 5)
-        single = self._curve(rng, a, b)
-        averaged = average_runs([single, single, single])
+        table = evaluate_pair(a, b, a.words, GRID)
+        single = overlap_curve([table], GRID, resamples=200)
+        averaged = overlap_curve([table, table, table], GRID, resamples=200)
         np.testing.assert_allclose(averaged.means, single.means)
         assert averaged.runs_averaged == 3
         assert averaged.k_values == single.k_values
@@ -368,41 +376,39 @@ class TestAverageRuns:
         )
 
     def test_mean_of_three_levels(self):
-        rng = np.random.default_rng(9)
-        a = random_embedding(rng, 40, 5)
-        base = self._curve(rng, a, a)
-        import dataclasses
-
-        def with_mean(curve, value):
-            # k is 4 and 20 here, so each count value * k is an integer
-            counts = (value * np.array(curve.k_values)).astype(np.int32)
-            return dataclasses.replace(
-                curve,
-                means=np.full(len(counts), value),
-                shared=np.repeat(counts[:, None], curve.shared.shape[1], axis=1),
-            )
-
-        averaged = average_runs([with_mean(base, 0.25), with_mean(base, 0.5), with_mean(base, 0.75)])
+        # k is 4 and 20 over 40 words, so each value * k is an integer count
+        ks = np.array([k_for_fraction(n, 40) for n in GRID])
+        assert ks.tolist() == [4, 20]
+        tables = [np.repeat((value * ks).astype(np.int32)[:, None], 40, axis=1)
+                  for value in (0.25, 0.5, 0.75)]
+        averaged = overlap_curve(tables, GRID, resamples=200)
         np.testing.assert_array_equal(averaged.means, 0.5)
 
     def test_pooled_interval_not_wider_than_widest(self):
         rng = np.random.default_rng(10)
         a = random_embedding(rng, 60, 6)
-        curves = []
+        tables, curves = [], []
         for seed in range(3):
             b = random_embedding(np.random.default_rng(100 + seed), 60, 6)
-            curves.append(self._curve(rng, a, b, seed=seed))
-        averaged = average_runs(curves)
+            tables.append(evaluate_pair(a, b, a.words, GRID))
+            curves.append(overlap_curve(tables[-1:], GRID, resamples=200, seed=seed))
+        averaged = overlap_curve(tables, GRID, resamples=200)
         widest = np.max([c.ci_high - c.ci_low for c in curves], axis=0)
         assert np.all(averaged.ci_high - averaged.ci_low <= widest + 1e-9)
 
     def test_mismatched_grids_rejected(self):
         rng = np.random.default_rng(11)
         a = random_embedding(rng, 30, 4)
-        c1 = evaluate_pair(a, a, a.words, n_grid=[0.1], resamples=10)
-        c2 = evaluate_pair(a, a, a.words, n_grid=[0.2], resamples=10)
+        t1 = evaluate_pair(a, a, a.words, [0.1])
+        t2 = evaluate_pair(a, a, a.words, [0.1, 0.2])
         with pytest.raises(ValueError, match="grid"):
-            average_runs([c1, c2])
+            overlap_curve([t1, t2], [0.1])
+        with pytest.raises(ValueError, match="grid"):
+            overlap_curve([t2], [0.1])
+        with pytest.raises(ValueError, match="each other"):
+            overlap_curve([t1, evaluate_pair(a, a, a.words[:20], [0.1])], [0.1])
+        with pytest.raises(ValueError, match="no tables"):
+            overlap_curve([], [0.1])
 
 
 class TestCurveFiles:
@@ -410,7 +416,7 @@ class TestCurveFiles:
         rng = np.random.default_rng(12)
         a = random_embedding(rng, 30, 4)
         b = random_embedding(rng, 30, 4)
-        curve = evaluate_pair(a, b, a.words, n_grid=[0.1, 0.5, 1.0], resamples=20)
+        curve = one_run_curve(a, b, [0.1, 0.5, 1.0], resamples=20)
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         first = path.read_text(encoding="utf-8").splitlines()[0]
@@ -436,7 +442,7 @@ class TestCurveFiles:
 
         rng = np.random.default_rng(13)
         a = random_embedding(rng, 20, 4)
-        curve = evaluate_pair(a, a, a.words, n_grid=[0.5], resamples=10)
+        curve = one_run_curve(a, a, [0.5], resamples=10)
         path = tmp_path / "curve.json"
         write_curve_json(curve, path, metadata={"language": "dutch", "model": "sgns-slow"})
         payload = json.loads(path.read_text(encoding="utf-8"))

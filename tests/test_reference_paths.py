@@ -14,11 +14,12 @@ budget, and every grid row is bootstrapped from one set of resample
 counts. The orderings must equal a stable argsort, also for cosines 1 ulp
 apart, signed zeros and sizes on either side of an index-bit boundary.
 The curve means must equal the exact fractions of summed shared-neighbor
-counts, the bands must equal plain per-resample means of the same draws,
-and one evaluation must stay within its stated memory, as must a whole
-`evaluate` command over one run and over three.
+counts, and the bands must equal plain per-resample means of the same
+draws. Ranking a pair and bootstrapping a curve must each stay within
+its stated memory, as must a whole `evaluate` command over one run and
+over three.
 Blocks are ranked by a pool of threads: any worker count must give the
-same curve, and importing ocrdrift must hold OpenBLAS to one thread.
+same count table, and importing ocrdrift must hold OpenBLAS to one thread.
 
 Skip-gram trains through CBOW's step, with each center as a one-slot
 row of inputs. That step must move W and C exactly as skip-gram's own
@@ -82,8 +83,9 @@ from ocrdrift.overlap import (
     _descending_order,
     _normalized_rows,
     _similarities,
-    average_runs,
     evaluate_pair,
+    k_for_fraction,
+    overlap_curve,
 )
 from ocrdrift.noise import NoiseSpec, _word_edit_distance, corpus_error_rates
 from ocrdrift.ppmi import train_ppmi
@@ -600,6 +602,13 @@ def set_block_rows(monkeypatch, rows, words, *spaces):
     monkeypatch.setattr(overlap, "BLOCK_BYTES", rows * 8 * width)
 
 
+GRID = [0.02, 0.1, 0.5, 1.0]
+
+
+def grid_ks(grid, size):
+    return [k_for_fraction(n, size) for n in grid]
+
+
 def assert_same_order(sims):
     expected = reference_order(sims)
     got = _descending_order(sims.copy())
@@ -755,10 +764,10 @@ class TestDescendingOrder:
             # a block's cosines can round differently from another block
             # size's, so the reference ranks the same blocks
             set_block_rows(monkeypatch, rows, words, a, b)
-            curve = evaluate_pair(a, b, words, n_grid=[0.02, 0.1, 0.5, 1.0], resamples=10)
+            shared = evaluate_pair(a, b, words, n_grid=GRID)
             ref_a, ref_b = (reference_neighbors(emb, words, rows) for emb in (a, b))
-            for gi, k in enumerate(curve.k_values):
-                np.testing.assert_array_equal(curve.shared[gi], pairwise_counts(ref_a, ref_b, k))
+            for gi, k in enumerate(grid_ks(GRID, len(words))):
+                np.testing.assert_array_equal(shared[gi], pairwise_counts(ref_a, ref_b, k))
 
     def test_blocked_overlaps_with_ties_match_pairwise(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -770,9 +779,9 @@ class TestDescendingOrder:
         for rows in (None, 1, 8):
             if rows is not None:
                 set_block_rows(monkeypatch, rows, words, a, b)
-            curve = evaluate_pair(a, b, words, n_grid=[0.02, 0.1, 0.5, 1.0], resamples=10)
-            for gi, k in enumerate(curve.k_values):
-                np.testing.assert_array_equal(curve.shared[gi], pairwise_counts(ref_a, ref_b, k))
+            shared = evaluate_pair(a, b, words, n_grid=GRID)
+            for gi, k in enumerate(grid_ks(GRID, len(words))):
+                np.testing.assert_array_equal(shared[gi], pairwise_counts(ref_a, ref_b, k))
 
 
 def tie_pair(seed=6):
@@ -821,7 +830,7 @@ class TestBootstrapBands:
         np.testing.assert_allclose(high, ref_high, rtol=0, atol=1e-12)
 
     def test_memory_stays_within_budget(self):
-        """What evaluate_pair's docstring allows resampling: an 8-byte copy
+        """What overlap_curve's docstring allows resampling: an 8-byte copy
         of the counts, two draw chunks and three (resamples, grid) tables.
         Ten chunks are drawn, and each is freed before the next."""
         n, grid, resamples = 2_000, 20, 5_000
@@ -849,23 +858,26 @@ class TestBootstrapBands:
 
     @pytest.mark.parametrize("pair", [tie_pair, random_pair])
     def test_means_equal_exact_fractions(self, pair):
-        """evaluate_pair and average_runs means are the correctly rounded
-        fraction (summed shared neighbors) / (words * k), where the counts
-        come from one set intersection per word."""
+        """overlap_curve means, of one run and of two pooled, are the
+        correctly rounded fraction (summed shared neighbors) / (words * k),
+        where the counts come from one set intersection per word."""
         a, b, words = pair()
         c, _, _ = pair(seed=1)
         grid = [0.02, 0.1, 0.3, 0.5, 1.0]
         size = len(words)
-        curves = [evaluate_pair(a, emb, words, n_grid=grid, resamples=50) for emb in (b, c)]
-        pooled = average_runs(curves)
+        tables = [evaluate_pair(a, emb, words, n_grid=grid) for emb in (b, c)]
+        curves = [overlap_curve([table], grid, resamples=50) for table in tables]
+        pooled = overlap_curve(tables, grid, resamples=50)
         ranked = {name: reference_neighbors(emb, words) for name, emb in (("a", a), ("b", b), ("c", c))}
         for gi, k in enumerate(pooled.k_values):
             run_sums = [sum(pairwise_counts(ranked["a"], ranked[other], k)) for other in ("b", "c")]
             for curve, total in zip(curves, run_sums):
                 assert curve.means[gi] == float(Fraction(total, size * k))
             assert pooled.means[gi] == float(Fraction(sum(run_sums), 2 * size * k))
-        for curve, seed in ((curves[0], (0,)), (pooled, (0, 1))):
-            ref_low, ref_high = reference_bands(curve.shared, curve.k_values, 0.95, 50, seed)
+        # one table draws from stream (seed,), pooled tables from (seed, 1)
+        for curve, shared, seed in ((curves[0], tables[0], (0,)),
+                                    (pooled, np.concatenate(tables, axis=1), (0, 1))):
+            ref_low, ref_high = reference_bands(shared, curve.k_values, 0.95, 50, seed)
             np.testing.assert_allclose(curve.ci_low, ref_low, rtol=0, atol=1e-12)
             np.testing.assert_allclose(curve.ci_high, ref_high, rtol=0, atol=1e-12)
 
@@ -903,15 +915,12 @@ class TestThreadedRanking:
         a, b, words = pair()
         if rows is not None:
             set_block_rows(monkeypatch, rows, words, a, b)
-        grid = [0.02, 0.1, 0.5, 1.0]
-        curves = []
+        tables = []
         for cpus in (1, 4):
             monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
-            curves.append(evaluate_pair(a, b, words, n_grid=grid, resamples=50))
-        one, four = curves
-        assert one.shared.tobytes() == four.shared.tobytes()
-        for field in ("means", "ci_low", "ci_high"):
-            assert getattr(one, field).tobytes() == getattr(four, field).tobytes()
+            tables.append(evaluate_pair(a, b, words, n_grid=GRID))
+        one, four = tables
+        assert one.tobytes() == four.tobytes()
         blocks = -(-len(words) // (rows or len(words)))
         assert pool_sizes == [1, min(blocks, 4)]
 
@@ -924,7 +933,7 @@ class TestThreadedRanking:
         monkeypatch.setattr(overlap, "_similarities", failing)
         set_block_rows(monkeypatch, 8, words, a, b)
         with pytest.raises(RuntimeError, match="block failed"):
-            evaluate_pair(a, b, words, n_grid=[0.1], resamples=10)
+            evaluate_pair(a, b, words, n_grid=[0.1])
 
     def test_import_holds_openblas_to_one_thread(self):
         libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
@@ -951,7 +960,7 @@ def _stored_bytes(vectors):
 
 
 def _resampling_bytes(grid, width, resamples):
-    """What evaluate_pair's docstring allows resampling `width` columns:
+    """What overlap_curve's docstring allows resampling `width` columns:
     an 8-byte copy of the table, two draw chunks and three tables of
     resampled means."""
     return (grid * width * 8 + 2 * min(BOOTSTRAP_CHUNK, resamples * width) * 8
@@ -960,11 +969,9 @@ def _resampling_bytes(grid, width, resamples):
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
-    """Working memory, as evaluate_pair's docstring states it: the score
-    table plus the larger of two phases, ranking (two normalized copies
-    of each space, five block arrays of BLOCK_BYTES per ranking thread)
-    and resampling (an 8-byte copy of the table, two draw chunks and
-    three tables of resampled means), not their sum."""
+    """Working memory, as evaluate_pair's docstring states it: the count
+    table, two normalized copies of each space, and five block arrays of
+    BLOCK_BYTES per ranking thread."""
     # a fixed thread count, so the budget does not grow with the CPUs, and
     # blocks small enough that the normalized copies weigh in the budget
     workers, block_bytes = 2, 1 << 18
@@ -981,24 +988,34 @@ def test_evaluate_pair_memory_stays_within_budget(monkeypatch, kind):
         a, b = (external(words, sp.random(size, 2 * size, density=0.01, format="csr", random_state=seed),
                          Model.PPMI) for seed in (1, 2))
     normalized = 2 * (_stored_bytes(a.vectors) + _stored_bytes(b.vectors))
-    ranking = normalized + workers * 5 * block_bytes
-    # resamples whose two draw chunks fill the ranking budget less a
-    # quarter of the normalized copies: resampling alone fits, but not
-    # beside the one normalized copy of each space that ranking used
-    resamples = (ranking - normalized // 4) // (2 * size * 8)
-    assert resamples * size <= BOOTSTRAP_CHUNK
-    resampling = _resampling_bytes(len(grid), size, resamples)
-    budget = len(grid) * size * 4 + max(ranking, resampling)
-    assert resampling + normalized // 2 > budget
+    budget = len(grid) * size * 4 + normalized + workers * 5 * block_bytes
     # one (rows, size) array of a fixed 1024-row block alone exceeds it
     assert 1024 * size * 8 > budget
     tracemalloc.start()
     try:
-        curve = evaluate_pair(a, b, words, n_grid=grid, resamples=resamples)
+        shared = evaluate_pair(a, b, words, n_grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert curve.shared.shape == (len(grid), size)
+    assert shared.shape == (len(grid), size)
+    assert peak <= budget, f"peak {peak} bytes, budget {budget}"
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_overlap_curve_memory_stays_within_budget(runs):
+    """Working memory, as overlap_curve's docstring states it: the pooled
+    copy of more than one table, then resampling it (an 8-byte copy, two
+    draw chunks and three tables of resampled means)."""
+    size, resamples = 2_000, 1_000
+    grid = [i / 100 for i in range(1, 21)]
+    rng = np.random.default_rng(runs)
+    tables = [rng.integers(0, 11, size=(len(grid), size)).astype(np.int32) for _ in range(runs)]
+    width = runs * size
+    pooled = len(grid) * width * 4 if runs > 1 else 0
+    budget = pooled + _resampling_bytes(len(grid), width, resamples)
+    # a third draw chunk held at once would exceed it
+    assert 3 * min(BOOTSTRAP_CHUNK, resamples * width) * 8 > budget
+    peak = traced_peak(overlap_curve, tables, grid, 0.95, resamples, 0)
     assert peak <= budget, f"peak {peak} bytes, budget {budget}"
 
 
@@ -1027,14 +1044,15 @@ def three_runs(tmp_path_factory):
 
 
 def test_cmd_evaluate_memory_stays_within_budget(tmp_path, monkeypatch, three_runs):
-    """cmd_evaluate's traced peak, as its docstring states it: the larger
-    of evaluating a pair (the two largest embeddings as loaded, plus
-    evaluate_pair's budget, plus the curves of the runs done so far, each
-    its count table and under 256 bytes per grid point) and pooling a
-    label's runs. Going from 1 run to 3 adds no more than two curves, and
-    what the later pairs take to load beyond the first."""
-    workers = 2
-    monkeypatch.setattr(util, "usable_cpus", lambda: workers)
+    """cmd_evaluate's traced peaks, as its docstring states them: ranking
+    a pair (the two largest embeddings as loaded, plus evaluate_pair's
+    budget, plus the count tables of the runs done so far) and making a
+    label's curve (every run's table, their pooled copy, and resampling
+    it), on one ranking thread and on two. Going from 1 run to 3 adds no
+    more to ranking than two tables, each with under 256 bytes more per
+    grid point, and what the later pairs take to load beyond the first.
+    That is checked on one thread, whose peak does not depend on how the
+    threads' blocks interleave."""
     config = three_runs
     grid, resamples = len(overlap.default_n_grid()), config.bootstrap_resamples
     trained = config.out_dir / "other"
@@ -1051,6 +1069,20 @@ def test_cmd_evaluate_memory_stays_within_budget(tmp_path, monkeypatch, three_ru
     # what the later SGNS runs' pairs take to load beyond run 0's
     sgns_loads = [load_peaks[ocr] + load_peaks[gt] for ocr, gt in pairs if "sgns" in ocr.name]
     later_loads = max(sgns_loads) - sgns_loads[0]
+
+    phases = {"ranking": [], "curve": []}
+    make_curve = cli.overlap_curve
+
+    def phased_curve(*args):
+        # the peak since the previous curve is the ranking of this label's pairs
+        phases["ranking"].append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        curve = make_curve(*args)
+        phases["curve"].append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return curve
+
+    monkeypatch.setattr(cli, "overlap_curve", phased_curve)
     peaks, sizes = {}, {}
     for runs in (3, 1):
         out = tmp_path / f"runs{runs}"
@@ -1060,21 +1092,28 @@ def test_cmd_evaluate_memory_stays_within_budget(tmp_path, monkeypatch, three_ru
         run_config = replace(config, out_dir=out)
         # the first call loads what the process keeps for good
         cli.cmd_evaluate(run_config, None)
-        peaks[runs] = traced_peak(cli.cmd_evaluate, run_config, None)
+        for workers in (1, 2):
+            monkeypatch.setattr(util, "usable_cpus", lambda: workers)
+            phases["ranking"].clear()
+            phases["curve"].clear()
+            rest = traced_peak(cli.cmd_evaluate, run_config, None)
+            got = peaks[runs, workers] = {name: max(values) for name, values in phases.items()}
+            got["total"] = max(rest, *got.values())
         sizes[runs] = json.loads((out / "other" / "curves" / "sgns-fast.json").read_text(encoding="utf-8"))["intersection_size"]
     size = sizes[1]
     assert sizes[3] == size
+    table_bytes = grid * size * 4
     curve_bytes = grid * (4 * size + 256)
     embeddings = sum(sorted(load_peaks.values())[-2:])
-    pair = grid * size * 4 + max(2 * ranked + workers * 6 * BLOCK_BYTES,
-                                 _resampling_bytes(grid, size, resamples))
-    for runs in (1, 3):
-        evaluating = embeddings + pair + (runs - 1) * curve_bytes
-        # every run's table, their pooled copy, and resampling it
-        pooling = 2 * runs * grid * size * 4 + _resampling_bytes(grid, runs * size, resamples)
-        budget = max(evaluating, pooling)
-        assert peaks[runs] <= budget, f"runs {runs}: peak {peaks[runs]} bytes, budget {budget}"
-    assert peaks[3] - peaks[1] <= 2 * curve_bytes + later_loads, peaks
+    for (runs, workers), got in peaks.items():
+        ranking = embeddings + 2 * ranked + workers * 5 * BLOCK_BYTES + table_bytes + (runs - 1) * curve_bytes
+        pooled = runs * table_bytes if runs > 1 else 0
+        curve = runs * table_bytes + pooled + _resampling_bytes(grid, runs * size, resamples)
+        where = f"runs {runs}, {workers} threads: peaks {got}"
+        assert got["ranking"] <= ranking, f"{where}, ranking budget {ranking}"
+        assert got["curve"] <= curve, f"{where}, curve budget {curve}"
+        assert got["total"] <= max(ranking, curve), where
+    assert peaks[3, 1]["ranking"] - peaks[1, 1]["ranking"] <= 2 * curve_bytes + later_loads, peaks
 
 
 # ----------------------------------------------------------------------
