@@ -61,7 +61,6 @@ from .noise import (
     write_histogram_csv,
 )
 from .overlap import (
-    default_n_grid,
     evaluate_pair,
     overlap_curve,
     read_curve_csv,
@@ -358,13 +357,11 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
 
         tokenized_cache: dict[tuple[Version, int], TokenizedCorpus] = {}
         for spec in trainable:
-            # PPMI has no stochastic state: one run covers it
-            runs = 1 if spec.train.model is Model.PPMI else config.runs
             for version in _VERSIONS:
                 key = (version, spec.min_count)
                 if key not in tokenized_cache:
                     tokenized_cache[key] = preprocess_corpus(corpus, version, spec.min_count)
-                for run in range(runs):
+                for run in range(config.runs_of(spec)):
                     jobs.append(_TrainJob(src.language.name, spec, version, run,
                                           config.seed + run, tokenized_cache[key], out))
     # embedding files are overwritten one by one: an old manifest left in
@@ -386,14 +383,16 @@ def _load_embedding(path: Path) -> EmbeddingMatrix:
     return import_embeddings(path)
 
 
-def _embedding_paths(config: ExperimentConfig, out: Path) -> dict[tuple[str, str, int], Path]:
-    """Every embedding file of one language's evaluation, keyed by (label,
-    version, run). Each file must exist and each OCR or ground-truth
-    entry must have its partner of the same label and run; no embedding
-    is read before all of them are checked."""
-    paths: dict[tuple[str, str, int], Path] = {}
+def _evaluation_plan(config: ExperimentConfig, out: Path) -> list[tuple[str, list[tuple[Path, Path]]]]:
+    """Each configured label, in sorted order, with the (OCR, ground-truth)
+    embedding files of each of its runs. Trained files are looked up in
+    `out`'s manifest by (label, version, run); an external model's are its
+    configured files. Every file is checked to exist before any is read."""
+    if not config.models:
+        raise ConfigError("no models configured")
     # a manifest is only required when this config trains models;
     # purely external comparisons evaluate imported vectors directly
+    trained = {}
     if any(spec.train.model is not Model.EXTERNAL for spec in config.models):
         manifest_path = out / "manifest.json"
         if not manifest_path.is_file():
@@ -401,52 +400,54 @@ def _embedding_paths(config: ExperimentConfig, out: Path) -> dict[tuple[str, str
                 f"no embedding manifest at {manifest_path}; run the train command first"
             )
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for entry in manifest["entries"]:
-            emb_path = out / entry["embedding_path"]
-            if not emb_path.is_file():
-                raise MissingArtifactError(f"embedding file missing: {emb_path}")
-            paths[(entry["model"], entry["version"], entry["run"])] = emb_path
-    for spec in config.models:
+        trained = {(e["model"], e["version"], e["run"]): out / e["embedding_path"] for e in manifest["entries"]}
+
+    def trained_path(label: str, version: Version, run: int) -> Path:
+        if (label, version.value, run) not in trained:
+            name = "OCR" if version is Version.OCR else "ground-truth"
+            raise MissingArtifactError(f"missing {name} embedding for {label} run {run}")
+        return trained[(label, version.value, run)]
+
+    plan = []
+    for spec in sorted(config.models, key=lambda spec: spec.label):
         if spec.train.model is Model.EXTERNAL:
-            paths[(spec.label, Version.OCR.value, 0)] = spec.ocr_path
-            paths[(spec.label, Version.GROUND_TRUTH.value, 0)] = spec.gt_path
-    if not paths:
-        raise MissingArtifactError("manifest lists no embeddings")
-    ocr, gt = Version.OCR.value, Version.GROUND_TRUTH.value
-    for label, version, run in sorted(paths):
-        if version == ocr and (label, gt, run) not in paths:
-            raise MissingArtifactError(f"missing ground-truth embedding for {label} run {run}")
-        if version == gt and (label, ocr, run) not in paths:
-            raise MissingArtifactError(f"missing OCR embedding for {label} run {run}")
-    return paths
+            pairs = [(spec.ocr_path, spec.gt_path)]
+        else:
+            pairs = [tuple(trained_path(spec.label, version, run) for version in _VERSIONS)
+                     for run in range(config.runs_of(spec))]
+        for path in (path for pair in pairs for path in pair):
+            if not path.is_file():
+                raise MissingArtifactError(f"embedding file missing: {path}")
+        plan.append((spec.label, pairs))
+    return plan
 
 
 def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
     """Overlap curves of every configured model, per language.
 
-    Reading order: first the word list of every embedding file, one file
-    at a time, to form the shared vocabulary; then, per label and run,
-    the OCR and ground-truth embeddings of that one pair, freed once
-    `evaluate_pair` has ranked it into a count table; then one
-    `overlap_curve` per label. Peak memory is the larger of two phases,
-    whatever the number of models:
+    The pairs are `_evaluation_plan`'s: the configured labels' runs,
+    whatever else the manifest lists. Reading order: first the word list
+    of every planned file, one file at a time, to form the shared
+    vocabulary; then, per label and run, the OCR and ground-truth
+    embeddings of that one pair, freed once `evaluate_pair` has ranked it
+    into a count table; then one `overlap_curve` per label. Peak memory
+    is the larger of two phases, whatever the number of models:
     - ranking a pair: the two largest embeddings as loaded, plus
       `evaluate_pair`'s stated budget, plus the count tables of the runs
       done so far (4 bytes per grid point and shared word each);
     - making a label's curve: every run's table plus `overlap_curve`'s
       stated budget, whose draw chunks are capped at BOOTSTRAP_CHUNK.
 
-    Missing files and unpaired entries are found before anything is
+    A missing manifest entry or file is found before anything is
     ranked. A bad value that only a full load finds still exits 2
     naming the file, but only when its pair is reached: the curves of
     labels finished before it stay written, each atomically.
     """
     sources = config.for_language(lang)
-    n_grid = config.n_grid or default_n_grid()
     for src in sources:
         out = config.out_dir / src.language.name
-        paths = _embedding_paths(config, out)
-        first, *rest = paths.values()
+        plan = _evaluation_plan(config, out)
+        first, *rest = (path for _, pairs in plan for pair in pairs for path in pair)
         intersection = read_embedding_words(first)
         for path in rest:
             intersection = intersect_words([intersection, read_embedding_words(path)])
@@ -454,24 +455,14 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
         curves_dir = out / "curves"
         curves_dir.mkdir(parents=True, exist_ok=True)
         series = []
-        labels = sorted({label for label, _, _ in paths})
-        for label in labels:
-            runs = sorted(
-                run for lbl, version, run in paths
-                if lbl == label and version == Version.OCR.value
-            )
+        for label, pairs in plan:
             # each pair lives only as its call's arguments: it is freed
             # before the next pair is loaded
             tables = [
-                evaluate_pair(
-                    _load_embedding(paths[(label, Version.OCR.value, run)]),
-                    _load_embedding(paths[(label, Version.GROUND_TRUTH.value, run)]),
-                    intersection,
-                    n_grid,
-                )
-                for run in runs
+                evaluate_pair(_load_embedding(ocr), _load_embedding(gt), intersection, config.n_grid)
+                for ocr, gt in pairs
             ]
-            curve = overlap_curve(tables, n_grid, config.confidence, config.bootstrap_resamples, config.seed)
+            curve = overlap_curve(tables, config.n_grid, config.confidence, config.bootstrap_resamples, config.seed)
             write_curve_csv(curve, curves_dir / f"{label}.csv")
             write_curve_json(
                 curve,

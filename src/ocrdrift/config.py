@@ -9,7 +9,7 @@ from pathlib import Path
 from .corpus import CorpusFormat, Language
 from .embeddings import Model, RateProfile, TrainConfig
 from .noise import NoiseSpec
-from .overlap import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
+from .overlap import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES, default_n_grid
 
 
 MAX_GRID_POINTS = 1000  # ten times the default grid
@@ -62,7 +62,7 @@ class ExperimentConfig:
     out_dir: Path
     seed: int = 0
     runs: int = 3
-    n_grid: tuple[float, ...] = ()
+    n_grid: tuple[float, ...] = default_n_grid()
     bootstrap_resamples: int = DEFAULT_RESAMPLES
     confidence: float = DEFAULT_CONFIDENCE
     languages: tuple[LanguageSource, ...] = ()
@@ -80,6 +80,11 @@ class ExperimentConfig:
             raise ConfigError(f"language {code!r} is not in the configuration")
         return chosen
 
+    def runs_of(self, spec: ModelSpec) -> int:
+        """How many (OCR, ground-truth) embedding pairs `spec` has: PPMI has
+        no stochastic state and an external model is one given pair."""
+        return 1 if spec.train.model in (Model.PPMI, Model.EXTERNAL) else self.runs
+
 
 def _fields(payload, where: str, **converters) -> dict:
     """Each key of `payload`, converted by its converter; a missing key is
@@ -95,13 +100,21 @@ def _fields(payload, where: str, **converters) -> dict:
         if key in payload:
             try:
                 fields[key] = convert(payload[key])
-            except (AttributeError, TypeError, ValueError):
+            except (AttributeError, TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{where}: invalid {key} {payload[key]!r}") from None
     return fields
 
 
 def _as_given(value):
     return value
+
+
+def _integer(value) -> int:
+    """An integer key's value: an integer, an integral number or an
+    integer string; a boolean is not one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -116,9 +129,9 @@ def _learning_rate(value) -> float | None:
     return None if value is None else float(value)
 
 
-_TRAIN_FIELDS = dict(dim=int, window=int, epochs=int, negative_samples=int, batch_size=int,
-                     rate_profile=_rate_profile, learning_rate=_learning_rate)
-_SPEC_FIELDS = dict(min_count=int, ocr_path=Path, gt_path=Path)
+_TRAIN_FIELDS = dict(dim=_integer, window=_integer, epochs=_integer, negative_samples=_integer,
+                     batch_size=_integer, rate_profile=_rate_profile, learning_rate=_learning_rate)
+_SPEC_FIELDS = dict(min_count=_integer, ocr_path=Path, gt_path=Path)
 
 
 def _parse_model(payload) -> ModelSpec:
@@ -162,7 +175,7 @@ def _parse_languages(entries) -> tuple[LanguageSource, ...]:
 
 def _parse_n_grid(payload) -> tuple[float, ...]:
     if payload is None:
-        return ()
+        return default_n_grid()
     if isinstance(payload, dict):
         bounds = {"start": 0.01, "stop": 1.0, "step": 0.01,
                   **_fields(payload, "n_grid", start=float, stop=float, step=float)}
@@ -198,7 +211,7 @@ def _parse_noise(payload) -> NoiseConfig | None:
     if payload is None:
         return None
     fields = _fields(payload, "the noise section", levels=_floats, weights=_noise_weights,
-                     alphabet=_as_given, source_text=Path, synthetic_chars=int, doc_chars=int,
+                     alphabet=_as_given, source_text=Path, synthetic_chars=_integer, doc_chars=_integer,
                      out_name=_as_given)
     levels = fields.pop("levels", ())
     if not levels:
@@ -226,11 +239,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     fields = _fields(
-        payload, "the config", out_dir=Path, seed=int, runs=int, n_grid=_parse_n_grid,
-        bootstrap_resamples=int, confidence=float, languages=_parse_languages,
+        payload, "the config", out_dir=Path, seed=_integer, runs=_integer, n_grid=_parse_n_grid,
+        bootstrap_resamples=_integer, confidence=float, languages=_parse_languages,
         models=lambda entries: tuple(_parse_model(m) for m in entries), noise=_parse_noise,
     )
     if "out_dir" not in fields:

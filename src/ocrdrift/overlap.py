@@ -373,23 +373,30 @@ def write_curve_json(curve: OverlapCurve, path: str | Path, metadata: dict | Non
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(N, k, mean, ci_low, ci_high) arrays from a curve CSV."""
+    """(N, k, mean, ci_low, ci_high) arrays from a curve CSV; every value
+    must be finite."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["N", "k", "mean", "ci_low", "ci_high"]:
-            raise ValueError(f"{path}: not an overlap curve CSV")
-        rows = []
-        for row in reader:
-            if len(row) != 5:
-                raise ValueError(
-                    f"{path}: expected 5 fields, got {len(row)} at line {reader.line_num}"
-                )
-            n, k, m, lo, hi = row
-            try:
-                rows.append((float(n), int(k), float(m), float(lo), float(hi)))
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value at line {reader.line_num}") from None
+        try:
+            header = next(reader, None)
+            if header != ["N", "k", "mean", "ci_low", "ci_high"]:
+                raise ValueError(f"{path}: not an overlap curve CSV")
+            rows = []
+            for row in reader:
+                if len(row) != 5:
+                    raise ValueError(
+                        f"{path}: expected 5 fields, got {len(row)} at line {reader.line_num}"
+                    )
+                n, k, m, lo, hi = row
+                try:
+                    values = (float(n), int(k), float(m), float(lo), float(hi))
+                except ValueError:
+                    raise ValueError(f"{path}: non-numeric value at line {reader.line_num}") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError(f"{path}: non-finite value at line {reader.line_num}")
+                rows.append(values)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
     if not rows:
         raise ValueError(f"{path}: empty curve")
     cols = list(zip(*rows))

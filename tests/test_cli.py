@@ -466,6 +466,30 @@ class TestEvaluateOnePairAtATime:
         assert not (out / "curves").exists()
         assert not (out / "overlap.svg").exists()
 
+    @staticmethod
+    def configure_models(config, keep, *extra):
+        """Rewrite `config` to list its models whose model name is in `keep`, then `extra`."""
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload["models"] = [m for m in payload["models"] if m["model"] in keep] + list(extra)
+        config.write_text(json.dumps(payload), encoding="utf-8")
+
+    def test_manifest_labels_not_configured_are_not_evaluated(self, trained, tmp_path):
+        config, out = self.copy_trained(trained, tmp_path)
+        self.configure_models(config, {"sgns"})
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert sorted(p.name for p in (out / "curves").iterdir()) == ["sgns-fast.csv", "sgns-fast.json"]
+        drawn = (out / "overlap.svg").read_bytes()
+        assert main(["report", "--config", str(config)]) == 0
+        assert (out / "overlap.svg").read_bytes() == drawn
+
+    def test_configured_label_missing_from_manifest_is_exit_3(self, trained, tmp_path, capsys):
+        config, out = self.copy_trained(trained, tmp_path)
+        self.configure_models(config, {"ppmi", "sgns"}, {"model": "glove", "dim": 8, "min_count": 3})
+        assert main(["evaluate", "--config", str(config)]) == 3
+        assert "missing OCR embedding for glove run 0" in capsys.readouterr().err
+        assert not (out / "curves").exists()
+        assert not (out / "overlap.svg").exists()
+
     def test_bad_value_in_a_later_pair_is_exit_2_after_earlier_curves(self, trained, tmp_path, capsys):
         config, out = self.copy_trained(trained, tmp_path)
         bad = out / "embeddings" / "sgns-fast_ocr_run1.txt"

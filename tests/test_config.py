@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ocrdrift.config import (
     MAX_RESAMPLES,
@@ -79,7 +81,8 @@ BAD_VALUES = {
     **{f"{key}={value}": ({"models": [sgns(**{key: value})]}, "'sgns-fast'", key)
        for key, value in [("dim", 0), ("window", 0), ("epochs", 0), ("negative_samples", 0),
                           ("batch_size", 0), ("batch_size", -1), ("min_count", 0),
-                          ("learning_rate", "abc"), ("learning_rate", -1)]},
+                          ("learning_rate", "abc"), ("learning_rate", -1),
+                          ("dim", 2.5), ("window", True), ("min_count", 2.5)]},
     "glove rate": ({"models": [{"model": "glove", "learning_rate": 0.5}]}, "'glove'", "learning_rate"),
     "ppmi rate": ({"models": [{"model": "ppmi", "learning_rate": 0.5}]}, "'ppmi'", "learning_rate"),
     "weights sum": ({"noise": {"levels": [0.1], "weights": {"deletion": 0.5}}}, "noise", "weights"),
@@ -96,6 +99,14 @@ BAD_VALUES = {
     # 101 points from 0.01 in steps of 0.00994 end at 1.004
     "n_grid range past 1": ({"n_grid": {"step": 0.00994}}, "n_grid", "(0, 1]"),
     "seed -1": ({"seed": -1}, "seed", "-1"),
+    # JSON reads 1e400 as infinity
+    "seed 1e400": ({"seed": float("inf")}, "seed", "inf"),
+    "runs 2.7": ({"runs": 2.7}, "runs", "2.7"),
+    "runs true": ({"runs": True}, "runs", "True"),
+    "bootstrap_resamples 1e400": ({"bootstrap_resamples": float("inf")}, "bootstrap_resamples"),
+    "synthetic_chars 1.5": ({"noise": {"levels": [0.1], "synthetic_chars": 1.5}}, "noise", "synthetic_chars"),
+    "doc_chars true": ({"noise": {"levels": [0.1], "doc_chars": True}}, "noise", "doc_chars"),
+    "confidence 10**400": ({"confidence": 10 ** 400}, "confidence"),
     "bootstrap_resamples 0": ({"bootstrap_resamples": 0}, "bootstrap_resamples"),
     "bootstrap_resamples 10001": ({"bootstrap_resamples": 10_001}, "bootstrap_resamples", "10001"),
     "unknown top-level key": ({"epoch": 50}, "'epoch'", "config"),
@@ -127,3 +138,56 @@ def test_n_grid_with_a_tiny_step_fails_before_building_it(tmp_path, step):
     # exhaust memory, so the count alone must be rejected
     with pytest.raises(ConfigError, match="n_grid"):
         load(tmp_path, {"out_dir": "out", "n_grid": {"step": step}})
+
+
+def test_non_utf8_config_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"out_dir": "out"}')
+    with pytest.raises(ConfigError, match=r"bad\.json: config is not UTF-8 text"):
+        load_config(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+KNOWN_KEYS = (
+    [(None, key) for key in ("out_dir", "seed", "runs", "n_grid", "bootstrap_resamples",
+                             "confidence", "languages", "models", "noise")]
+    + [("models", key) for key in ("model", "name", "dim", "window", "epochs", "negative_samples",
+                                   "batch_size", "rate_profile", "learning_rate", "min_count",
+                                   "ocr_path", "gt_path")]
+    + [("languages", key) for key in ("language", "path", "format")]
+    + [("noise", key) for key in ("levels", "weights", "alphabet", "source_text", "synthetic_chars",
+                                  "doc_chars", "out_name")]
+    + [("n_grid", key) for key in ("start", "stop", "step")]
+)
+
+
+@pytest.mark.parametrize("where", KNOWN_KEYS, ids=lambda where: ".".join(filter(None, where)))
+@settings(max_examples=50)
+@given(value=JSON_VALUES)
+# JSON reads 1e400 as infinity; 10**400 is too large for a float
+@example(value=float("inf"))
+@example(value=10 ** 400)
+def test_any_json_value_under_a_known_key_loads_or_is_a_config_error(tmp_path_factory, where, value):
+    root = tmp_path_factory.getbasetemp()
+    payload = {
+        "out_dir": "out",
+        "languages": [{"language": "other", "path": str(root), "format": "paired"}],
+        "models": [sgns()],
+        "noise": {"levels": [0.1]},
+        "n_grid": {"start": 0.1},
+    }
+    section, key = where
+    entry = payload if section is None else payload[section]
+    if isinstance(entry, list):
+        entry = entry[0]
+    entry[key] = value
+    path = root / "fuzz.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        load_config(path)
+    except ConfigError:
+        pass

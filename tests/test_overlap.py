@@ -1,6 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrdrift import overlap
 from ocrdrift.embeddings import EmbeddingMatrix, Model
@@ -436,6 +441,32 @@ class TestCurveFiles:
         path.write_text("N,k,mean,ci_low,ci_high\n0.1,3,oops,0.4,0.6\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"curve\.csv: non-numeric value at line 2"):
             read_curve_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"N,k,mean,ci_low,ci_high\n0.1,3,0.5,0.4,0.6\n0.5,15,{value},0.4,0.6\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"curve\.csv: non-finite value at line 3"):
+            read_curve_csv(path)
+
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(st.lists(st.one_of(st.text(max_size=8), st.floats().map(repr),
+                                         st.integers().map(str)), max_size=6), max_size=4),
+        tail=st.text(max_size=40),
+    )
+    def test_malformed_rows_raise_only_value_error(self, tmp_path_factory, rows, tail):
+        path = tmp_path_factory.getbasetemp() / "curve.csv"
+        table = io.StringIO()
+        csv.writer(table).writerows([["N", "k", "mean", "ci_low", "ci_high"], *rows])
+        path.write_text(table.getvalue() + tail, encoding="utf-8", newline="")
+        try:
+            n, k, mean, lo, hi = read_curve_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert np.isfinite(np.concatenate([n, mean, lo, hi])).all()
 
     def test_json_metadata_block(self, tmp_path):
         import json

@@ -1089,7 +1089,8 @@ def test_cmd_evaluate_memory_stays_within_budget(tmp_path, monkeypatch, three_ru
         shutil.copytree(trained / "embeddings", out / "other" / "embeddings")
         entries = [e for e in manifest["entries"] if e["run"] < runs]
         (out / "other" / "manifest.json").write_text(json.dumps(dict(manifest, entries=entries)), encoding="utf-8")
-        run_config = replace(config, out_dir=out)
+        # evaluate ranks the runs the config plans
+        run_config = replace(config, out_dir=out, runs=runs)
         # the first call loads what the process keeps for good
         cli.cmd_evaluate(run_config, None)
         for workers in (1, 2):
