@@ -310,12 +310,15 @@ def _train_in_workers(jobs: list[_TrainJob]) -> None:
 
     Each worker holds one job at a time: its corpus and matrices plus a
     working set that README bounds per job, with V the vocabulary size.
-    Co-occurrence counting (PPMI, GloVe) over P entries in S (document,
-    distance) slices holds at most 50·P + 8·V + 512·S bytes. An SGNS or CBOW batch of b examples, k negatives
-    and s input slots adds at most 64·b·(k + 1 + s) + 8·b·dim +
-    util.GATHER_BYTES + 8·u·dim bytes, u = min(b·max(k + 1, s), V). A
-    GloVe batch of n cells adds at most 128·n + 8·V +
-    2·util.GATHER_BYTES + 32·u·dim bytes, u = min(n, V).
+    Co-occurrence counting (PPMI, GloVe) over P entries into N cells in
+    S (document, distance) slices holds at most 28·P + 12·N + 8·V + 512·S
+    bytes. An SGNS or CBOW batch of b examples, k negatives and s input
+    slots adds at most 36·b·(k + 1 + s) + 8·b·dim +
+    util.GATHER_BYTES·(k + 3)/(k + 1) + 8·u·dim bytes,
+    u = min(b·max(k + 1, s), V), with int32 ids throughout. A GloVe
+    batch of n cells adds at most 128·n + 8·V + 2·util.GATHER_BYTES +
+    16·u·dim bytes, u = min(n, V), its two GATHER_BYTES work arrays
+    included; they are taken once per job, not per batch.
     """
     # fork: workers inherit the imported modules and the corpora instead
     # of importing and unpickling them. It is safe here because a fork-based
@@ -383,6 +386,26 @@ def _load_embedding(path: Path) -> EmbeddingMatrix:
     return import_embeddings(path)
 
 
+_MANIFEST_KEYS = ("model", "version", "run", "embedding_path")
+
+
+def _manifest_paths(manifest_path: Path, out: Path) -> dict[tuple, Path]:
+    """The embedding file of each (label, version, run) that a manifest
+    lists; a manifest that is not an object with an `entries` list, or an
+    entry without one of _MANIFEST_KEYS, is a MissingArtifactError."""
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise MissingArtifactError(f"{manifest_path}: not an object with an 'entries' list")
+    trained = {}
+    for index, entry in enumerate(entries):
+        for key in _MANIFEST_KEYS:
+            if not isinstance(entry, dict) or key not in entry:
+                raise MissingArtifactError(f"{manifest_path}: entry {index} has no {key!r}")
+        trained[(entry["model"], entry["version"], entry["run"])] = out / entry["embedding_path"]
+    return trained
+
+
 def _evaluation_plan(config: ExperimentConfig, out: Path) -> list[tuple[str, list[tuple[Path, Path]]]]:
     """Each configured label, in sorted order, with the (OCR, ground-truth)
     embedding files of each of its runs. Trained files are looked up in
@@ -399,8 +422,7 @@ def _evaluation_plan(config: ExperimentConfig, out: Path) -> list[tuple[str, lis
             raise MissingArtifactError(
                 f"no embedding manifest at {manifest_path}; run the train command first"
             )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        trained = {(e["model"], e["version"], e["run"]): out / e["embedding_path"] for e in manifest["entries"]}
+        trained = _manifest_paths(manifest_path, out)
 
     def trained_path(label: str, version: Version, run: int) -> Path:
         if (label, version.value, run) not in trained:

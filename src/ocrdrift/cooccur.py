@@ -58,25 +58,22 @@ def count_cooccurrences(
         raise ValueError("cannot count co-occurrences of an empty corpus")
     vocab_size = len(corpus.vocabulary)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for _, distance, left, right in window_pairs(corpus.documents, window_size):
-        left = left.astype(np.int64)
-        right = right.astype(np.int64)
-        w = 1.0 if weighting is Weighting.FLAT else 1.0 / distance
-        # each ordered pair is counted once per direction
-        rows += (left, right)
-        cols += (right, left)
-        weights.append(np.full(2 * len(left), w))
-
-    if not rows:
+    # each ordered pair is counted once per direction: 2 entries per pair
+    entries = 2 * sum(len(left) for _, _, left, _ in window_pairs(corpus.documents, window_size))
+    if not entries:
         raise ValueError("no token pairs inside the window (documents too short)")
-    matrix = sp.coo_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(vocab_size, vocab_size),
-    ).tocsr()
-    matrix.sum_duplicates()
+    rows = np.empty(entries, dtype=np.int32)
+    cols = np.empty(entries, dtype=np.int32)
+    weights = np.empty(entries)
+    end = 0
+    for _, distance, left, right in window_pairs(corpus.documents, window_size):
+        n = len(left)
+        rows[end:end + n], rows[end + n:end + 2 * n] = left, right
+        cols[end:end + n], cols[end + n:end + 2 * n] = right, left
+        weights[end:end + 2 * n] = 1.0 if weighting is Weighting.FLAT else 1.0 / distance
+        end += 2 * n
+    # scipy keeps the int32 indices as they are; tocsr sums the duplicates
+    matrix = sp.coo_matrix((weights, (rows, cols)), shape=(vocab_size, vocab_size)).tocsr()
     return CooccurrenceMatrix(
         counts=matrix,
         window_size=window_size,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,11 @@ HISTOGRAM_BINS = 50
 
 
 def _codepoints(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _text(codepoints: np.ndarray) -> str:
+    return codepoints.tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def character_error_rate(ocr_aligned: str, gt_aligned: str) -> float:
@@ -208,6 +213,10 @@ class NoiseSpec:
         if self.target_cer > 0.9:
             raise ValueError("target_cer above 0.9: padding would dominate the output")
         weights = (self.substitution_weight, self.deletion_weight, self.insertion_weight)
+        for name, weight in zip(("substitution_weight", "deletion_weight", "insertion_weight"), weights):
+            # NaN passes both checks below
+            if not math.isfinite(weight):
+                raise ValueError(f"{name} must be a finite number, got {weight}")
         if any(w < 0 for w in weights):
             raise ValueError("noise weights must be nonnegative")
         if abs(sum(weights) - 1.0) > 1e-12:
@@ -242,23 +251,20 @@ def inject_noise(gt_text: str, spec: NoiseSpec) -> tuple[str, str]:
         size=errors,
         p=[spec.substitution_weight, spec.deletion_weight, spec.insertion_weight],
     )
-    alphabet = spec.alphabet
-    draws = rng.integers(0, len(alphabet), size=errors)
+    draws = rng.integers(0, len(spec.alphabet), size=errors)
 
-    ocr = list(gt_text)
-    gt = list(gt_text)
-    inserts: list[tuple[int, str]] = []
-    for pos, kind, draw in zip(positions.tolist(), kinds.tolist(), draws.tolist()):
-        if kind == 0:
-            replacement = alphabet[draw]
-            if replacement == gt_text[pos]:
-                replacement = alphabet[(draw + 1) % len(alphabet)]
-            ocr[pos] = replacement
-        elif kind == 1:
-            ocr[pos] = PAD
-        else:
-            inserts.append((pos, alphabet[draw]))
-    for pos, ch in reversed(inserts):
-        ocr.insert(pos + 1, ch)
-        gt.insert(pos + 1, PAD)
-    return "".join(ocr), "".join(gt)
+    alphabet = _codepoints(spec.alphabet)
+    gt = _codepoints(gt_text)
+    ocr = gt.copy()
+    substituted = kinds == 0
+    at, drawn = positions[substituted], draws[substituted]
+    replacement = alphabet[drawn]
+    # a draw equal to the original character moves on to the next letter
+    clash = replacement == gt[at]
+    replacement[clash] = alphabet[(drawn[clash] + 1) % len(alphabet)]
+    ocr[at] = replacement
+    ocr[positions[kinds == 1]] = ord(PAD)
+    inserted = kinds == 2
+    # each insertion follows its position in the original text
+    after = positions[inserted] + 1
+    return _text(np.insert(ocr, after, alphabet[draws[inserted]])), _text(np.insert(gt, after, ord(PAD)))

@@ -91,9 +91,10 @@ def _skipgram_pairs(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.
         contexts += (right, left)
     if not centers:
         raise ValueError("corpus has no token pairs inside the window")
+    # the documents' ids are int32 already, so no cast copies them
     return (
-        np.concatenate(contexts).astype(np.int32),
-        np.concatenate(centers).astype(np.int32)[:, None],
+        np.concatenate(contexts).astype(np.int32, copy=False),
+        np.concatenate(centers).astype(np.int32, copy=False)[:, None],
     )
 
 
@@ -108,7 +109,7 @@ def _context_table(documents: tuple[np.ndarray, ...], window: int) -> tuple[np.n
     kept = [doc for doc in documents if len(doc) >= 2]
     if not kept:
         raise ValueError("corpus has no token pairs inside the window")
-    centers = np.concatenate(kept).astype(np.int32)
+    centers = np.concatenate(kept).astype(np.int32, copy=False)
     table = np.full((len(centers), 2 * window), -1, dtype=np.int32)
     for start, distance, left, right in window_pairs(kept, window):
         stop = start + len(left) + distance
@@ -122,7 +123,7 @@ def _pair_index(b: int, k: int) -> np.ndarray:
     """The batch row of each output-side update of a (b, k) batch: the b
     positives, then the k negatives of each row. It depends only on the
     batch shape, so it is cached (read-only) across batches."""
-    rows = np.arange(b, dtype=np.int64)
+    rows = np.arange(b, dtype=np.int32)
     index = np.concatenate([rows, np.repeat(rows, k)])
     index.flags.writeable = False
     return index
@@ -238,7 +239,8 @@ def _train(
     total_steps = config.epochs * batches_per_epoch
     initial_rate = config.resolved_rate()
     for epoch in range(config.epochs):
-        order = rng.permutation(count)
+        # int32 halves the order's memory; the draws are those of the permutation
+        order = rng.permutation(count).astype(np.int32)
         for batch, start in enumerate(range(0, count, config.batch_size)):
             sel = order[start:start + config.batch_size]
             negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))

@@ -330,6 +330,18 @@ class TestNoiseCommand:
         )
         assert gt == source.read_text(encoding="utf-8")
 
+    def test_nan_weight_is_exit_2_before_any_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        weights = {"substitution": float("nan"), "deletion": 0.1, "insertion": 0.1}
+        config.write_text(json.dumps({
+            "out_dir": str(out),
+            "noise": {"levels": [0.1], "synthetic_chars": 6_000, "weights": weights, "out_name": "toy"},
+        }), encoding="utf-8")
+        assert main(["noise", "--config", str(config)]) == 2
+        assert "substitution_weight must be a finite number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_with_fewer_documents_leaves_no_stale_pairs(self, tmp_path):
         out = tmp_path / "out"
         level_dir = out / "noise" / "toy" / "cer010"
@@ -465,6 +477,25 @@ class TestEvaluateOnePairAtATime:
         assert f"missing {missing} embedding for sgns-fast run 1" in capsys.readouterr().err
         assert not (out / "curves").exists()
         assert not (out / "overlap.svg").exists()
+
+    @pytest.mark.parametrize("key", ["model", "version", "run", "embedding_path"])
+    def test_entry_without_a_key_is_exit_3_naming_it(self, trained, tmp_path, capsys, key):
+        config, out = self.copy_trained(trained, tmp_path)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["entries"][2][key]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["evaluate", "--config", str(config)]) == 3
+        assert f"{manifest_path}: entry 2 has no {key!r}" in capsys.readouterr().err
+        assert not (out / "curves").exists()
+
+    @pytest.mark.parametrize("manifest", [[], {"language": "other"}, {"entries": {"0": {}}}, {"entries": [7]}])
+    def test_malformed_manifest_is_exit_3_naming_it(self, trained, tmp_path, capsys, manifest):
+        config, out = self.copy_trained(trained, tmp_path)
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["evaluate", "--config", str(config)]) == 3
+        assert str(out / "manifest.json") in capsys.readouterr().err
+        assert not (out / "curves").exists()
 
     @staticmethod
     def configure_models(config, keep, *extra):

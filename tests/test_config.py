@@ -86,6 +86,14 @@ BAD_VALUES = {
     "glove rate": ({"models": [{"model": "glove", "learning_rate": 0.5}]}, "'glove'", "learning_rate"),
     "ppmi rate": ({"models": [{"model": "ppmi", "learning_rate": 0.5}]}, "'ppmi'", "learning_rate"),
     "weights sum": ({"noise": {"levels": [0.1], "weights": {"deletion": 0.5}}}, "noise", "weights"),
+    # NaN fails neither the sign check nor the sum check
+    "weight NaN": ({"noise": {"levels": [0.1], "weights": {"substitution": float("nan"), "deletion": 0.1,
+                                                          "insertion": 0.1}}},
+                   "noise", "substitution_weight", "nan"),
+    "weight inf": ({"noise": {"levels": [0.1], "weights": {"insertion": float("inf")}}},
+                   "noise", "insertion_weight", "inf"),
+    "weight -inf": ({"noise": {"levels": [0.1], "weights": {"deletion": float("-inf")}}},
+                    "noise", "deletion_weight", "-inf"),
     "level 0.95": ({"noise": {"levels": [0.1, 0.95]}}, "noise level 0.95"),
     "doc_chars 0": ({"noise": {"levels": [0.1], "doc_chars": 0}}, "noise", "doc_chars"),
     "alphabet with padding": ({"noise": {"levels": [0.1], "alphabet": "ab@"}}, "noise section", "'@'"),

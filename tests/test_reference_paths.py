@@ -33,6 +33,10 @@ counting.
 files, manifest and progress lines must equal those of a plain loop that
 trains the same jobs one after another in config order.
 
+Synthetic noise is applied to codepoint arrays, with every insertion
+made by one np.insert per side. It must give the strings of the loop
+over Python lists it replaced, from the same three draws.
+
 Word error rates come from a bit-parallel edit distance that keeps one
 Python-int bit per ground-truth word. It must give the same integers as
 the numpy DP it replaced, which runs one vectorized row per OCR word.
@@ -87,7 +91,7 @@ from ocrdrift.overlap import (
     k_for_fraction,
     overlap_curve,
 )
-from ocrdrift.noise import NoiseSpec, _word_edit_distance, corpus_error_rates
+from ocrdrift.noise import NoiseSpec, _word_edit_distance, corpus_error_rates, inject_noise
 from ocrdrift.ppmi import train_ppmi
 from ocrdrift.preprocess import (
     TokenizedCorpus,
@@ -389,11 +393,13 @@ def test_word2vec_chunks_of_any_size(monkeypatch, model, dim):
 
 def word2vec_batch_bytes(b, k, slots, dim, V):
     """README's bound on what one float32 batch of b examples with k
-    negatives and `slots` input slots adds: 64 b (k + 1 + slots) +
-    8 b dim + GATHER_BYTES + 8 u dim, where u = min(b max(k + 1, slots), V)
-    bounds the distinct rows one update touches."""
+    negatives and `slots` input slots adds: 36 b (k + 1 + slots) +
+    8 b dim + GATHER_BYTES (k + 3) / (k + 1) + 8 u dim, where
+    u = min(b max(k + 1, slots), V) bounds the distinct rows one update
+    touches."""
     u = min(b * max(k + 1, slots), V)
-    return 64 * b * (k + 1 + slots) + 8 * b * dim + util.GATHER_BYTES + 8 * u * dim
+    gathered = util.GATHER_BYTES * (k + 3) // (k + 1)
+    return 36 * b * (k + 1 + slots) + 8 * b * dim + gathered + 8 * u * dim
 
 
 @pytest.mark.parametrize("model", [Model.SGNS, Model.CBOW])
@@ -559,16 +565,42 @@ class TestWindowEnumeration:
 
 def test_cooccurrence_memory_stays_within_budget():
     """README's bound on counting P entries (each in-window pair once per
-    direction) over S (document, distance) slices: 50 P + 8 V + 512 S
-    bytes, for the int64 index and float64 weight slices, their
-    concatenated copies and scipy's int32 index copies."""
+    direction) into N distinct cells over S (document, distance) slices:
+    28 P + 12 N + 8 V + 512 S bytes, for the int32 index and float64
+    weight arrays written in place, scipy's CSR of them before and after
+    its duplicates are summed, and the slice views."""
     docs = [d.split() for d in synthetic_documents(300_000, seed=1, n_types=2_000, n_topics=5,
                                                    doc_chars=1_000)]
     corpus = encode_documents(docs, build_vocabulary(docs, min_count=1))
     lengths = [len(left) for _, _, left, _ in window_pairs(corpus.documents, 5)]
-    budget = 50 * 2 * sum(lengths) + 8 * len(corpus.vocabulary) + 512 * len(lengths)
+    entries = 2 * sum(lengths)
     for weighting in Weighting:
+        cells = count_cooccurrences(corpus, 5, weighting).counts.nnz
+        budget = 28 * entries + 12 * cells + 8 * len(corpus.vocabulary) + 512 * len(lengths)
+        # the per-slice int64 copies and their concatenation do not fit
+        assert 48 * entries > budget
         assert traced_peak(count_cooccurrences, corpus, 5, weighting) <= budget
+
+
+@pytest.mark.parametrize("weighting", list(Weighting))
+def test_cooccurrence_in_place_matches_concatenated_build(weighting):
+    """Pairs written in place into one int32/float64 triple give, byte for
+    byte, the CSR built from concatenated per-slice int64 copies: the
+    same entries in the same order, so duplicates sum in the same order.
+    One-token and empty documents and ones shorter than the window sit
+    between full ones, so every slice offset moves."""
+    docs = [d.split() for d in synthetic_documents(60_000, seed=3, n_types=300, n_topics=5,
+                                                   doc_chars=700)]
+    documents = encode_documents(docs, build_vocabulary(docs, min_count=1)).documents
+    short = (np.array([7], dtype=np.int32), np.array([], dtype=np.int32),
+             np.array([1, 2, 1], dtype=np.int32), np.array([4, 4], dtype=np.int32))
+    mixed = short[:2] + documents[:20] + short[2:] + documents[20:] + short
+    corpus = TokenizedCorpus(documents=mixed, vocabulary=build_vocabulary(docs, min_count=1))
+    got = count_cooccurrences(corpus, 5, weighting).counts
+    expected = reference_cooccurrences(corpus, 5, weighting)
+    for a, b in ((got.indptr, expected.indptr), (got.indices, expected.indices), (got.data, expected.data)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def reference_order(sims):
@@ -1296,6 +1328,77 @@ class TestWordEditDistance:
         assert [(doc_id, wer) for doc_id, _, wer in report.per_document] == expected
 
 
+def reference_inject_noise(gt_text, spec):
+    """The per-position loop over Python lists, with its reversed
+    list.insert pass, from the same three draws."""
+    n = len(gt_text)
+    errors = int(round(spec.target_cer * n))
+    if errors == 0:
+        return gt_text, gt_text
+    rng = np.random.default_rng(spec.seed)
+    positions = np.sort(rng.choice(n, size=errors, replace=False))
+    kinds = rng.choice(3, size=errors,
+                       p=[spec.substitution_weight, spec.deletion_weight, spec.insertion_weight])
+    alphabet = spec.alphabet
+    draws = rng.integers(0, len(alphabet), size=errors)
+    ocr, gt, inserts = list(gt_text), list(gt_text), []
+    for pos, kind, draw in zip(positions.tolist(), kinds.tolist(), draws.tolist()):
+        if kind == 0:
+            replacement = alphabet[draw]
+            if replacement == gt_text[pos]:
+                replacement = alphabet[(draw + 1) % len(alphabet)]
+            ocr[pos] = replacement
+        elif kind == 1:
+            ocr[pos] = PAD
+        else:
+            inserts.append((pos, alphabet[draw]))
+    for pos, ch in reversed(inserts):
+        ocr.insert(pos + 1, ch)
+        gt.insert(pos + 1, PAD)
+    return "".join(ocr), "".join(gt)
+
+
+INSERTIONS_ONLY = dict(substitution_weight=0.0, deletion_weight=0.0, insertion_weight=1.0)
+
+
+class TestInjectNoise:
+    """Noise applied to codepoint arrays, with one np.insert per side,
+    against the loop over Python lists."""
+
+    @pytest.mark.parametrize("text, fields", [
+        # two letters: a clashing draw of the last letter wraps to the first
+        ("abbaab" * 40, dict(alphabet="ab", substitution_weight=1.0, deletion_weight=0.0,
+                             insertion_weight=0.0)),
+        ("ab" * 50, dict(alphabet="ba")),
+        # one character, so the only position is the last, and it inserts
+        ("x", INSERTIONS_ONLY),
+        ("short text", INSERTIONS_ONLY),
+        ("Grüße aus Köln, 日本語 und 🙂 ½ café " * 20, dict(alphabet="äöüß日🙂é")),
+        ("Grüße aus Köln, 日本語 und 🙂 ½ café " * 20, dict()),
+    ])
+    @pytest.mark.parametrize("target_cer", [0.05, 0.3, 0.9])
+    def test_edge_cases(self, text, fields, target_cer):
+        for seed in range(20):
+            spec = NoiseSpec(target_cer=target_cer, seed=seed, **fields)
+            assert inject_noise(text, spec) == reference_inject_noise(text, spec), seed
+
+    def test_insertion_at_the_last_position(self):
+        for seed in range(5):
+            spec = NoiseSpec(target_cer=0.9, seed=seed, **INSERTIONS_ONLY)
+            ocr, gt = inject_noise("xy", spec)
+            assert (ocr, gt) == reference_inject_noise("xy", spec)
+            # both positions are corrupted, so one letter follows the y
+            assert gt == f"x{PAD}y{PAD}" and ocr[::2] == "xy"
+
+    @pytest.mark.parametrize("target_cer", [0.05, 0.3])
+    def test_every_document_of_a_wide_eval_shaped_corpus(self, target_cer):
+        docs = synthetic_documents(seed=901, total_chars=400_000, n_types=8000, n_topics=40, doc_chars=6000)
+        assert len(docs) == 67
+        for index, doc in enumerate(docs):
+            spec = NoiseSpec(target_cer=target_cer, seed=index)
+            assert inject_noise(doc, spec) == reference_inject_noise(doc, spec), index
+
+
 # ----------------------------------------------------------------------
 # GloVe: the batch step against the loop it replaced
 # ----------------------------------------------------------------------
@@ -1360,10 +1463,10 @@ def glove_state_bytes(matrix, dim):
 
 
 def glove_batch_bytes(matrix, dim, n):
-    """README's bound on what a batch of n cells adds:
-    128 n + 8 V + 2 GATHER_BYTES + 32 u dim, with V the vocabulary size
-    and u = min(n, V)."""
-    return 128 * n + 8 * matrix.size + 2 * util.GATHER_BYTES + 32 * min(n, matrix.size) * dim
+    """README's bound on what a batch of n cells adds, the call's two work
+    arrays included: 128 n + 8 V + 2 GATHER_BYTES + 16 u dim, with V the
+    vocabulary size and u = min(n, V)."""
+    return 128 * n + 8 * matrix.size + 2 * util.GATHER_BYTES + 16 * min(n, matrix.size) * dim
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -1400,8 +1503,8 @@ class TestGloveBatchStep:
 
     def test_batch_memory_stays_within_budget(self):
         """Working memory, as README states it: the training state, O(n)
-        vectors per batch of n cells, one GATHER_BYTES chunk of each matrix
-        and four (distinct rows, dim) arrays; no (n, dim) array."""
+        vectors per batch of n cells, two work arrays of at most
+        GATHER_BYTES and two (distinct rows, dim) sums; no (n, dim) array."""
         matrix = _glove_matrix()
         dim, batch = 64, 4096
         config = TrainConfig(model=Model.GLOVE, dim=dim, epochs=2, seed=1, batch_size=batch)
