@@ -31,8 +31,6 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import util
 from .config import (
     ConfigError,
@@ -44,15 +42,7 @@ from .config import (
 )
 from .cooccur import Weighting, count_cooccurrences
 from .corpus import Corpus, CorpusError, Version, compute_stats, load_corpus, save_paired_files
-from .embeddings import (
-    EmbeddingMatrix,
-    Model,
-    export_embeddings,
-    import_embeddings,
-    load_sparse_embeddings,
-    read_embedding_words,
-    save_sparse_embeddings,
-)
+from .embeddings import EmbeddingMatrix, Model, load_embeddings, read_embedding_words, save_embeddings
 from .glove import train_glove
 from .noise import (
     corpus_error_rates,
@@ -257,12 +247,7 @@ def _train_and_save(job: _TrainJob) -> dict:
     started = time.perf_counter()
     emb = _train_one(job.spec, job.tokenized, job.seed)
     wall = time.perf_counter() - started
-    if emb.is_dense:
-        emb_path = job.out / "embeddings" / f"{job.stem}.txt"
-        export_embeddings(emb, emb_path)
-    else:
-        emb_path = job.out / "embeddings" / f"{job.stem}.npz"
-        save_sparse_embeddings(emb, emb_path)
+    emb_path = save_embeddings(emb, job.out / "embeddings" / job.stem)
     return {
         "model": job.spec.label,
         "version": job.version.value,
@@ -318,7 +303,9 @@ def _train_in_workers(jobs: list[_TrainJob]) -> None:
     u = min(b·max(k + 1, s), V), with int32 ids throughout. A GloVe
     batch of n cells adds at most 128·n + 8·V + 2·util.GATHER_BYTES +
     16·u·dim bytes, u = min(n, V), its two GATHER_BYTES work arrays
-    included; they are taken once per job, not per batch.
+    included; they are taken once per job, not per batch. Besides its
+    batches, a GloVe job holds 36 bytes per nonzero cell: the COO counts,
+    float64 log counts and weights, and the int32 epoch order.
     """
     # fork: workers inherit the imported modules and the corpora instead
     # of importing and unpickling them. It is safe here because a fork-based
@@ -379,12 +366,6 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
 # ----------------------------------------------------------------------
 # evaluate / report
 # ----------------------------------------------------------------------
-
-def _load_embedding(path: Path) -> EmbeddingMatrix:
-    if path.suffix == ".npz":
-        return load_sparse_embeddings(path)
-    return import_embeddings(path)
-
 
 _MANIFEST_KEYS = ("model", "version", "run", "embedding_path")
 
@@ -459,6 +440,8 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
       done so far (4 bytes per grid point and shared word each);
     - making a label's curve: every run's table plus `overlap_curve`'s
       stated budget, whose draw chunks are capped at BOOTSTRAP_CHUNK.
+    Last, `_render_figure` draws the figure from the curve CSVs, as
+    `report` does.
 
     A missing manifest entry or file is found before anything is
     ranked. A bad value that only a full load finds still exits 2
@@ -476,12 +459,11 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
 
         curves_dir = out / "curves"
         curves_dir.mkdir(parents=True, exist_ok=True)
-        series = []
         for label, pairs in plan:
             # each pair lives only as its call's arguments: it is freed
             # before the next pair is loaded
             tables = [
-                evaluate_pair(_load_embedding(ocr), _load_embedding(gt), intersection, config.n_grid)
+                evaluate_pair(load_embeddings(ocr), load_embeddings(gt), intersection, config.n_grid)
                 for ocr, gt in pairs
             ]
             curve = overlap_curve(tables, config.n_grid, config.confidence, config.bootstrap_resamples, config.seed)
@@ -497,42 +479,37 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                     "intersection_size": curve.intersection_size,
                 },
             )
-            series.append(
-                CurveSeries(
-                    label=label,
-                    n=np.array(curve.n_values),
-                    mean=curve.means,
-                    ci_low=curve.ci_low,
-                    ci_high=curve.ci_high,
-                )
-            )
             print(
                 f"{src.language.name}/{label}: overlap {curve.means[0]:.3f} at N={curve.n_values[0]:g} "
                 f"({curve.runs_averaged} runs, |V|={curve.intersection_size})"
             )
             # the next label's pairs are evaluated without this label's tables
             del tables, curve
-        render_overlap_svg(series, out / "overlap.svg", title=f"Neighbor overlap ({src.language.name})")
+        _render_figure(config, src.language.name)
     return 0
 
 
+def _render_figure(config: ExperimentConfig, language: str) -> Path:
+    """Draw `<language>/overlap.svg` from the curve CSVs of the configured
+    labels, in evaluate's sorted order, and return its path; a CSV of a
+    label no longer configured is not plotted."""
+    out = config.out_dir / language
+    series = []
+    for label in sorted(spec.label for spec in config.models):
+        path = out / "curves" / f"{label}.csv"
+        if not path.is_file():
+            raise MissingArtifactError(
+                f"no curve CSV for {label!r} at {path}; run the evaluate command first"
+            )
+        n, _, mean, lo, hi = read_curve_csv(path)
+        series.append(CurveSeries(label=label, n=n, mean=mean, ci_low=lo, ci_high=hi))
+    render_overlap_svg(series, out / "overlap.svg", title=f"Neighbor overlap ({language})")
+    return out / "overlap.svg"
+
+
 def cmd_report(config: ExperimentConfig, lang: str | None) -> int:
-    sources = config.for_language(lang)
-    # evaluate's order; a CSV of a label no longer configured is not plotted
-    labels = sorted(spec.label for spec in config.models)
-    for src in sources:
-        out = config.out_dir / src.language.name
-        series = []
-        for label in labels:
-            path = out / "curves" / f"{label}.csv"
-            if not path.is_file():
-                raise MissingArtifactError(
-                    f"no curve CSV for {label!r} at {path}; run the evaluate command first"
-                )
-            n, _, mean, lo, hi = read_curve_csv(path)
-            series.append(CurveSeries(label=label, n=n, mean=mean, ci_low=lo, ci_high=hi))
-        render_overlap_svg(series, out / "overlap.svg", title=f"Neighbor overlap ({src.language.name})")
-        print(f"{src.language.name}: rendered {out / 'overlap.svg'}")
+    for src in config.for_language(lang):
+        print(f"{src.language.name}: rendered {_render_figure(config, src.language.name)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Word embedding matrices and their text and sparse serializations."""
+"""Word embedding matrices and their file formats: one writer, one reader."""
 
 from __future__ import annotations
 
@@ -106,11 +106,27 @@ class EmbeddingMatrix:
         return len(self.words)
 
 
-def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the dense text format: a `<count> <dim>` header, then one
-    `<word> <v1> ... <vdim>` line per word at 9 significant digits."""
+def save_embeddings(emb: EmbeddingMatrix, stem: str | Path) -> Path:
+    """Write `emb` to `<stem>.txt` if it is dense, `<stem>.npz` if it is
+    sparse (the suffix appended, so a dot in the stem stays), and return
+    the path. A word either reader would give back changed is refused
+    before any file is made: an empty word, one that holds whitespace of
+    any kind, or one that ends in NUL."""
+    for word in emb.words:
+        # the text reader splits rows at every character str.split splits
+        # at, and a numpy string array drops trailing NULs
+        if word.split() != [word] or word.endswith("\0"):
+            raise ValueError(f"word not serializable: {word!r}")
     if not emb.is_dense:
-        raise TypeError("only dense embeddings can be exported to the text format")
+        path, m = Path(f"{stem}.npz"), emb.vectors.tocsr()
+        np.savez_compressed(path, data=m.data, indices=m.indices, indptr=m.indptr,
+                            shape=np.asarray(m.shape, dtype=np.int64),
+                            words=np.asarray(emb.words, dtype=np.str_),
+                            model=np.asarray(emb.model.value, dtype=np.str_))
+        return path
+    if not emb.words or not emb.dim:
+        raise ValueError(f"text format needs a word and a dimension, got {len(emb.words)} words of dim {emb.dim}")
+    path = Path(f"{stem}.txt")
     # tolist() gives Python floats, which format exactly as numpy's float32
     # and float64 scalars do; converting a row at a time keeps one row of
     # Python floats alive, not the whole matrix
@@ -118,29 +134,58 @@ def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(emb.words)} {emb.dim}\n")
         for word, vec in zip(emb.words, emb.vectors):
-            if " " in word or not word:
-                raise ValueError(f"word not serializable in text format: {word!r}")
             fh.write(word + " " + row_format.format(*vec.tolist()) + "\n")
+    return path
 
 
-def save_sparse_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """Persist sparse rows (CSR components plus the word list) as .npz."""
-    if emb.is_dense:
-        raise TypeError("use export_embeddings for dense matrices")
-    m = emb.vectors.tocsr()
-    np.savez_compressed(
-        path,
-        data=m.data,
-        indices=m.indices,
-        indptr=m.indptr,
-        shape=np.asarray(m.shape, dtype=np.int64),
-        words=np.asarray(emb.words, dtype=np.str_),
-        model=np.asarray(emb.model.value, dtype=np.str_),
-    )
+def load_embeddings(path: str | Path) -> EmbeddingMatrix:
+    """The embeddings in `path`: a `.npz` path is read as the archive
+    `save_embeddings` writes, any other path as the text format (model
+    EXTERNAL). A malformed file is a ValueError naming it, and a text
+    file's errors name the line; a missing file is a FileNotFoundError."""
+    if Path(path).suffix == ".npz":
+        import scipy.sparse as sp
+        with _archive(path) as payload:
+            matrix = sp.csr_matrix((payload["data"], payload["indices"], payload["indptr"]),
+                                   shape=tuple(payload["shape"]))
+            # the constructor checks array shapes, not index bounds
+            matrix.check_format(full_check=True)
+            words = tuple(str(w) for w in payload["words"])
+            return EmbeddingMatrix(words=words, vectors=matrix, model=Model(str(payload["model"])))
+    with _text_rows(path) as (rows, count, dim):
+        # one line past the declared rows is enough to refuse the file
+        lines = list(itertools.islice(rows, count + 1))
+    # a malformed file (or a value only `float()` reads, such as 1_000)
+    # takes the line-by-line path, which names the first bad line
+    words, vectors = _fast_rows(lines, count, dim) or _rows_one_by_one(lines, count, dim, path)
+    bad_rows = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")
+    return EmbeddingMatrix(words=tuple(words), vectors=vectors, model=Model.EXTERNAL)
+
+
+def read_embedding_words(path: str | Path) -> tuple[str, ...]:
+    """The word list of an embedding file, without its vectors, told apart
+    by suffix as `load_embeddings` does: the `words` member of a `.npz`
+    archive (no scipy needed), else the first field of each text row. For
+    a valid file these are the words a full load gives. The header,
+    archive and encoding checks are the loader's; a fault in the vector
+    values is found by the full load."""
+    if Path(path).suffix == ".npz":
+        with _archive(path) as payload:
+            return tuple(str(w) for w in payload["words"])
+    words = []
+    with _text_rows(path) as (rows, count, dim):
+        for lineno, line in enumerate(itertools.islice(rows, count), start=2):
+            fields = line.split(maxsplit=1)
+            if not fields:
+                raise ValueError(f"{path}: expected {dim + 1} fields, got 0 at line {lineno}")
+            words.append(fields[0])
+    return tuple(words)
 
 
 @contextmanager
-def _sparse_archive(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
+def _archive(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
     """The open archive at `path`; a damaged, incomplete or inconsistent
     archive, found on opening it or while reading its members, is a
     ValueError naming the file."""
@@ -149,23 +194,38 @@ def _sparse_archive(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
             yield payload
     except FileNotFoundError:
         raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, ValueError, OSError) as exc:
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, TypeError, ValueError,
+            OSError) as exc:
         raise ValueError(f"{path}: not a valid sparse embedding archive: {exc}") from None
 
 
-def load_sparse_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Sparse rows written by `save_sparse_embeddings`; a damaged,
-    incomplete or inconsistent archive is a ValueError naming the file."""
-    import scipy.sparse as sp
-    with _sparse_archive(path) as payload:
-        matrix = sp.csr_matrix(
-            (payload["data"], payload["indices"], payload["indptr"]),
-            shape=tuple(payload["shape"]),
-        )
-        # the constructor checks array shapes, not index bounds
-        matrix.check_format(full_check=True)
-        words = tuple(str(w) for w in payload["words"])
-        return EmbeddingMatrix(words=words, vectors=matrix, model=Model(str(payload["model"])))
+@contextmanager
+def _text_rows(path: str | Path) -> Iterator[tuple[TextIO, int, int]]:
+    """The text file at `path`, open past its header, with the header's
+    (count, dim). A malformed header, or one that declares more rows than
+    the file can hold, is a ValueError naming the file and line 1; bytes
+    that are not UTF-8, in the header or the rows, are one naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            try:
+                count, dim = map(int, header)
+            except ValueError:
+                count = dim = 0
+            if count < 1 or dim < 1:
+                raise ValueError(f"{path}: malformed header at line 1")
+            # a row takes at least 2 * dim + 1 bytes (a word, then a space
+            # and a digit per value): a header that declares more rows than
+            # the file can hold is refused before the array is allocated
+            size = os.fstat(fh.fileno()).st_size
+            if count * (2 * dim + 1) > size:
+                raise ValueError(
+                    f"{path}: header declares {count} rows of {dim} values, "
+                    f"more than its {size} bytes can hold, at line 1"
+                )
+            yield fh, count, dim
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _fast_rows(lines: list[str], count: int, dim: int) -> tuple[list[str], np.ndarray] | None:
@@ -217,69 +277,3 @@ def _rows_one_by_one(lines: list[str], count: int, dim: int, path: str | Path) -
     if len(words) != count:
         raise ValueError(f"{path}: header declares {count} rows, found {len(words)}")
     return words, vectors
-
-
-def _text_header(fh: TextIO, path: str | Path) -> tuple[int, int]:
-    """(count, dim) from the header line of an open text embedding file;
-    a header that is malformed, or that declares more rows than the file
-    can hold, is a ValueError naming the file and line 1."""
-    header = fh.readline().split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: malformed header at line 1")
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"{path}: malformed header at line 1") from None
-    if count < 1 or dim < 1:
-        raise ValueError(f"{path}: malformed header at line 1")
-    # a row takes at least 2 * dim + 1 bytes (a word, then a space
-    # and a digit per value): a header that declares more rows than
-    # the file can hold is refused before the array is allocated
-    size = os.fstat(fh.fileno()).st_size
-    if count * (2 * dim + 1) > size:
-        raise ValueError(
-            f"{path}: header declares {count} rows of {dim} values, "
-            f"more than its {size} bytes can hold, at line 1"
-        )
-    return count, dim
-
-
-def import_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Read the text format back; errors name the offending line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            count, dim = _text_header(fh, path)
-            # one line past the declared rows is enough to refuse the file
-            lines = list(itertools.islice(fh, count + 1))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    # a malformed file (or a value only `float()` reads, such as 1_000)
-    # takes the line-by-line path, which names the first bad line
-    words, vectors = _fast_rows(lines, count, dim) or _rows_one_by_one(lines, count, dim, path)
-    bad_rows = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad_rows.size:
-        raise ValueError(f"{path}: non-finite value at line {bad_rows[0] + 2}")
-    return EmbeddingMatrix(words=tuple(words), vectors=vectors, model=Model.EXTERNAL)
-
-
-def read_embedding_words(path: str | Path) -> tuple[str, ...]:
-    """The word list of an embedding file, without its vectors: the
-    `words` member of a `.npz` archive (no scipy needed), else the first
-    field of each row of a text file. For a valid file these are the
-    words a full load gives. The header, archive and encoding checks are
-    the loaders'; a fault in the vector values is found by the full load."""
-    if Path(path).suffix == ".npz":
-        with _sparse_archive(path) as payload:
-            return tuple(str(w) for w in payload["words"])
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            count, dim = _text_header(fh, path)
-            words = []
-            for lineno, line in enumerate(itertools.islice(fh, count), start=2):
-                fields = line.split(maxsplit=1)
-                if not fields:
-                    raise ValueError(f"{path}: expected {dim + 1} fields, got 0 at line {lineno}")
-                words.append(fields[0])
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    return tuple(words)

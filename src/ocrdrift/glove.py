@@ -131,8 +131,9 @@ def train_glove(
         bc=np.full_like(p.bc, 1e-8),
     )
 
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
+    # the COO's own int32 ids and an int32 epoch order, as in word2vec:
+    # grouping and bincount give the same results for any integer dtype
+    rows, cols = coo.row, coo.col
     log_counts = np.log(coo.data)
     weights = cell_weight(coo.data)
     rng = np.random.default_rng(config.seed)
@@ -140,7 +141,7 @@ def train_glove(
     work = _work_arrays(config.batch_size, dim)
 
     for epoch in range(config.epochs):
-        order = rng.permutation(coo.nnz)
+        order = rng.permutation(coo.nnz).astype(np.int32)
         for start in range(0, coo.nnz, config.batch_size):
             sel = order[start:start + config.batch_size]
             _glove_batch_step(p, acc, rows.take(sel), cols.take(sel),

@@ -823,14 +823,14 @@ class TestExternalEmbeddings:
     def test_external_only_evaluation(self, tmp_path, corpus_dir):
         import numpy as np
 
-        from ocrdrift.embeddings import EmbeddingMatrix, Model, export_embeddings
+        from ocrdrift.embeddings import EmbeddingMatrix, Model, save_embeddings
 
         rng = np.random.default_rng(0)
         words = tuple(f"w{i}" for i in range(40))
-        for name, seed in (("ext_ocr.txt", 1), ("ext_gt.txt", 2)):
+        for name, seed in (("ext_ocr", 1), ("ext_gt", 2)):
             vectors = np.random.default_rng(seed).normal(size=(40, 8))
             emb = EmbeddingMatrix(words=words, vectors=vectors, model=Model.EXTERNAL)
-            export_embeddings(emb, tmp_path / name)
+            save_embeddings(emb, tmp_path / name)
 
         out = tmp_path / "out"
         config = external_config(tmp_path, corpus_dir, out)
@@ -842,13 +842,12 @@ class TestExternalEmbeddings:
     def test_sparse_archives_evaluate(self, tmp_path, corpus_dir):
         import scipy.sparse as sp
 
-        from ocrdrift.embeddings import EmbeddingMatrix, Model, save_sparse_embeddings
+        from ocrdrift.embeddings import EmbeddingMatrix, Model, save_embeddings
 
         words = tuple(f"w{i}" for i in range(40))
-        for name, seed in (("ext_ocr.npz", 1), ("ext_gt.npz", 2)):
+        for name, seed in (("ext_ocr", 1), ("ext_gt", 2)):
             vectors = sp.random(40, 60, density=0.2, format="csr", random_state=seed)
-            save_sparse_embeddings(EmbeddingMatrix(words=words, vectors=vectors, model=Model.PPMI),
-                                   tmp_path / name)
+            save_embeddings(EmbeddingMatrix(words=words, vectors=vectors, model=Model.PPMI), tmp_path / name)
         out = tmp_path / "out"
         config = external_config(tmp_path, corpus_dir, out, suffix=".npz")
         assert main(["evaluate", "--config", str(config)]) == 0

@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ocrdrift import embeddings
 from ocrdrift.embeddings import (
@@ -13,11 +16,9 @@ from ocrdrift.embeddings import (
     Model,
     RateProfile,
     TrainConfig,
-    export_embeddings,
-    import_embeddings,
-    load_sparse_embeddings,
+    load_embeddings,
     read_embedding_words,
-    save_sparse_embeddings,
+    save_embeddings,
 )
 
 
@@ -49,47 +50,45 @@ class TestTextFormat:
     def test_round_trip_within_tolerance(self, tmp_path):
         rng = np.random.default_rng(0)
         emb = dense_embedding(["alpha", "beta", "gamma"], rng.normal(size=(3, 5)))
-        path = tmp_path / "vectors.txt"
-        export_embeddings(emb, path)
-        back = import_embeddings(path)
+        path = save_embeddings(emb, tmp_path / "vectors")
+        back = load_embeddings(path)
         assert back.words == emb.words
         assert np.abs(back.vectors - emb.vectors).max() < 1e-6
         assert back.model is Model.EXTERNAL
 
     def test_header_line(self, tmp_path):
         emb = dense_embedding(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        path = tmp_path / "v.txt"
-        export_embeddings(emb, path)
+        path = save_embeddings(emb, tmp_path / "v")
         assert path.read_text(encoding="utf-8").splitlines()[0] == "2 3"
 
     def test_row_length_mismatch_names_line(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 3\na 1 2 3 4\nb 1 2 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_duplicate_word_rejected(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\nsame 1 2\nsame 3 4\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate word"):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("not a header\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_non_numeric_value_names_line(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("1 2\nword 1 oops\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_whitespace_around_fields_accepted(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2 \na 1 2 \n  b\t3  4\t\nc 5 6\r\n", encoding="utf-8")
-        back = import_embeddings(path)
+        back = load_embeddings(path)
         assert back.words == ("a", "b", "c")
         np.testing.assert_array_equal(back.vectors, [[1, 2], [3, 4], [5, 6]])
 
@@ -106,12 +105,12 @@ class TestTextFormat:
         path = tmp_path / "v.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_value_only_float_reads_is_accepted(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\na 1_0 2\nb 3 4\n", encoding="utf-8")
-        np.testing.assert_array_equal(import_embeddings(path).vectors, [[10, 2], [3, 4]])
+        np.testing.assert_array_equal(load_embeddings(path).vectors, [[10, 2], [3, 4]])
 
     @pytest.mark.parametrize("kind", ["float32 at 9 digits", "float64 repr"])
     def test_values_bitwise_equal_to_float(self, tmp_path, kind):
@@ -130,7 +129,7 @@ class TestTextFormat:
         path.write_text(f"{shape[0]} {shape[1]}\n"
                         + "".join(f"w{i} {row}\n" for i, row in enumerate(text)), encoding="utf-8")
         expected = np.array([[float(v) for v in row.split()] for row in text])
-        back = import_embeddings(path)
+        back = load_embeddings(path)
         assert back.vectors.dtype == np.float64
         assert back.vectors.tobytes() == expected.tobytes()
 
@@ -139,45 +138,46 @@ class TestTextFormat:
         path = tmp_path / "v.txt"
         path.write_text(f"4 2\na 1 2\nb 3 4\nc 5 {value}\nd 7 8\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-finite value at line 4"):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_header_larger_than_file_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("99999999999 99999\na 1 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header declares 99999999999 rows .* at line 1"):
-            import_embeddings(path)
+            load_embeddings(path)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2\na 1 2\nb 3 4\n", encoding="utf-8")
         with pytest.raises(ValueError, match="3 rows"):
-            import_embeddings(path)
-
-    def test_sparse_export_rejected(self, tmp_path):
-        emb = EmbeddingMatrix(words=("a", "b"), vectors=sp.csr_matrix(np.eye(2)), model=Model.PPMI)
-        with pytest.raises(TypeError):
-            export_embeddings(emb, tmp_path / "v.txt")
+            load_embeddings(path)
 
     def test_word_with_space_rejected(self, tmp_path):
-        emb = dense_embedding(["ok", "not ok"], np.eye(2))
-        with pytest.raises(ValueError, match="not ok"):
-            export_embeddings(emb, tmp_path / "v.txt")
+        """Any whitespace the reader splits a row at, the empty word and a
+        trailing NUL (which an archive's string array drops) are refused
+        in either format before the file is made."""
+        for word in ["not ok", "a\nb", "a\tb", "a\rb", "a\x1cb", "a\xa0b", "a\u2028b", "ok ", "", "a\0"]:
+            for vectors in (np.eye(2), sp.csr_matrix(np.eye(2))):
+                emb = EmbeddingMatrix(words=("ok", word), vectors=vectors, model=Model.PPMI)
+                with pytest.raises(ValueError) as refused:
+                    save_embeddings(emb, tmp_path / "v")
+                assert str(refused.value) == f"word not serializable: {word!r}"
+                assert not list(tmp_path.iterdir())
 
 
 class TestSparseFormat:
     def test_npz_round_trip(self, tmp_path):
         rows = sp.csr_matrix(np.array([[0.0, 1.5, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 0.25]]))
         emb = EmbeddingMatrix(words=("x", "y", "z"), vectors=rows, model=Model.PPMI)
-        path = tmp_path / "rows.npz"
-        save_sparse_embeddings(emb, path)
-        back = load_sparse_embeddings(path)
+        path = save_embeddings(emb, tmp_path / "rows")
+        back = load_embeddings(path)
         assert back.words == emb.words
         assert back.model is Model.PPMI
         np.testing.assert_allclose(back.vectors.toarray(), rows.toarray())
 
     @staticmethod
     def write_archive(path, **changes):
-        """An archive of a 3x3 matrix as save_sparse_embeddings writes it,
+        """An archive of a 3x3 matrix as save_embeddings writes it,
         with `changes` replacing its arrays (None drops one)."""
         arrays = dict(data=np.ones(3), indices=np.array([0, 1, 2], dtype=np.int32),
                       indptr=np.array([0, 1, 2, 3], dtype=np.int32), shape=np.array([3, 3]),
@@ -190,7 +190,7 @@ class TestSparseFormat:
         path = self.write_archive(tmp_path / "rows.npz")
         path.write_bytes(path.read_bytes()[:200])
         with pytest.raises(ValueError, match="rows.npz: not a valid sparse embedding archive"):
-            load_sparse_embeddings(path)
+            load_embeddings(path)
 
     def test_damaged_archive_named(self, tmp_path):
         """A byte flipped anywhere, the end-of-archive record included,
@@ -202,28 +202,28 @@ class TestSparseFormat:
             damaged[pos] ^= 0xFF
             path.write_bytes(damaged)
             try:
-                load_sparse_embeddings(path)
+                load_embeddings(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: not a valid sparse embedding archive")
 
     def test_missing_file_keeps_its_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_sparse_embeddings(tmp_path / "absent.npz")
+            load_embeddings(tmp_path / "absent.npz")
 
     def test_missing_array_named(self, tmp_path):
         path = self.write_archive(tmp_path / "rows.npz", indptr=None)
         with pytest.raises(ValueError, match="rows.npz: .*indptr"):
-            load_sparse_embeddings(path)
+            load_embeddings(path)
 
     def test_column_index_outside_matrix_named(self, tmp_path):
         path = self.write_archive(tmp_path / "rows.npz", indices=np.array([0, 7, 2], dtype=np.int32))
         with pytest.raises(ValueError, match="rows.npz: .*indices must be < 3"):
-            load_sparse_embeddings(path)
+            load_embeddings(path)
 
     def test_unknown_model_named(self, tmp_path):
         path = self.write_archive(tmp_path / "rows.npz", model=np.array("bert"))
         with pytest.raises(ValueError, match="rows.npz: .*'bert'"):
-            load_sparse_embeddings(path)
+            load_embeddings(path)
 
 
 class TestWordsOnly:
@@ -231,19 +231,19 @@ class TestWordsOnly:
     through the loaders' own header and archive checks."""
 
     def test_text_words_equal_full_load(self, tmp_path):
-        path = tmp_path / "vectors.txt"
         rng = np.random.default_rng(3)
-        export_embeddings(dense_embedding(["alpha", "béta", "δ", "gamma"], rng.normal(size=(4, 3))), path)
-        assert read_embedding_words(path) == import_embeddings(path).words
+        path = save_embeddings(dense_embedding(["alpha", "béta", "δ", "gamma"], rng.normal(size=(4, 3))),
+                               tmp_path / "vectors")
+        assert read_embedding_words(path) == load_embeddings(path).words
         # tabs and runs of blanks, and a value only the line-by-line path reads
         path.write_text("3 2\n a\t1 2\nb  1_000 2\nc 3 4\n", encoding="utf-8")
-        assert read_embedding_words(path) == import_embeddings(path).words == ("a", "b", "c")
+        assert read_embedding_words(path) == load_embeddings(path).words == ("a", "b", "c")
 
     def test_npz_words_equal_full_load(self, tmp_path):
-        path = tmp_path / "rows.npz"
         rows = sp.random(5, 9, density=0.3, format="csr", random_state=2)
-        save_sparse_embeddings(EmbeddingMatrix(words=("v", "w", "x", "y", "zé"), vectors=rows, model=Model.PPMI), path)
-        assert read_embedding_words(path) == load_sparse_embeddings(path).words
+        path = save_embeddings(EmbeddingMatrix(words=("v", "w", "x", "y", "zé"), vectors=rows, model=Model.PPMI),
+                               tmp_path / "rows")
+        assert read_embedding_words(path) == load_embeddings(path).words
 
     @pytest.mark.parametrize("content", [
         b"x y\nw 1\n",
@@ -255,7 +255,7 @@ class TestWordsOnly:
         path = tmp_path / "vectors.txt"
         path.write_bytes(content)
         with pytest.raises(ValueError) as full:
-            import_embeddings(path)
+            load_embeddings(path)
         with pytest.raises(ValueError) as words:
             read_embedding_words(path)
         assert str(words.value) == str(full.value)
@@ -300,6 +300,143 @@ class TestWordsOnly:
                                 capture_output=True, text=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["x y z", "-"]
+
+
+# words the writer accepts: not empty, no whitespace of any kind, no trailing NUL
+WORD = st.text(min_size=1, max_size=5).filter(lambda w: w.split() == [w] and not w.endswith("\0"))
+
+
+def dense_matrices(words, dtype):
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=np.dtype(dtype).itemsize * 8)
+    return hnp.arrays(dtype, st.tuples(st.just(len(words)), st.integers(1, 4)), elements=finite)
+
+
+def sparse_matrices(words):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    dense = hnp.arrays(np.float64, st.tuples(st.just(len(words)), st.integers(1, 5)),
+                       elements=st.one_of(st.just(0.0), values))
+    return dense.map(sp.csr_matrix)
+
+
+def corrupted(intact, edits, cut):
+    """`intact` with each (position, bytes) edit replacing the byte at
+    that position (taken modulo the current length) by those bytes, so
+    an edit deletes, substitutes or inserts; then cut to `cut` bytes."""
+    data = bytearray(intact)
+    for pos, new in edits:
+        pos %= max(len(data), 1)
+        data[pos:pos + 1] = new
+    return bytes(data if cut is None else data[:cut % (len(data) + 1)])
+
+
+# bytes that keep a text file decodable as often as not
+EDIT_BYTES = st.binary(max_size=3) | st.sampled_from(
+    [b" ", b"\n", b"\t", b"\r", b"\x0c", b"\xc2\xa0", b"\xe2\x80\xa8", b"0", b"7", b"-", b".",
+     b"e", b"_", b"nan", b"inf", b"x", b"\xc3\xa9", b"\x00"])
+EDITS = st.lists(st.tuples(st.integers(min_value=0), EDIT_BYTES), min_size=1, max_size=4)
+
+
+def assert_loads_or_names_path(path):
+    """A load of `path` either succeeds, with as many finite vectors as
+    words, or raises a ValueError naming the file; the words-only read
+    agrees with the load or fails the same way."""
+    try:
+        emb = load_embeddings(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert emb.vectors.shape[0] == len(emb.words)
+        if emb.is_dense:
+            assert np.isfinite(emb.vectors).all()
+    try:
+        words = read_embedding_words(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(words, tuple) and all(isinstance(w, str) for w in words)
+
+
+class TestSaveLoad:
+    """`save_embeddings` picks the format from the matrix kind, and
+    `load_embeddings` reads back exactly what it wrote."""
+
+    def test_dense_to_txt_sparse_to_npz(self, tmp_path):
+        dense = dense_embedding(["a", "b"], np.eye(2))
+        sparse = EmbeddingMatrix(words=("a", "b"), vectors=sp.csr_matrix(np.eye(2)), model=Model.PPMI)
+        # a label may hold a dot: the suffix is appended, never substituted
+        assert save_embeddings(dense, tmp_path / "sgns.v2_ocr_run0") == tmp_path / "sgns.v2_ocr_run0.txt"
+        assert save_embeddings(sparse, tmp_path / "ppmi.v2_ocr_run0") == tmp_path / "ppmi.v2_ocr_run0.npz"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ppmi.v2_ocr_run0.npz", "sgns.v2_ocr_run0.txt"]
+        assert load_embeddings(tmp_path / "sgns.v2_ocr_run0.txt").is_dense
+        assert not load_embeddings(tmp_path / "ppmi.v2_ocr_run0.npz").is_dense
+
+    @pytest.mark.parametrize("vectors", [np.empty((0, 3)), np.empty((2, 0))])
+    def test_empty_dense_matrix_rejected(self, tmp_path, vectors):
+        emb = dense_embedding(["a", "b"][:len(vectors)], vectors)
+        with pytest.raises(ValueError, match="text format needs a word and a dimension"):
+            save_embeddings(emb, tmp_path / "v")
+        assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), words=st.lists(WORD, min_size=1, max_size=6, unique=True),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_dense_round_trip(self, tmp_path_factory, data, words, dtype):
+        vectors = data.draw(dense_matrices(words, dtype))
+        emb = EmbeddingMatrix(words=tuple(words), vectors=vectors, model=Model.SGNS)
+        path = save_embeddings(emb, tmp_path_factory.getbasetemp() / "round.trip")
+        back = load_embeddings(path)
+        assert back.words == emb.words == read_embedding_words(path)
+        expected = np.array([[float(f"{v:.9g}") for v in row] for row in vectors.tolist()])
+        assert back.vectors.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), words=st.lists(WORD, max_size=6, unique=True), model=st.sampled_from(list(Model)))
+    def test_sparse_round_trip(self, tmp_path_factory, data, words, model):
+        rows = data.draw(sparse_matrices(words))
+        path = save_embeddings(EmbeddingMatrix(words=tuple(words), vectors=rows, model=model),
+                               tmp_path_factory.getbasetemp() / "round.trip")
+        back = load_embeddings(path)
+        assert back.words == tuple(words) == read_embedding_words(path)
+        assert back.model is model
+        assert back.vectors.shape == rows.shape
+        for part in ("data", "indices", "indptr"):
+            assert getattr(back.vectors, part).tobytes() == getattr(rows, part).tobytes(), part
+
+
+class TestMalformedFiles:
+    """Corrupted files raise nothing but a ValueError naming the path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=EDITS, cut=st.none() | st.integers(min_value=0))
+    def test_corrupted_text_file(self, tmp_path_factory, edits, cut):
+        rng = np.random.default_rng(6)
+        intact = save_embeddings(dense_embedding(["a", "bé", "c"], rng.normal(size=(3, 2))),
+                                 tmp_path_factory.getbasetemp() / "intact").read_bytes()
+        path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+        path.write_bytes(corrupted(intact, edits, cut))
+        assert_loads_or_names_path(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=EDITS, cut=st.none() | st.integers(min_value=0))
+    def test_corrupted_archive(self, tmp_path_factory, edits, cut):
+        rows = sp.csr_matrix(np.array([[0.0, 1.5, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 0.25]]))
+        intact = save_embeddings(EmbeddingMatrix(words=("x", "y", "z"), vectors=rows, model=Model.PPMI),
+                                 tmp_path_factory.getbasetemp() / "intact").read_bytes()
+        path = tmp_path_factory.getbasetemp() / "fuzzed.npz"
+        path.write_bytes(corrupted(intact, edits, cut))
+        assert_loads_or_names_path(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(member=st.sampled_from(["data", "indices", "indptr", "shape", "words", "model"]),
+           value=st.sampled_from([
+               np.array(3), np.array([]), np.array([[0, 1], [2, 3]]), np.array(["a", "b", "c", "d"]),
+               np.array([-1, 0, 5]), np.array([3.5, 2.0]), np.array([True, False, True]),
+               np.array("ppmi"), np.array([1 << 40, 2, 3]), np.array([b"x", b"y", b"z"]),
+           ]))
+    def test_archive_with_a_wrong_member(self, tmp_path_factory, member, value):
+        """A well-formed zip whose member has the wrong shape, type or values."""
+        path = TestSparseFormat.write_archive(tmp_path_factory.getbasetemp() / "odd.npz", **{member: value})
+        assert_loads_or_names_path(path)
 
 
 class TestEmbeddingMatrix:

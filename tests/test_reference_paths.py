@@ -76,8 +76,8 @@ from ocrdrift.embeddings import (
     Model,
     RateProfile,
     TrainConfig,
-    export_embeddings,
-    save_sparse_embeddings,
+    load_embeddings,
+    save_embeddings,
 )
 from ocrdrift.glove import train_glove
 from ocrdrift.overlap import (
@@ -1092,8 +1092,8 @@ def test_cmd_evaluate_memory_stays_within_budget(tmp_path, monkeypatch, three_ru
     load_peaks, stored = {}, {}
     for entry in manifest["entries"]:
         path = trained / entry["embedding_path"]
-        load_peaks[path] = traced_peak(cli._load_embedding, path)
-        stored[path] = _stored_bytes(cli._load_embedding(path).vectors)
+        load_peaks[path] = traced_peak(load_embeddings, path)
+        stored[path] = _stored_bytes(load_embeddings(path).vectors)
     pairs = [(trained / a["embedding_path"], trained / b["embedding_path"])
              for a in manifest["entries"] for b in manifest["entries"]
              if (a["model"], a["run"], a["version"], b["version"]) == (b["model"], b["run"], "ocr", "gt")]
@@ -1187,12 +1187,7 @@ def reference_train(config_path):
             for run in range(1 if spec.train.model is Model.PPMI else config.runs):
                 emb = cli._train_one(spec, tokenized, config.seed + run)
                 stem = f"{spec.label}_{version.value}_run{run}"
-                if emb.is_dense:
-                    path = out / "embeddings" / f"{stem}.txt"
-                    export_embeddings(emb, path)
-                else:
-                    path = out / "embeddings" / f"{stem}.npz"
-                    save_sparse_embeddings(emb, path)
+                path = save_embeddings(emb, out / "embeddings" / stem)
                 entries.append({"model": spec.label, "version": version.value, "run": run,
                                 "seed": config.seed + run,
                                 "embedding_path": str(path.relative_to(out))})
@@ -1457,9 +1452,11 @@ def _glove_matrix(n_types=150, seed=8):
 
 
 def glove_state_bytes(matrix, dim):
-    """W, Cw, their accumulators and the result; biases; per-cell arrays."""
+    """W, Cw, their accumulators and the result; biases; per-cell arrays:
+    README's 36 bytes a cell, the int64 permutation the int32 order is cast
+    from, and 8 to spare."""
     n_words = matrix.size
-    return 5 * n_words * dim * 8 + 8 * n_words * 8 + 64 * matrix.counts.nnz
+    return 5 * n_words * dim * 8 + 8 * n_words * 8 + 52 * matrix.counts.nnz
 
 
 def glove_batch_bytes(matrix, dim, n):
@@ -1552,6 +1549,6 @@ def test_export_matches_per_value_format(tmp_path, dtype):
     vectors = np.append(values, np.zeros(-len(values) % 6, dtype=dtype)).reshape(-1, 6)
     assert vectors.dtype == dtype and np.isfinite(vectors).all()
     emb = external([f"w{i}" for i in range(len(vectors))], vectors)
-    export_embeddings(emb, tmp_path / "fast.txt")
+    save_embeddings(emb, tmp_path / "fast")
     reference_export(emb, tmp_path / "reference.txt")
     assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
