@@ -24,7 +24,7 @@ save_paired_files(corpus, workdir / "demo_corpus")
 print(f"wrote {len(corpus)} document pairs in the paired file layout")
 
 # loading reports anything it had to skip, and keeps documents sorted
-corpus = load_corpus(workdir / "demo_corpus", "paired", "other")
+corpus = load_corpus(workdir / "demo_corpus", "paired")
 print(f"loaded {len(corpus)} documents, {len(corpus.report.skipped)} skipped")
 
 for version in (Version.GROUND_TRUTH, Version.OCR):

@@ -10,7 +10,7 @@ import numpy as np
 
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version
-from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.embeddings import Model, TrainConfig
 from ocrdrift.glove import train_glove
 from ocrdrift.noise import NoiseSpec
 from ocrdrift.ppmi import train_ppmi
@@ -29,11 +29,11 @@ flat = count_cooccurrences(tokens, window_size=5, weighting=Weighting.FLAT)
 embeddings["ppmi"] = train_ppmi(flat)
 
 sgns_config = TrainConfig(model=Model.SGNS, dim=48, epochs=4, seed=0,
-                          rate_profile=RateProfile.FAST)
+                          learning_rate=1e-3)
 embeddings["sgns"] = train_sgns(tokens, sgns_config)
 
 cbow_config = TrainConfig(model=Model.CBOW, dim=48, epochs=4, seed=0,
-                          rate_profile=RateProfile.FAST)
+                          learning_rate=1e-3)
 embeddings["cbow"] = train_cbow(tokens, cbow_config)
 
 harmonic = count_cooccurrences(tokens, window_size=5, weighting=Weighting.HARMONIC)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ocrdrift.corpus import Version
-from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.embeddings import Model, TrainConfig
 from ocrdrift.noise import NoiseSpec
 from ocrdrift.overlap import evaluate_pair, overlap_curve, write_curve_csv
 from ocrdrift.preprocess import intersect_words, preprocess_corpus
@@ -32,7 +32,7 @@ docs = synthetic_documents(200_000, seed=17, n_types=400, n_topics=20,
 def train(corpus, version, seed):
     tokens = preprocess_corpus(corpus, version, min_count=5)
     config = TrainConfig(model=Model.SGNS, dim=48, epochs=6, seed=seed,
-                         rate_profile=RateProfile.FAST)
+                         learning_rate=1e-3)
     return train_sgns(tokens, config)
 
 

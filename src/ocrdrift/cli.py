@@ -38,6 +38,7 @@ from .config import (
     MissingArtifactError,
     ModelSpec,
     apply_overrides,
+    level_directory,
     load_config,
 )
 from .cooccur import Weighting, count_cooccurrences
@@ -74,19 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure how OCR noise shifts word embedding spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("stats", "corpus statistics tables"),
-        ("error-rates", "character/word error rates and histograms"),
-        ("noise", "write synthetic aligned corpora at configured error rates"),
-        ("train", "train configured models on both corpus versions"),
-        ("evaluate", "compute overlap curves and render plots"),
-        ("report", "regenerate plots from existing curve CSVs"),
+    # each command takes --lang and --seed only when it reads them
+    for name, help_text, takes_lang, takes_seed in [
+        ("stats", "corpus statistics tables", True, False),
+        ("error-rates", "character/word error rates and histograms", True, False),
+        ("noise", "write synthetic aligned corpora at configured error rates", False, True),
+        ("train", "train configured models on both corpus versions", True, True),
+        ("evaluate", "compute overlap curves and render plots", True, True),
+        ("report", "regenerate plots from existing curve CSVs", True, False),
     ]:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(lang=None, seed=None)
         cmd.add_argument("--config", required=True, help="experiment config JSON")
-        cmd.add_argument("--lang", default=None, help="restrict to one configured language")
+        if takes_lang:
+            cmd.add_argument("--lang", help="restrict to one configured language")
         cmd.add_argument("--out", default=None, help="override the configured output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override the base seed")
+        if takes_seed:
+            cmd.add_argument("--seed", type=int, help="override the base seed")
     return parser
 
 
@@ -100,11 +105,11 @@ def cmd_stats(config: ExperimentConfig, lang: str | None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for src in sources:
-        corpus = load_corpus(src.path, src.format, src.language)
+        corpus = load_corpus(src.path, src.format)
         stats = compute_stats(corpus, Version.GROUND_TRUTH)
-        rows.append((src.language.name, stats))
+        rows.append((src.language, stats))
         if corpus.report is not None:
-            corpus.report.to_json(out / f"ingestion_{src.language.name}.json")
+            corpus.report.to_json(out / f"ingestion_{src.language}.json")
     table = io.StringIO()
     writer = csv.writer(table)
     writer.writerow(
@@ -135,16 +140,16 @@ def cmd_stats(config: ExperimentConfig, lang: str | None) -> int:
 def cmd_error_rates(config: ExperimentConfig, lang: str | None) -> int:
     sources = config.for_language(lang)
     for src in sources:
-        corpus = load_corpus(src.path, src.format, src.language)
+        corpus = load_corpus(src.path, src.format)
         report = corpus_error_rates(corpus)
-        out = config.out_dir / src.language.name
+        out = config.out_dir / src.language
         out.mkdir(parents=True, exist_ok=True)
         write_error_report_csv(report, out / "error_rates.csv")
         write_error_report_json(report, out / "error_rates.json")
         write_histogram_csv(report.cer_histogram, out / "cer_hist.csv")
         write_histogram_csv(report.wer_histogram, out / "wer_hist.csv")
         print(
-            f"{src.language.name}: mean CER {report.language_mean_cer:.3f}, "
+            f"{src.language}: mean CER {report.language_mean_cer:.3f}, "
             f"mean WER {report.language_mean_wer:.3f} "
             f"({len(report.per_document)} docs, {report.excluded_docs} excluded)"
         )
@@ -187,7 +192,7 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
     for index, level in enumerate(config.noise.levels):
         spec = dataclasses.replace(config.noise.spec, target_cer=level, seed=config.seed + index)
         corpus = noisy_corpus(documents, spec)
-        level_dir = base / f"cer{int(round(level * 100)):03d}"
+        level_dir = base / level_directory(level)
         save_paired_files(corpus, level_dir)
         _remove_stale_pairs(level_dir, corpus)
         report = corpus_error_rates(corpus)
@@ -341,8 +346,8 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
     import scipy.sparse  # noqa: F401  (forked workers share it; before the corpora it trains faster)
     jobs = []
     for src in sources:
-        corpus = load_corpus(src.path, src.format, src.language)
-        out = config.out_dir / src.language.name
+        corpus = load_corpus(src.path, src.format)
+        out = config.out_dir / src.language
         (out / "embeddings").mkdir(parents=True, exist_ok=True)
 
         tokenized_cache: dict[tuple[Version, int], TokenizedCorpus] = {}
@@ -352,12 +357,12 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
                 if key not in tokenized_cache:
                     tokenized_cache[key] = preprocess_corpus(corpus, version, spec.min_count)
                 for run in range(config.runs_of(spec)):
-                    jobs.append(_TrainJob(src.language.name, spec, version, run,
+                    jobs.append(_TrainJob(src.language, spec, version, run,
                                           config.seed + run, tokenized_cache[key], out))
     # embedding files are overwritten one by one: an old manifest left in
     # place by a failed run would list a mix of old and new files
     for src in sources:
-        (config.out_dir / src.language.name / "manifest.json").unlink(missing_ok=True)
+        (config.out_dir / src.language / "manifest.json").unlink(missing_ok=True)
     # one pool for every language: no language waits for another's slowest job
     _train_in_workers(jobs)
     return 0
@@ -367,22 +372,29 @@ def cmd_train(config: ExperimentConfig, lang: str | None) -> int:
 # evaluate / report
 # ----------------------------------------------------------------------
 
-_MANIFEST_KEYS = ("model", "version", "run", "embedding_path")
+_MANIFEST_KEYS = {"model": str, "version": str, "run": int, "embedding_path": str}
 
 
 def _manifest_paths(manifest_path: Path, out: Path) -> dict[tuple, Path]:
     """The embedding file of each (label, version, run) that a manifest
-    lists; a manifest that is not an object with an `entries` list, or an
-    entry without one of _MANIFEST_KEYS, is a MissingArtifactError."""
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    lists. A manifest that is not UTF-8 JSON, or not an object with an
+    `entries` list, or an entry without one of _MANIFEST_KEYS of its type,
+    is a MissingArtifactError."""
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        raise MissingArtifactError(f"{manifest_path}: not a JSON manifest: {exc}") from None
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise MissingArtifactError(f"{manifest_path}: not an object with an 'entries' list")
     trained = {}
     for index, entry in enumerate(entries):
-        for key in _MANIFEST_KEYS:
+        for key, kind in _MANIFEST_KEYS.items():
             if not isinstance(entry, dict) or key not in entry:
                 raise MissingArtifactError(f"{manifest_path}: entry {index} has no {key!r}")
+            # exactly: a JSON true is a Python int too
+            if type(entry[key]) is not kind:
+                raise MissingArtifactError(f"{manifest_path}: entry {index}'s {key} is not a {kind.__name__}")
         trained[(entry["model"], entry["version"], entry["run"])] = out / entry["embedding_path"]
     return trained
 
@@ -450,7 +462,7 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
     """
     sources = config.for_language(lang)
     for src in sources:
-        out = config.out_dir / src.language.name
+        out = config.out_dir / src.language
         plan = _evaluation_plan(config, out)
         first, *rest = (path for _, pairs in plan for pair in pairs for path in pair)
         intersection = read_embedding_words(first)
@@ -472,7 +484,7 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 curve,
                 curves_dir / f"{label}.json",
                 metadata={
-                    "language": src.language.name,
+                    "language": src.language,
                     "model": label,
                     "runs": len(tables),
                     "seed": config.seed,
@@ -480,12 +492,12 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
                 },
             )
             print(
-                f"{src.language.name}/{label}: overlap {curve.means[0]:.3f} at N={curve.n_values[0]:g} "
+                f"{src.language}/{label}: overlap {curve.means[0]:.3f} at N={curve.n_values[0]:g} "
                 f"({curve.runs_averaged} runs, |V|={curve.intersection_size})"
             )
             # the next label's pairs are evaluated without this label's tables
             del tables, curve
-        _render_figure(config, src.language.name)
+        _render_figure(config, src.language)
     return 0
 
 
@@ -509,7 +521,7 @@ def _render_figure(config: ExperimentConfig, language: str) -> Path:
 
 def cmd_report(config: ExperimentConfig, lang: str | None) -> int:
     for src in config.for_language(lang):
-        print(f"{src.language.name}: rendered {_render_figure(config, src.language.name)}")
+        print(f"{src.language}: rendered {_render_figure(config, src.language)}")
     return 0
 
 

@@ -6,14 +6,16 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import CorpusFormat, Language
-from .embeddings import Model, RateProfile, TrainConfig
+from .corpus import CorpusFormat
+from .embeddings import Model, TrainConfig
 from .noise import NoiseSpec
 from .overlap import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES, default_n_grid
 
 
 MAX_GRID_POINTS = 1000  # ten times the default grid
 MAX_RESAMPLES = 10_000  # ten times the default
+_RATE_PROFILES = {"fast": 1e-3, "slow": 1e-4}
+_LANGUAGE_ALIASES = {"nl": "dutch", "en": "english", "eng": "english", "fr": "french", "de": "german"}
 
 
 class ConfigError(Exception):
@@ -26,7 +28,7 @@ class MissingArtifactError(Exception):
 
 @dataclass(frozen=True)
 class LanguageSource:
-    language: Language
+    language: str
     path: Path
     format: CorpusFormat = CorpusFormat.ICDAR
 
@@ -74,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError("the configuration lists no languages")
         if code is None:
             return self.languages
-        wanted = Language.parse(code)
+        wanted = _language_name(code)
         chosen = tuple(src for src in self.languages if src.language == wanted)
         if not chosen:
             raise ConfigError(f"language {code!r} is not in the configuration")
@@ -84,6 +86,13 @@ class ExperimentConfig:
         """How many (OCR, ground-truth) embedding pairs `spec` has: PPMI has
         no stochastic state and an external model is one given pair."""
         return 1 if spec.train.model in (Model.PPMI, Model.EXTERNAL) else self.runs
+
+
+def _language_name(value: str) -> str:
+    """A language's name: lower case, with the four studied languages'
+    codes spelled out (`nl` is `dutch`)."""
+    key = value.strip().lower()
+    return _LANGUAGE_ALIASES.get(key, key)
 
 
 def _fields(payload, where: str, **converters) -> dict:
@@ -100,7 +109,7 @@ def _fields(payload, where: str, **converters) -> dict:
         if key in payload:
             try:
                 fields[key] = convert(payload[key])
-            except (AttributeError, TypeError, ValueError, OverflowError):
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{where}: invalid {key} {payload[key]!r}") from None
     return fields
 
@@ -121,8 +130,8 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _rate_profile(value) -> RateProfile | None:
-    return RateProfile(value) if value else None
+def _rate_profile(value) -> float | None:
+    return _RATE_PROFILES[value] if value else None
 
 
 def _learning_rate(value) -> float | None:
@@ -145,9 +154,14 @@ def _parse_model(payload) -> ModelSpec:
     label = payload.get("name", f"{model.value}-{profile}" if profile else model.value)
     where = f"model {label!r}"
     fields = _fields(payload, where, model=_as_given, name=_as_given, **_TRAIN_FIELDS, **_SPEC_FIELDS)
+    profile_rate = fields.pop("rate_profile", None)
+    if profile_rate is not None:
+        if fields.get("learning_rate") is not None:
+            raise ConfigError(f"{where} takes a rate_profile or a learning_rate, not both")
+        fields["learning_rate"] = profile_rate
     train = TrainConfig(model, **{k: v for k, v in fields.items() if k in _TRAIN_FIELDS})
     spec = ModelSpec(label, train, **{k: v for k, v in fields.items() if k in _SPEC_FIELDS})
-    has_rate = train.rate_profile is not None or train.learning_rate is not None
+    has_rate = train.learning_rate is not None
     if model in (Model.SGNS, Model.CBOW) and not has_rate:
         raise ConfigError(f"{where} needs a rate_profile or learning_rate")
     if model in (Model.PPMI, Model.GLOVE) and has_rate:
@@ -166,7 +180,7 @@ def _parse_model(payload) -> ModelSpec:
 def _parse_languages(entries) -> tuple[LanguageSource, ...]:
     sources = []
     for index, entry in enumerate(entries):
-        fields = _fields(entry, f"languages[{index}]", language=Language.parse, path=Path, format=CorpusFormat)
+        fields = _fields(entry, f"languages[{index}]", language=_language_name, path=Path, format=CorpusFormat)
         if "path" not in fields or "language" not in fields:
             raise ConfigError("each language entry needs 'language' and 'path'")
         sources.append(LanguageSource(**fields))
@@ -205,9 +219,14 @@ def _noise_weights(payload) -> dict[str, float]:
     return {f"{kind}_weight": weight for kind, weight in weights.items()}
 
 
+def level_directory(level: float) -> str:
+    """The directory that the `noise` command writes a level's corpus to."""
+    return f"cer{int(round(level * 100)):03d}"
+
+
 def _parse_noise(payload) -> NoiseConfig | None:
     """The noise section. Its spec template goes through NoiseSpec's own
-    checks, and so does each level."""
+    checks, and so does each level; two levels may not share a directory."""
     if payload is None:
         return None
     fields = _fields(payload, "the noise section", levels=_floats, weights=_noise_weights,
@@ -223,11 +242,16 @@ def _parse_noise(payload) -> NoiseConfig | None:
         spec = NoiseSpec(target_cer=0.0, **template)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"the noise section: {exc}") from None
+    directories = {}
     for level in levels:
         try:
             replace(spec, target_cer=level)
         except ValueError as exc:
             raise ConfigError(f"noise level {level}: {exc}") from None
+        name = level_directory(level)
+        if name in directories:
+            raise ConfigError(f"noise levels {directories[name]} and {level} would both write {name}")
+        directories[name] = level
     return NoiseConfig(levels=levels, spec=spec, **fields)
 
 
@@ -280,9 +304,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         seen.add(spec.label)
     seen = set()
     for src in config.languages:
-        _check_file_name("language name", src.language.name)
+        _check_file_name("language name", src.language)
         if src.language in seen:
-            raise ConfigError(f"duplicate language {src.language.name!r}")
+            raise ConfigError(f"duplicate language {src.language!r}")
         seen.add(src.language)
         if not src.path.is_dir():
             raise ConfigError(f"corpus path does not exist: {src.path}")

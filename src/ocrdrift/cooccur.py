@@ -29,7 +29,6 @@ class CooccurrenceMatrix:
     """
 
     counts: sp.csr_matrix
-    window_size: int
     weighting: Weighting
     vocabulary: Vocabulary
 
@@ -74,10 +73,5 @@ def count_cooccurrences(
         end += 2 * n
     # scipy keeps the int32 indices as they are; tocsr sums the duplicates
     matrix = sp.coo_matrix((weights, (rows, cols)), shape=(vocab_size, vocab_size)).tocsr()
-    return CooccurrenceMatrix(
-        counts=matrix,
-        window_size=window_size,
-        weighting=weighting,
-        vocabulary=corpus.vocabulary,
-    )
+    return CooccurrenceMatrix(counts=matrix, weighting=weighting, vocabulary=corpus.vocabulary)
 

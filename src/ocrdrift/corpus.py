@@ -18,38 +18,9 @@ from .util import write_atomically
 
 PAD = "@"
 
-_LANGUAGE_CODES = {
-    "nl": "dutch",
-    "dutch": "dutch",
-    "en": "english",
-    "eng": "english",
-    "english": "english",
-    "fr": "french",
-    "french": "french",
-    "de": "german",
-    "german": "german",
-}
-
 
 class CorpusError(Exception):
     """Raised when a corpus cannot be loaded or is unusable."""
-
-
-@dataclass(frozen=True)
-class Language:
-    """A corpus language; the four studied ones plus arbitrary others."""
-
-    name: str
-
-    @classmethod
-    def parse(cls, value: "str | Language") -> "Language":
-        if isinstance(value, Language):
-            return value
-        key = value.strip().lower()
-        return cls(_LANGUAGE_CODES.get(key, key))
-
-    def __str__(self) -> str:
-        return self.name
 
 
 class Version(Enum):
@@ -71,7 +42,10 @@ class AlignedDocument:
     id: str
     ocr_aligned: str
     gt_aligned: str
-    is_aligned: bool
+
+    @property
+    def is_aligned(self) -> bool:
+        return len(self.ocr_aligned) == len(self.gt_aligned)
 
     def text(self, version: Version) -> str:
         """The selected version with alignment padding removed."""
@@ -99,7 +73,6 @@ class IngestionReport:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[AlignedDocument, ...]
-    language: Language
     report: IngestionReport | None = None
 
     def __len__(self) -> int:
@@ -155,11 +128,7 @@ def _parse_icdar_file(content: str) -> tuple[str, str]:
     return ocr_aligned, gt_aligned
 
 
-def load_corpus(
-    root_path: str | Path,
-    format: CorpusFormat | str,
-    language: str | Language,
-) -> Corpus:
+def load_corpus(root_path: str | Path, format: CorpusFormat | str) -> Corpus:
     """Load every parseable document under `root_path`.
 
     Unparseable files are skipped and listed in the corpus's ingestion
@@ -170,7 +139,6 @@ def load_corpus(
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
     fmt = CorpusFormat(format) if isinstance(format, str) else format
-    lang = Language.parse(language)
 
     documents: list[AlignedDocument] = []
     skipped: list[tuple[str, str]] = []
@@ -185,14 +153,7 @@ def load_corpus(
             except (ValueError, UnicodeDecodeError) as exc:
                 skipped.append((rel, str(exc)))
                 continue
-            documents.append(
-                AlignedDocument(
-                    id=rel[:-len(".txt")],
-                    ocr_aligned=ocr_aligned,
-                    gt_aligned=gt_aligned,
-                    is_aligned=len(ocr_aligned) == len(gt_aligned),
-                )
-            )
+            documents.append(AlignedDocument(rel[:-len(".txt")], ocr_aligned, gt_aligned))
     else:
         ocr_paths = sorted(p for p in root.rglob("*.ocr.txt") if p.is_file())
         for path in ocr_paths:
@@ -208,14 +169,7 @@ def load_corpus(
             except UnicodeDecodeError as exc:
                 skipped.append((rel, str(exc)))
                 continue
-            documents.append(
-                AlignedDocument(
-                    id=doc_id,
-                    ocr_aligned=ocr_text,
-                    gt_aligned=gt_text,
-                    is_aligned=len(ocr_text) == len(gt_text),
-                )
-            )
+            documents.append(AlignedDocument(doc_id, ocr_text, gt_text))
         for gt_path in sorted(p for p in root.rglob("*.gt.txt") if p.is_file()):
             ocr_name = gt_path.name[:-len(".gt.txt")] + ".ocr.txt"
             if not (gt_path.parent / ocr_name).is_file():
@@ -228,7 +182,7 @@ def load_corpus(
     report = IngestionReport(
         root=str(root), format=fmt.value, loaded=len(documents), skipped=tuple(skipped)
     )
-    return Corpus(documents=tuple(documents), language=lang, report=report)
+    return Corpus(documents=tuple(documents), report=report)
 
 
 def save_paired_files(corpus: Corpus, out_dir: str | Path) -> None:

@@ -26,16 +26,6 @@ class Model(Enum):
     EXTERNAL = "external"
 
 
-class RateProfile(Enum):
-    """Named learning-rate presets for the gradient-trained models."""
-
-    FAST = "fast"
-    SLOW = "slow"
-
-
-RATE_PROFILES = {RateProfile.FAST: 1e-3, RateProfile.SLOW: 1e-4}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     model: Model
@@ -45,15 +35,7 @@ class TrainConfig:
     epochs: int = 5
     negative_samples: int = 5
     seed: int = 0
-    rate_profile: RateProfile | None = None
     batch_size: int = 8192
-
-    def resolved_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        if self.rate_profile is not None:
-            return RATE_PROFILES[self.rate_profile]
-        raise ValueError("set either learning_rate or rate_profile")
 
     def validated(self) -> "TrainConfig":
         if self.dim < 1:

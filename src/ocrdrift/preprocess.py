@@ -52,7 +52,6 @@ class Vocabulary:
 
     word_to_id: dict[str, int]
     frequencies: np.ndarray
-    min_count: int
     words: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ def build_vocabulary(documents: Iterable[Sequence[str]], min_count: int = 5) -> 
     kept.sort(key=lambda item: (-item[1], item[0]))
     word_to_id = {w: i for i, (w, _) in enumerate(kept)}
     freqs = np.array([c for _, c in kept], dtype=np.int64)
-    return Vocabulary(word_to_id=word_to_id, frequencies=freqs, min_count=min_count)
+    return Vocabulary(word_to_id=word_to_id, frequencies=freqs)
 
 
 @dataclass(frozen=True)

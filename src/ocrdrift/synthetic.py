@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .corpus import AlignedDocument, Corpus, Language
+from .corpus import AlignedDocument, Corpus
 from .noise import NoiseSpec, inject_noise
 
 
@@ -94,11 +94,7 @@ def synthetic_text(total_chars: int, seed: int = 0, **kwargs) -> str:
     return " ".join(synthetic_documents(total_chars, seed=seed, **kwargs))
 
 
-def noisy_corpus(
-    documents: list[str],
-    spec: NoiseSpec,
-    language: Language | str = "synthetic",
-) -> Corpus:
+def noisy_corpus(documents: list[str], spec: NoiseSpec) -> Corpus:
     """Corrupt clean documents into an aligned corpus at the spec's rate.
 
     Each document gets its own child seed, so the corpus is deterministic
@@ -107,13 +103,5 @@ def noisy_corpus(
     docs = []
     for i, text in enumerate(documents):
         seed = int(np.random.default_rng((spec.seed, i)).integers(0, 2**63 - 1))
-        ocr_aligned, gt_aligned = inject_noise(text, replace(spec, seed=seed))
-        docs.append(
-            AlignedDocument(
-                id=f"doc{i:05d}",
-                ocr_aligned=ocr_aligned,
-                gt_aligned=gt_aligned,
-                is_aligned=True,
-            )
-        )
-    return Corpus(documents=tuple(docs), language=Language.parse(language))
+        docs.append(AlignedDocument(f"doc{i:05d}", *inject_noise(text, replace(spec, seed=seed))))
+    return Corpus(documents=tuple(docs))

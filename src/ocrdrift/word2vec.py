@@ -227,6 +227,8 @@ def _train(
     if config.model is not model:
         raise ValueError(f"config.model must be {model.name}, got {config.model}")
     config.validated()
+    if config.learning_rate is None:
+        raise ValueError(f"{model.value} needs a learning_rate")
 
     vocab = corpus.vocabulary
     W, C = _init_matrices(vocab.words, config.dim, config.seed)
@@ -237,7 +239,6 @@ def _train(
     count = len(targets)
     batches_per_epoch = math.ceil(count / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
-    initial_rate = config.resolved_rate()
     for epoch in range(config.epochs):
         # int32 halves the order's memory; the draws are those of the permutation
         order = rng.permutation(count).astype(np.int32)
@@ -245,7 +246,7 @@ def _train(
             sel = order[start:start + config.batch_size]
             negatives = _draw_negatives(rng, negative_table, (len(sel), config.negative_samples))
             progress = (epoch * batches_per_epoch + batch) / total_steps
-            rate = initial_rate * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
+            rate = config.learning_rate * (1.0 - progress * (1.0 - FINAL_RATE_FRACTION))
             batch_step(W, C, targets.take(sel), inputs.take(sel, axis=0), negatives, rate)
         log.debug("%s epoch %d/%d done", model.value, epoch + 1, config.epochs)
 

@@ -20,7 +20,7 @@ from ocrdrift import util
 from ocrdrift.cli import main
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import Version, compute_stats, load_corpus, save_paired_files
-from ocrdrift.embeddings import EmbeddingMatrix, Model, RateProfile, TrainConfig
+from ocrdrift.embeddings import EmbeddingMatrix, Model, TrainConfig
 from ocrdrift.noise import NoiseSpec, character_error_rate, corpus_error_rates, inject_noise, word_error_rate
 from ocrdrift.overlap import evaluate_pair, k_for_fraction, overlap_curve
 from ocrdrift.ppmi import train_ppmi
@@ -118,7 +118,7 @@ def test_self_overlap_identity():
     tc = preprocess_corpus(corpus, Version.GROUND_TRUTH, min_count=5)
 
     sgns = train_sgns(tc, TrainConfig(model=Model.SGNS, dim=32, epochs=2, seed=2,
-                                      rate_profile=RateProfile.FAST, batch_size=4096))
+                                      learning_rate=1e-3, batch_size=4096))
     ppmi = train_ppmi(count_cooccurrences(tc, 5, Weighting.FLAT))
     for emb in (sgns, ppmi):
         curve = overlap_curve([evaluate_pair(emb, emb, emb.words)], resamples=200, seed=3)
@@ -201,7 +201,7 @@ def _sgns_on_noisy_copy(docs, target_cer):
     corpus = noisy_corpus(docs, NoiseSpec(target_cer=target_cer, seed=99))
     tc = preprocess_corpus(corpus, Version.OCR, min_count=5)
     config = TrainConfig(model=Model.SGNS, dim=48, epochs=24, seed=3,
-                         rate_profile=RateProfile.SLOW, batch_size=16384)
+                         learning_rate=1e-4, batch_size=16384)
     return train_sgns(tc, config)
 
 
@@ -264,7 +264,7 @@ def test_dataset_reproduction(language, total, aligned, mean_cer, mean_wer):
     root = Path(ICDAR_ROOT) / language
     if not root.is_dir():
         pytest.skip(f"no corpus directory for {language} under {ICDAR_ROOT}")
-    corpus = load_corpus(root, "icdar", language)
+    corpus = load_corpus(root, "icdar")
     stats = compute_stats(corpus, Version.GROUND_TRUTH)
     assert stats.total_docs == total
     assert stats.aligned_docs == aligned

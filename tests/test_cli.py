@@ -1,6 +1,7 @@
 import ast
 import csv
 import errno
+import filecmp
 import importlib
 import inspect
 import json
@@ -16,10 +17,13 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ocrdrift
 from ocrdrift import cli, overlap, svg, util
 from ocrdrift.cli import main
+from ocrdrift.config import MissingArtifactError
 from ocrdrift.corpus import load_corpus, save_paired_files
 from ocrdrift.noise import NoiseSpec
 from ocrdrift.synthetic import noisy_corpus, synthetic_documents
@@ -342,6 +346,19 @@ class TestNoiseCommand:
         assert "substitution_weight must be a finite number, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_levels_sharing_a_directory_are_exit_2_before_any_directory(self, tmp_path, capsys):
+        """0.1 and 0.104 both round to cer010: the second level's corpus
+        would replace the first's under the first's manifest entry."""
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "out_dir": str(out),
+            "noise": {"levels": [0.1, 0.104], "synthetic_chars": 6_000, "out_name": "toy"},
+        }), encoding="utf-8")
+        assert main(["noise", "--config", str(config)]) == 2
+        assert "noise levels 0.1 and 0.104 would both write cer010" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_with_fewer_documents_leaves_no_stale_pairs(self, tmp_path):
         out = tmp_path / "out"
         level_dir = out / "noise" / "toy" / "cer010"
@@ -357,7 +374,7 @@ class TestNoiseCommand:
             (level_dir / "notes.md").write_text("kept", encoding="utf-8")
             assert main(["noise", "--config", str(config)]) == 0
         manifest = json.loads((out / "noise" / "toy" / "manifest.json").read_text(encoding="utf-8"))
-        corpus = load_corpus(level_dir, format="paired", language="other")
+        corpus = load_corpus(level_dir, format="paired")
         assert manifest[0]["documents"] == len(corpus.documents) == 3
         assert len(list(level_dir.glob("*.txt"))) == 6
         assert (level_dir / "notes.md").read_text(encoding="utf-8") == "kept"
@@ -489,10 +506,18 @@ class TestEvaluateOnePairAtATime:
         assert f"{manifest_path}: entry 2 has no {key!r}" in capsys.readouterr().err
         assert not (out / "curves").exists()
 
-    @pytest.mark.parametrize("manifest", [[], {"language": "other"}, {"entries": {"0": {}}}, {"entries": [7]}])
+    @pytest.mark.parametrize("manifest", [
+        [], {"language": "other"}, {"entries": {"0": {}}}, {"entries": [7]},
+        {"entries": [{"model": "ppmi", "version": "ocr", "run": 0, "embedding_path": 5}]},
+        {"entries": [{"model": ["m"], "version": "ocr", "run": 0, "embedding_path": "x"}]},
+        {"entries": [{"model": "ppmi", "version": "ocr", "run": True, "embedding_path": "x"}]},
+        b'{"entries": [{"model": "ppmi", "vers',  # truncated
+        b'{"entries": [], "language": "\xff"}',  # not UTF-8
+    ])
     def test_malformed_manifest_is_exit_3_naming_it(self, trained, tmp_path, capsys, manifest):
         config, out = self.copy_trained(trained, tmp_path)
-        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        data = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+        (out / "manifest.json").write_bytes(data)
         assert main(["evaluate", "--config", str(config)]) == 3
         assert str(out / "manifest.json") in capsys.readouterr().err
         assert not (out / "curves").exists()
@@ -882,6 +907,104 @@ class TestSeedOverride:
         assert main(["train", "--config", str(config), "--seed", "100"]) == 0
         manifest = json.loads((out / "other" / "manifest.json").read_text(encoding="utf-8"))
         assert sorted({e["seed"] for e in manifest["entries"]}) == [100, 101]
+
+
+class TestFlags:
+    """Each command takes --lang and --seed only when it reads them."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--seed"), ("error-rates", "--seed"), ("report", "--seed"), ("noise", "--lang")])
+    def test_flag_a_command_would_ignore_is_exit_2(self, tmp_path, corpus_dir, capsys, command, flag):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out",
+                              noise={"levels": [0.1], "synthetic_chars": 5_000})
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(config), flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "error-rates", "train", "evaluate", "report"])
+    def test_lang_restricts_the_languages(self, tmp_path, corpus_dir, capsys, command):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out")
+        assert main([command, "--config", str(config), "--lang", "french"]) == 2
+        assert "language 'french' is not in the configuration" in capsys.readouterr().err
+
+    def test_seed_overrides_the_noise_and_bootstrap_seeds(self, trained, tmp_path, corpus_dir):
+        config = write_config(tmp_path / "c.json", corpus_dir, tmp_path / "out",
+                              noise={"levels": [0.1, 0.2], "synthetic_chars": 5_000, "out_name": "toy"})
+        assert main(["noise", "--config", str(config), "--seed", "40"]) == 0
+        manifest = json.loads((tmp_path / "out" / "noise" / "toy" / "manifest.json").read_text(encoding="utf-8"))
+        assert [level["seed"] for level in manifest] == [40, 41]
+        copy = tmp_path / "trained"
+        shutil.copytree(trained[1], copy)
+        assert main(["evaluate", "--config", str(trained[0]), "--out", str(copy), "--seed", "40"]) == 0
+        curve = json.loads((copy / "other" / "curves" / "ppmi.json").read_text(encoding="utf-8"))
+        assert curve["metadata"]["seed"] == 40
+
+
+def test_rate_profile_and_its_learning_rate_write_the_same_files(tmp_path, corpus_dir):
+    embeddings = []
+    for name, rate in (("profile", {"rate_profile": "fast"}), ("rate", {"learning_rate": 0.001})):
+        models = [{"model": model, "name": model, **rate, "dim": 8, "window": 2, "epochs": 1,
+                   "min_count": 3, "batch_size": 256} for model in ("sgns", "cbow")]
+        config = write_config(tmp_path / f"{name}.json", corpus_dir, tmp_path / name, runs=1, models=models)
+        assert main(["train", "--config", str(config)]) == 0
+        embeddings.append(tmp_path / name / "other" / "embeddings")
+    files = sorted(p.name for p in embeddings[0].iterdir())
+    assert files == sorted(p.name for p in embeddings[1].iterdir()) and len(files) == 4
+    for name in files:
+        assert filecmp.cmp(embeddings[0] / name, embeddings[1] / name, shallow=False), name
+
+
+MANIFEST = json.dumps({"language": "other", "entries": [
+    {"model": "sgns-fast", "version": "ocr", "run": 0, "seed": 13,
+     "embedding_path": "embeddings/sgns-fast_ocr_run0.txt", "train_wall_seconds": 0.5},
+    {"model": "ppmi", "version": "gt", "run": 0, "seed": 13,
+     "embedding_path": "embeddings/ppmi_gt_run0.npz", "train_wall_seconds": 0.1},
+]}, indent=2).encode()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def assert_reads_or_names_manifest(path):
+    """A manifest read gives Paths keyed by (label, version, run), or a
+    MissingArtifactError naming the manifest; nothing else."""
+    try:
+        trained = cli._manifest_paths(path, path.parent)
+    except MissingArtifactError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        for (label, version, run), emb_path in trained.items():
+            assert (type(label), type(version), type(run)) == (str, str, int)
+            assert isinstance(emb_path, Path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.binary(max_size=3)), max_size=4),
+       cut=st.none() | st.integers(min_value=0))
+def test_damaged_manifest_reads_or_names_it(tmp_path_factory, edits, cut):
+    """Bytes of a manifest deleted, replaced or inserted, then cut."""
+    data = bytearray(MANIFEST)
+    for pos, new in edits:
+        pos %= max(len(data), 1)
+        data[pos:pos + 1] = new
+    path = tmp_path_factory.getbasetemp() / "manifest.json"
+    path.write_bytes(bytes(data if cut is None else data[:cut % (len(data) + 1)]))
+    assert_reads_or_names_manifest(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(["entries", "model", "version", "run", "embedding_path"]), value=JSON_VALUES)
+def test_any_json_value_in_a_manifest_reads_or_names_it(tmp_path_factory, key, value):
+    """The entries list, or one key of an entry, replaced by any JSON value."""
+    manifest = json.loads(MANIFEST)
+    (manifest if key == "entries" else manifest["entries"][1])[key] = value
+    path = tmp_path_factory.getbasetemp() / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert_reads_or_names_manifest(path)
 
 
 class TestDeterminism:

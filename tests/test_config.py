@@ -14,8 +14,8 @@ from ocrdrift.config import (
     NoiseConfig,
     load_config,
 )
-from ocrdrift.corpus import CorpusFormat, Language
-from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.corpus import CorpusFormat
+from ocrdrift.embeddings import Model, TrainConfig
 
 
 def load(tmp_path, payload):
@@ -36,7 +36,7 @@ class TestDefaults:
         })
         assert config == ExperimentConfig(
             out_dir=Path("out"),
-            languages=(LanguageSource(language=Language.parse("other"), path=corpus),),
+            languages=(LanguageSource(language="other", path=corpus),),
             models=(ModelSpec(label="ppmi", train=TrainConfig(Model.PPMI)),),
             noise=NoiseConfig(levels=(0.1,)),
         )
@@ -63,12 +63,22 @@ class TestDefaults:
         assert config.languages[0].format is CorpusFormat.PAIRED_FILES
         sgns, cbow, cbow_null = config.models
         assert (sgns.label, sgns.train.dim, sgns.train.batch_size) == ("sgns-slow", 16, 64)
-        assert sgns.train.rate_profile is RateProfile.SLOW
+        assert sgns.train.learning_rate == 1e-4
         assert (cbow.label, cbow.train.learning_rate, cbow.min_count) == ("cbow", 0.002, 2)
-        assert cbow_null.train.learning_rate is None
+        # a null learning_rate leaves the profile's rate
+        assert (cbow_null.label, cbow_null.train.learning_rate) == ("cbow-null", 1e-3)
         spec = config.noise.spec
         assert (spec.deletion_weight, spec.substitution_weight, spec.insertion_weight) == (0.5, 0.4, 0.1)
         assert config.noise.doc_chars == 300
+
+    def test_language_names_are_lower_case_with_codes_spelled_out(self, tmp_path):
+        config = load(tmp_path, {"out_dir": "out", "languages": [
+            {"language": " NL ", "path": str(tmp_path)}, {"language": "Other", "path": str(tmp_path)}]})
+        assert [src.language for src in config.languages] == ["dutch", "other"]
+        assert config.for_language("Dutch") == config.for_language("nl") == config.languages[:1]
+        with pytest.raises(ConfigError, match="duplicate language 'dutch'"):
+            load(tmp_path, {"out_dir": "out", "languages": [
+                {"language": "nl", "path": str(tmp_path)}, {"language": "dutch", "path": str(tmp_path)}]})
 
 
 def sgns(**fields):
@@ -83,6 +93,9 @@ BAD_VALUES = {
                           ("batch_size", 0), ("batch_size", -1), ("min_count", 0),
                           ("learning_rate", "abc"), ("learning_rate", -1),
                           ("dim", 2.5), ("window", True), ("min_count", 2.5)]},
+    "unknown rate_profile": ({"models": [sgns(rate_profile="medium")]}, "'sgns-medium'", "rate_profile"),
+    "rate_profile and learning_rate": ({"models": [sgns(learning_rate=0.001)]}, "'sgns-fast'",
+                                       "rate_profile", "learning_rate"),
     "glove rate": ({"models": [{"model": "glove", "learning_rate": 0.5}]}, "'glove'", "learning_rate"),
     "ppmi rate": ({"models": [{"model": "ppmi", "learning_rate": 0.5}]}, "'ppmi'", "learning_rate"),
     "weights sum": ({"noise": {"levels": [0.1], "weights": {"deletion": 0.5}}}, "noise", "weights"),
@@ -95,6 +108,9 @@ BAD_VALUES = {
     "weight -inf": ({"noise": {"levels": [0.1], "weights": {"deletion": float("-inf")}}},
                     "noise", "deletion_weight", "-inf"),
     "level 0.95": ({"noise": {"levels": [0.1, 0.95]}}, "noise level 0.95"),
+    # both would write cer010, the second over the first
+    "levels sharing a directory": ({"noise": {"levels": [0.2, 0.1, 0.104]}}, "0.1 and 0.104", "cer010"),
+    "level repeated": ({"noise": {"levels": [0.1, 0.1]}}, "0.1 and 0.1", "cer010"),
     "doc_chars 0": ({"noise": {"levels": [0.1], "doc_chars": 0}}, "noise", "doc_chars"),
     "alphabet with padding": ({"noise": {"levels": [0.1], "alphabet": "ab@"}}, "noise section", "'@'"),
     "n_grid of 1981 points": ({"n_grid": {"start": 0.01, "step": 0.0005}}, "n_grid", "1981"),

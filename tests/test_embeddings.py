@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,15 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ocrdrift import embeddings
+from ocrdrift.config import load_config
 from ocrdrift.embeddings import (
     EmbeddingMatrix,
     Model,
-    RateProfile,
     TrainConfig,
     load_embeddings,
     read_embedding_words,
     save_embeddings,
 )
+from ocrdrift.preprocess import build_vocabulary, encode_documents
+from ocrdrift.word2vec import train_cbow, train_sgns
 
 
 def dense_embedding(words, vectors, model=Model.SGNS):
@@ -31,19 +34,22 @@ def dense_embedding(words, vectors, model=Model.SGNS):
 
 
 class TestTrainConfig:
-    def test_fast_and_slow_presets(self):
-        fast = TrainConfig(model=Model.SGNS, rate_profile=RateProfile.FAST)
-        slow = TrainConfig(model=Model.CBOW, rate_profile=RateProfile.SLOW)
-        assert fast.resolved_rate() == 1e-3
-        assert slow.resolved_rate() == 1e-4
-
-    def test_explicit_rate_wins(self):
-        config = TrainConfig(model=Model.SGNS, learning_rate=0.5, rate_profile=RateProfile.SLOW)
-        assert config.resolved_rate() == 0.5
+    def test_fast_and_slow_presets(self, tmp_path):
+        """A config's rate_profile is its learning rate, and the label names it."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out_dir": "out", "models": [
+            {"model": "sgns", "rate_profile": "fast"}, {"model": "cbow", "rate_profile": "slow"}]}),
+            encoding="utf-8")
+        fast, slow = load_config(path).models
+        assert (fast.label, fast.train) == ("sgns-fast", TrainConfig(model=Model.SGNS, learning_rate=1e-3))
+        assert (slow.label, slow.train) == ("cbow-slow", TrainConfig(model=Model.CBOW, learning_rate=1e-4))
 
     def test_missing_rate_is_error(self):
-        with pytest.raises(ValueError, match="rate"):
-            TrainConfig(model=Model.SGNS).resolved_rate()
+        vocab = build_vocabulary([["a", "b"] * 10], min_count=1)
+        corpus = encode_documents([["a", "b"] * 10], vocab)
+        for model, train in ((Model.SGNS, train_sgns), (Model.CBOW, train_cbow)):
+            with pytest.raises(ValueError, match="needs a learning_rate"):
+                train(corpus, TrainConfig(model=model))
 
 
 class TestTextFormat:

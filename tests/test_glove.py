@@ -54,7 +54,7 @@ class TestTraining:
     def test_single_cell_system_solvable(self):
         vocab = build_vocabulary([["a", "b"]], min_count=1)
         counts = sp.csr_matrix(np.array([[0.0, 4.0], [0.0, 0.0]]))
-        m = CooccurrenceMatrix(counts=counts, window_size=1,
+        m = CooccurrenceMatrix(counts=counts,
                                weighting=Weighting.HARMONIC, vocabulary=vocab)
         log = []
         train_glove(m, config(epochs=500), objective_log=log)
@@ -90,7 +90,7 @@ class TestTraining:
     def test_empty_matrix_rejected(self):
         vocab = build_vocabulary([["a", "b"]], min_count=1)
         empty = CooccurrenceMatrix(
-            counts=sp.csr_matrix((2, 2)), window_size=1,
+            counts=sp.csr_matrix((2, 2)),
             weighting=Weighting.HARMONIC, vocabulary=vocab,
         )
         with pytest.raises(ValueError, match="nonzero"):

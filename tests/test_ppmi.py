@@ -31,7 +31,6 @@ def matrix_from_dense(dense: np.ndarray) -> CooccurrenceMatrix:
     vocab = build_vocabulary([[f"w{i}" for i in range(dense.shape[0])]], min_count=1)
     return CooccurrenceMatrix(
         counts=sp.csr_matrix(dense.astype(np.float64)),
-        window_size=1,
         weighting=Weighting.FLAT,
         vocabulary=vocab,
     )
@@ -79,7 +78,6 @@ class TestPpmiValues:
         m = count_cooccurrences(tc, 2, Weighting.FLAT)
         scaled = CooccurrenceMatrix(
             counts=m.counts * 7.0,
-            window_size=m.window_size,
             weighting=m.weighting,
             vocabulary=m.vocabulary,
         )

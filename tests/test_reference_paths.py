@@ -74,7 +74,6 @@ from ocrdrift.corpus import PAD, Version, load_corpus, save_paired_files
 from ocrdrift.embeddings import (
     EmbeddingMatrix,
     Model,
-    RateProfile,
     TrainConfig,
     load_embeddings,
     save_embeddings,
@@ -255,7 +254,7 @@ def _corpus():
 def _train(model):
     corpus = _corpus()
     config = TrainConfig(model=model, dim=16, epochs=2, seed=9,
-                         rate_profile=RateProfile.SLOW, batch_size=512)
+                         learning_rate=1e-4, batch_size=512)
     if model is Model.SGNS:
         return train_sgns(corpus, config).vectors
     if model is Model.CBOW:
@@ -492,7 +491,7 @@ def reference_cooccurrences(corpus, window_size, weighting):
 
 VOCAB_SIZE = 15
 VOCAB = Vocabulary(word_to_id={f"w{i}": i for i in range(VOCAB_SIZE)},
-                   frequencies=np.arange(VOCAB_SIZE, 0, -1), min_count=1)
+                   frequencies=np.arange(VOCAB_SIZE, 0, -1))
 
 
 def random_documents(seed):
@@ -1177,8 +1176,8 @@ def reference_train(config_path):
     times, the language's output directory)."""
     config = load_config(config_path)
     src = config.languages[0]
-    corpus = load_corpus(src.path, src.format, src.language)
-    out = config.out_dir / src.language.name
+    corpus = load_corpus(src.path, src.format)
+    out = config.out_dir / src.language
     (out / "embeddings").mkdir(parents=True)
     entries, lines = [], []
     for spec in config.models:
@@ -1191,7 +1190,7 @@ def reference_train(config_path):
                 entries.append({"model": spec.label, "version": version.value, "run": run,
                                 "seed": config.seed + run,
                                 "embedding_path": str(path.relative_to(out))})
-                lines.append(f"{src.language.name}/{stem}")
+                lines.append(f"{src.language}/{stem}")
     return entries, lines, out
 
 

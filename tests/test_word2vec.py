@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocrdrift.embeddings import Model, RateProfile, TrainConfig
+from ocrdrift.embeddings import Model, TrainConfig
 from ocrdrift.preprocess import build_vocabulary, encode_documents
 from ocrdrift.util import sigmoid
 from ocrdrift.word2vec import _context_table, batch_loss, batch_step, train_cbow, train_sgns
@@ -194,7 +194,7 @@ class TestTraining:
     def test_two_word_corpus_nearest_neighbor(self):
         docs = [["a", "b"] * 5000]
         config = TrainConfig(model=Model.SGNS, dim=16, epochs=2, seed=0,
-                             rate_profile=RateProfile.FAST, batch_size=512)
+                             learning_rate=1e-3, batch_size=512)
         emb = train_sgns(tokenized(docs), config)
         unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = unit @ unit.T
@@ -206,7 +206,7 @@ class TestTraining:
     def test_sgns_bitwise_deterministic(self):
         docs = [["a", "b", "c", "d", "a", "c"] * 50]
         config = TrainConfig(model=Model.SGNS, dim=12, epochs=3, seed=7,
-                             rate_profile=RateProfile.SLOW, batch_size=64)
+                             learning_rate=1e-4, batch_size=64)
         e1 = train_sgns(tokenized(docs), config)
         e2 = train_sgns(tokenized(docs), config)
         assert np.array_equal(e1.vectors, e2.vectors)
@@ -214,14 +214,14 @@ class TestTraining:
     def test_cbow_bitwise_deterministic(self):
         docs = [["a", "b", "c", "d", "a", "c"] * 50]
         config = TrainConfig(model=Model.CBOW, dim=12, epochs=3, seed=7,
-                             rate_profile=RateProfile.SLOW, batch_size=64)
+                             learning_rate=1e-4, batch_size=64)
         e1 = train_cbow(tokenized(docs), config)
         e2 = train_cbow(tokenized(docs), config)
         assert np.array_equal(e1.vectors, e2.vectors)
 
     def test_different_seeds_differ(self):
         docs = [["a", "b", "c", "d"] * 50]
-        base = dict(model=Model.SGNS, dim=12, epochs=1, rate_profile=RateProfile.FAST)
+        base = dict(model=Model.SGNS, dim=12, epochs=1, learning_rate=1e-3)
         e1 = train_sgns(tokenized(docs), TrainConfig(seed=1, **base))
         e2 = train_sgns(tokenized(docs), TrainConfig(seed=2, **base))
         assert not np.array_equal(e1.vectors, e2.vectors)
@@ -230,7 +230,7 @@ class TestTraining:
         docs = [["a", "b", "c", "a", "b"] * 10]
         tc = tokenized(docs)
         config = TrainConfig(model=Model.SGNS, dim=24, epochs=1, seed=0,
-                             rate_profile=RateProfile.FAST)
+                             learning_rate=1e-3)
         emb = train_sgns(tc, config)
         assert emb.vectors.shape == (len(tc.vocabulary), 24)
         assert emb.words == tc.vocabulary.words
@@ -240,27 +240,27 @@ class TestTraining:
     def test_metadata_recorded(self):
         docs = [["a", "b"] * 30]
         config = TrainConfig(model=Model.CBOW, dim=8, epochs=1, seed=3,
-                             rate_profile=RateProfile.FAST)
+                             learning_rate=1e-3)
         emb = train_cbow(tokenized(docs), config)
         assert emb.model is Model.CBOW
 
     def test_rejects_wrong_model(self):
-        config = TrainConfig(model=Model.CBOW, rate_profile=RateProfile.FAST)
+        config = TrainConfig(model=Model.CBOW, learning_rate=1e-3)
         with pytest.raises(ValueError, match="SGNS"):
             train_sgns(tokenized([["a", "b"]]), config)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
-            TrainConfig(model=Model.SGNS, dim=0, rate_profile=RateProfile.FAST).validated()
+            TrainConfig(model=Model.SGNS, dim=0, learning_rate=1e-3).validated()
         with pytest.raises(ValueError):
-            TrainConfig(model=Model.SGNS, epochs=0, rate_profile=RateProfile.FAST).validated()
+            TrainConfig(model=Model.SGNS, epochs=0, learning_rate=1e-3).validated()
         for field, value in (("negative_samples", 0), ("batch_size", 0), ("learning_rate", -1e-3)):
             with pytest.raises(ValueError, match=field):
                 train_sgns(tokenized([["a", "b"] * 30]),
-                           TrainConfig(model=Model.SGNS, rate_profile=RateProfile.FAST, **{field: value}))
+                           TrainConfig(model=Model.SGNS, **{"learning_rate": 1e-3, field: value}))
 
     def test_rejects_no_pairs(self):
-        config = TrainConfig(model=Model.SGNS, dim=4, rate_profile=RateProfile.FAST)
+        config = TrainConfig(model=Model.SGNS, dim=4, learning_rate=1e-3)
         with pytest.raises(ValueError, match="pairs"):
             train_sgns(tokenized([["a"], ["b"]]), config)
 
