@@ -10,6 +10,7 @@ from ocrdrift.noise import (
     NoiseSpec,
     character_error_rate,
     corpus_error_rates,
+    histogram,
     inject_noise,
     word_error_rate,
 )
@@ -38,6 +39,6 @@ print(
     f"corpus of {len(report.per_document)} docs: "
     f"mean CER {report.language_mean_cer:.3f}, mean WER {report.language_mean_wer:.3f}"
 )
-counts, edges = report.cer_histogram
+counts, edges = histogram([cer for _, cer, _ in report.per_document])
 peak = counts.argmax()
 print(f"CER distribution peaks in [{edges[peak]:.3f}, {edges[peak + 1]:.3f})")

@@ -15,9 +15,7 @@ dependency artifact.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import logging
 import multiprocessing
@@ -45,12 +43,7 @@ from .cooccur import Weighting, count_cooccurrences
 from .corpus import Corpus, CorpusError, Version, compute_stats, load_corpus, save_paired_files
 from .embeddings import EmbeddingMatrix, Model, load_embeddings, read_embedding_words, save_embeddings
 from .glove import train_glove
-from .noise import (
-    corpus_error_rates,
-    write_error_report_csv,
-    write_error_report_json,
-    write_histogram_csv,
-)
+from .noise import corpus_error_rates, histogram
 from .overlap import (
     evaluate_pair,
     overlap_curve,
@@ -102,29 +95,28 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_stats(config: ExperimentConfig, lang: str | None) -> int:
     sources = config.for_language(lang)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for src in sources:
         corpus = load_corpus(src.path, src.format)
         stats = compute_stats(corpus, Version.GROUND_TRUTH)
         rows.append((src.language, stats))
-        if corpus.report is not None:
-            corpus.report.to_json(out / f"ingestion_{src.language}.json")
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(
+        report = corpus.report
+        util.write_json(out / f"ingestion_{src.language}.json", {
+            "root": report.root,
+            "format": report.format,
+            "loaded": report.loaded,
+            "skipped": [{"file": f, "reason": r} for f, r in report.skipped],
+        })
+    util.write_csv(
+        out / "stats.csv",
         ["language", "total_docs", "aligned_docs", "aligned_pct",
-         "split_docs", "avg_chars", "min_chars", "max_chars", "total_chars"]
+         "split_docs", "avg_chars", "min_chars", "max_chars", "total_chars"],
+        ([name, s.total_docs, s.aligned_docs,
+          f"{100.0 * s.aligned_docs / s.total_docs:.1f}",
+          s.split_docs, f"{s.avg_chars:.2f}", s.min_chars, s.max_chars, s.total_chars]
+         for name, s in rows),
     )
-    for name, s in rows:
-        writer.writerow(
-            [name, s.total_docs, s.aligned_docs,
-             f"{100.0 * s.aligned_docs / s.total_docs:.1f}",
-             s.split_docs, f"{s.avg_chars:.2f}", s.min_chars, s.max_chars, s.total_chars]
-        )
-    util.write_atomically(out / "stats.csv", table.getvalue())
-    payload = [{"language": name, **dataclasses.asdict(s)} for name, s in rows]
-    util.write_atomically(out / "stats.json", json.dumps(payload, indent=2) + "\n")
+    util.write_json(out / "stats.json", [{"language": name, **dataclasses.asdict(s)} for name, s in rows])
     for name, s in rows:
         print(
             f"{name}: {s.total_docs} docs, {s.aligned_docs} aligned, "
@@ -143,11 +135,20 @@ def cmd_error_rates(config: ExperimentConfig, lang: str | None) -> int:
         corpus = load_corpus(src.path, src.format)
         report = corpus_error_rates(corpus)
         out = config.out_dir / src.language
-        out.mkdir(parents=True, exist_ok=True)
-        write_error_report_csv(report, out / "error_rates.csv")
-        write_error_report_json(report, out / "error_rates.json")
-        write_histogram_csv(report.cer_histogram, out / "cer_hist.csv")
-        write_histogram_csv(report.wer_histogram, out / "wer_hist.csv")
+        util.write_csv(out / "error_rates.csv", ["doc_id", "cer", "wer"],
+                       ([doc_id, f"{cer:.6f}", f"{wer:.6f}"] for doc_id, cer, wer in report.per_document))
+        util.write_json(out / "error_rates.json", {
+            "documents": len(report.per_document),
+            "excluded": report.excluded_docs,
+            "mean_cer": report.language_mean_cer,
+            "mean_wer": report.language_mean_wer,
+            "skipped": [{"doc": d, "reason": r} for d, r in report.skipped],
+        })
+        for name, column in (("cer", 1), ("wer", 2)):
+            counts, edges = histogram([row[column] for row in report.per_document])
+            util.write_csv(out / f"{name}_hist.csv", ["bin_low", "bin_high", "count"],
+                           ([f"{low:.6f}", f"{high:.6f}", int(count)]
+                            for low, high, count in zip(edges[:-1], edges[1:], counts)))
         print(
             f"{src.language}: mean CER {report.language_mean_cer:.3f}, "
             f"mean WER {report.language_mean_wer:.3f} "
@@ -187,7 +188,6 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
         raise ConfigError("the noise command needs a 'noise' section in the config")
     documents = _clean_documents(config)
     base = config.out_dir / "noise" / config.noise.out_name
-    base.mkdir(parents=True, exist_ok=True)
     manifest = []
     for index, level in enumerate(config.noise.levels):
         spec = dataclasses.replace(config.noise.spec, target_cer=level, seed=config.seed + index)
@@ -207,7 +207,7 @@ def cmd_noise(config: ExperimentConfig, lang: str | None) -> int:
             }
         )
         print(f"cer {level:.2f}: wrote {len(corpus)} docs, measured {report.language_mean_cer:.4f}")
-    util.write_atomically(base / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    util.write_json(base / "manifest.json", manifest)
     return 0
 
 
@@ -331,8 +331,7 @@ def _train_in_workers(jobs: list[_TrainJob]) -> None:
             entries.append(future.result())
             print(f"{job.language}/{job.stem}: trained in {entries[-1]['train_wall_seconds']:.1f}s")
             if index + 1 == len(jobs) or jobs[index + 1].language != job.language:
-                manifest = {"language": job.language, "entries": entries}
-                util.write_atomically(job.out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+                util.write_json(job.out / "manifest.json", {"language": job.language, "entries": entries})
                 entries = []
     finally:
         pool.shutdown(cancel_futures=True)
@@ -378,8 +377,9 @@ _MANIFEST_KEYS = {"model": str, "version": str, "run": int, "embedding_path": st
 def _manifest_paths(manifest_path: Path, out: Path) -> dict[tuple, Path]:
     """The embedding file of each (label, version, run) that a manifest
     lists. A manifest that is not UTF-8 JSON, or not an object with an
-    `entries` list, or an entry without one of _MANIFEST_KEYS of its type,
-    is a MissingArtifactError."""
+    `entries` list, or an entry without one of _MANIFEST_KEYS of its type
+    or whose `embedding_path` is absolute or has a `..` part, and so may
+    name a file outside `out`, is a MissingArtifactError."""
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
@@ -395,7 +395,11 @@ def _manifest_paths(manifest_path: Path, out: Path) -> dict[tuple, Path]:
             # exactly: a JSON true is a Python int too
             if type(entry[key]) is not kind:
                 raise MissingArtifactError(f"{manifest_path}: entry {index}'s {key} is not a {kind.__name__}")
-        trained[(entry["model"], entry["version"], entry["run"])] = out / entry["embedding_path"]
+        relative = Path(entry["embedding_path"])
+        if relative.is_absolute() or ".." in relative.parts:
+            raise MissingArtifactError(
+                f"{manifest_path}: entry {index}'s embedding_path {entry['embedding_path']!r} is not inside {out}")
+        trained[(entry["model"], entry["version"], entry["run"])] = out / relative
     return trained
 
 
@@ -470,7 +474,6 @@ def cmd_evaluate(config: ExperimentConfig, lang: str | None) -> int:
             intersection = intersect_words([intersection, read_embedding_words(path)])
 
         curves_dir = out / "curves"
-        curves_dir.mkdir(parents=True, exist_ok=True)
         for label, pairs in plan:
             # each pair lives only as its call's arguments: it is freed
             # before the next pair is loaded

@@ -8,13 +8,10 @@ whose padded versions differ in length are kept but flagged as misaligned.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-
-from .util import write_atomically
 
 PAD = "@"
 
@@ -59,15 +56,6 @@ class IngestionReport:
     format: str
     loaded: int
     skipped: tuple[tuple[str, str], ...] = ()
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "root": self.root,
-            "format": self.format,
-            "loaded": self.loaded,
-            "skipped": [{"file": f, "reason": r} for f, r in self.skipped],
-        }
-        write_atomically(path, json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass(frozen=True)

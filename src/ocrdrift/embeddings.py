@@ -176,7 +176,9 @@ def _archive(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
             yield payload
     except FileNotFoundError:
         raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, KeyError, TypeError, ValueError,
+    # RuntimeError: a member flagged encrypted (its subclass NotImplementedError:
+    # a compression method or encryption that zipfile cannot read)
+    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, KeyError, TypeError, ValueError,
             OSError) as exc:
         raise ValueError(f"{path}: not a valid sparse embedding archive: {exc}") from None
 

@@ -5,24 +5,18 @@ character by character. WER is the standard edit-distance formulation,
 (S + D + I) / ground-truth words, over whitespace tokens. The distance is
 exact and bit-parallel (Myers 1999, in Hyyro's 2003 global form): one
 Python-int bit per ground-truth word and about fifteen integer operations
-per OCR word. Reports and histograms are written through a temporary file
-and a rename, so a failed write leaves the previous file whole.
+per OCR word.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import string
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import PAD, Corpus
-from .util import write_atomically
 
 HISTOGRAM_BINS = 50
 
@@ -99,8 +93,9 @@ def word_error_rate(ocr_text: str, gt_text: str) -> float:
     return _word_edit_distance(ocr_words, gt_words) / len(gt_words)
 
 
-def _histogram(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over HISTOGRAM_BINS equal-width bins spanning [0, max]."""
+def histogram(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and edges of HISTOGRAM_BINS equal-width bins spanning
+    [0, max(values)], or [0, 1] when no value is above 0."""
     hi = max(values) if values and max(values) > 0 else 1.0
     counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, hi))
     return counts, edges
@@ -118,8 +113,6 @@ class ErrorRateReport:
     language_mean_cer: float
     language_mean_wer: float
     excluded_docs: int
-    cer_histogram: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    wer_histogram: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
     skipped: tuple[tuple[str, str], ...] = ()
 
 
@@ -154,40 +147,8 @@ def corpus_error_rates(corpus: Corpus) -> ErrorRateReport:
         language_mean_cer=sum(cers) / len(cers),
         language_mean_wer=sum(wers) / len(wers),
         excluded_docs=excluded,
-        cer_histogram=_histogram(cers),
-        wer_histogram=_histogram(wers),
         skipped=tuple(skipped),
     )
-
-
-def write_error_report_csv(report: ErrorRateReport, path: str | Path) -> None:
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(["doc_id", "cer", "wer"])
-    for doc_id, cer, wer in report.per_document:
-        writer.writerow([doc_id, f"{cer:.6f}", f"{wer:.6f}"])
-    write_atomically(path, table.getvalue())
-
-
-def write_error_report_json(report: ErrorRateReport, path: str | Path) -> None:
-    payload = {
-        "documents": len(report.per_document),
-        "excluded": report.excluded_docs,
-        "mean_cer": report.language_mean_cer,
-        "mean_wer": report.language_mean_wer,
-        "skipped": [{"doc": d, "reason": r} for d, r in report.skipped],
-    }
-    write_atomically(path, json.dumps(payload, indent=2) + "\n")
-
-
-def write_histogram_csv(histogram: tuple[np.ndarray, np.ndarray], path: str | Path) -> None:
-    counts, edges = histogram
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(["bin_low", "bin_high", "count"])
-    for i, count in enumerate(counts):
-        writer.writerow([f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(count)])
-    write_atomically(path, table.getvalue())
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ mean is an exact integer sum divided once.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -340,14 +338,10 @@ def overlap_curve(
 
 
 def write_curve_csv(curve: OverlapCurve, path: str | Path) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["N", "k", "mean", "ci_low", "ci_high"])
-    for n, k, m, lo, hi in zip(
-        curve.n_values, curve.k_values, curve.means, curve.ci_low, curve.ci_high
-    ):
-        writer.writerow([f"{n:g}", k, f"{m:.9g}", f"{lo:.9g}", f"{hi:.9g}"])
-    util.write_atomically(path, text.getvalue())
+    util.write_csv(path, ["N", "k", "mean", "ci_low", "ci_high"], (
+        [f"{n:g}", k, f"{m:.9g}", f"{lo:.9g}", f"{hi:.9g}"]
+        for n, k, m, lo, hi in zip(curve.n_values, curve.k_values, curve.means, curve.ci_low, curve.ci_high)
+    ))
 
 
 def write_curve_json(curve: OverlapCurve, path: str | Path, metadata: dict | None = None) -> None:
@@ -369,7 +363,7 @@ def write_curve_json(curve: OverlapCurve, path: str | Path, metadata: dict | Non
             )
         ],
     }
-    util.write_atomically(path, json.dumps(payload, indent=2) + "\n")
+    util.write_json(path, payload)
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +27,10 @@ def usable_cpus() -> int:
 def write_atomically(path: str | Path, text: str) -> None:
     """Write `text` through a temporary file in the same directory, so that
     `path` holds either its old content or all of the new text; a failed
-    write leaves no temporary file behind."""
+    write leaves no temporary file behind. Missing parent directories are
+    made first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
     try:
         partial.write_text(text, encoding="utf-8", newline="")
@@ -32,6 +38,24 @@ def write_atomically(path: str | Path, text: str) -> None:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write `header` and then `rows` to `path`, atomically, as CSV in the
+    csv module's default dialect: comma-separated, minimal quoting and
+    CRLF line ends. Every table the commands write goes through here."""
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomically(path, table.getvalue())
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write `payload` to `path`, atomically, as JSON indented by two
+    spaces with a trailing newline. Every summary, report and manifest the
+    commands write goes through here."""
+    write_atomically(path, json.dumps(payload, indent=2) + "\n")
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:

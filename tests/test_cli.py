@@ -230,6 +230,36 @@ class TestErrorRatesCommand:
         assert summary["mean_wer"] == 0.0
 
 
+def test_tables_and_json_files_share_one_format(tmp_path, corpus_dir):
+    """Every table is a CSV in the csv module's default dialect, with
+    `\r\n` line ends, and every summary, report and manifest is JSON
+    indented by two spaces and ending in a newline."""
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", corpus_dir, out, noise={
+        "levels": [0.1], "synthetic_chars": 5_000, "doc_chars": 1_000, "out_name": "toy"})
+    for command in ("stats", "error-rates", "noise"):
+        assert main([command, "--config", str(config)]) == 0
+    headers = {
+        "stats.csv": "language,total_docs,aligned_docs,aligned_pct,split_docs,"
+                     "avg_chars,min_chars,max_chars,total_chars",
+        "other/error_rates.csv": "doc_id,cer,wer",
+        "other/cer_hist.csv": "bin_low,bin_high,count",
+        "other/wer_hist.csv": "bin_low,bin_high,count",
+    }
+    tables = {path.relative_to(out).as_posix(): path.read_bytes().decode("utf-8") for path in out.rglob("*.csv")}
+    assert sorted(tables) == sorted(headers)
+    for name, text in tables.items():
+        assert text.startswith(headers[name] + "\r\n"), name
+        assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n"), name
+    assert len(tables["other/cer_hist.csv"].splitlines()) == 51
+    assert len(tables["other/wer_hist.csv"].splitlines()) == 51
+    documents = {path.relative_to(out).as_posix(): path.read_text(encoding="utf-8") for path in out.rglob("*.json")}
+    assert sorted(documents) == [
+        "ingestion_other.json", "noise/toy/manifest.json", "other/error_rates.json", "stats.json"]
+    for name, text in documents.items():
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+
+
 class TestAtomicWrites:
     """Tables, summaries, manifests, curves and figures go through
     `util.write_atomically`: a write that fails partway leaves the previous
@@ -511,6 +541,8 @@ class TestEvaluateOnePairAtATime:
         {"entries": [{"model": "ppmi", "version": "ocr", "run": 0, "embedding_path": 5}]},
         {"entries": [{"model": ["m"], "version": "ocr", "run": 0, "embedding_path": "x"}]},
         {"entries": [{"model": "ppmi", "version": "ocr", "run": True, "embedding_path": "x"}]},
+        {"entries": [{"model": "ppmi", "version": "ocr", "run": 0, "embedding_path": "/etc/hostname"}]},
+        {"entries": [{"model": "ppmi", "version": "ocr", "run": 0, "embedding_path": "../../../etc/hostname"}]},
         b'{"entries": [{"model": "ppmi", "vers',  # truncated
         b'{"entries": [], "language": "\xff"}',  # not UTF-8
     ])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,22 @@ class TestSparseFormat:
                 load_embeddings(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: not a valid sparse embedding archive")
+
+    @pytest.mark.parametrize("read", [load_embeddings, read_embedding_words])
+    def test_encrypted_archive_named(self, tmp_path, read):
+        """zipfile refuses a member whose flags mark it encrypted with a
+        RuntimeError; either reader makes that a ValueError naming the file."""
+        path = self.write_archive(tmp_path / "rows.npz")
+        damaged = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            entry = archive.start_dir
+        # bit 0 of the general-purpose flags in each central-directory entry
+        while (entry := damaged.find(b"PK\x01\x02", entry)) != -1:
+            damaged[entry + 8] |= 1
+            entry += 4
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="rows.npz: not a valid sparse embedding archive"):
+            read(path)
 
     def test_missing_file_keeps_its_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -8,10 +8,9 @@ from ocrdrift.noise import (
     _word_edit_distance,
     character_error_rate,
     corpus_error_rates,
+    histogram,
     inject_noise,
     word_error_rate,
-    write_error_report_csv,
-    write_histogram_csv,
 )
 from ocrdrift.synthetic import synthetic_documents
 from tests.test_corpus import make_corpus
@@ -139,18 +138,10 @@ class TestCorpusErrorRates:
     def test_histograms_have_fifty_bins(self):
         corpus = make_corpus([("ab", "ac"), ("xy", "xy"), ("pq", "pr")])
         report = corpus_error_rates(corpus)
-        counts, edges = report.cer_histogram
+        counts, edges = histogram([cer for _, cer, _ in report.per_document])
         assert len(counts) == 50
         assert len(edges) == 51
         assert counts.sum() == 3
-
-    def test_report_files(self, tmp_path):
-        report = corpus_error_rates(make_corpus([("ab", "ac")]))
-        write_error_report_csv(report, tmp_path / "r.csv")
-        header = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert header == "doc_id,cer,wer"
-        write_histogram_csv(report.cer_histogram, tmp_path / "h.csv")
-        assert (tmp_path / "h.csv").read_text(encoding="utf-8").startswith("bin_low,bin_high,count")
 
 
 class TestNoiseSpec:
