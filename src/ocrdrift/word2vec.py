@@ -140,6 +140,8 @@ def _hidden(W: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     batch_idx, slot_idx = np.nonzero(mask)
     members = inputs[batch_idx, slot_idx]
     weights = (1.0 / counts).astype(W.dtype)[batch_idx]
+    if inputs.shape[1] == 1:  # skip-gram: the mean of one row is the row
+        return W.take(members, axis=0), members, weights, batch_idx
     # np.nonzero lists the inputs row by row, so the CSR rows are the batch rows
     indptr = np.concatenate([[0], np.cumsum(counts)])
     h = sp.csr_matrix((weights, members, indptr), shape=(len(inputs), len(W))) @ W

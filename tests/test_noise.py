@@ -12,7 +12,7 @@ from ocrdrift.noise import (
     inject_noise,
     word_error_rate,
 )
-from ocrdrift.synthetic import synthetic_documents
+from ocrdrift.synthetic import synthetic_documents, synthetic_vocabulary
 from tests.test_corpus import make_corpus
 
 
@@ -216,3 +216,35 @@ def test_synthetic_documents_reject_empty_documents():
     # with doc_chars < 1 every document was empty and generation never ended
     with pytest.raises(ValueError, match="doc_chars"):
         synthetic_documents(100, doc_chars=0)
+
+
+# each bad argument, the parameter its error names, and what it did before
+# it was checked
+BAD_SYNTHETIC_ARGUMENTS = {
+    "no types": (dict(n_types=0), "n_types"),  # a mean of an empty slice
+    "more types than words": (dict(n_types=30, min_len=1, max_len=1), "n_types"),  # never returned
+    "more types than words of 1..2 letters": (dict(n_types=703, min_len=1, max_len=2), "n_types"),
+    "no topics": (dict(n_topics=0), "n_topics"),  # a NaN topic cdf
+    "more topics than types": (dict(n_types=5, n_topics=6), "n_topics"),
+    "zero-letter words": (dict(min_len=0), "min_len"),  # numpy's "low >= high"
+    "min_len above max_len": (dict(min_len=5, max_len=4), "min_len"),
+    "negative topic_affinity": (dict(topic_affinity=-0.1), "topic_affinity"),  # accepted
+    "topic_affinity above 1": (dict(topic_affinity=1.5), "topic_affinity"),
+    "NaN topic_affinity": (dict(topic_affinity=float("nan")), "topic_affinity"),
+}
+VOCABULARY_ARGUMENTS = ("n_types", "min_len", "max_len")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SYNTHETIC_ARGUMENTS))
+def test_synthetic_documents_reject_bad_arguments(case):
+    kwargs, name = BAD_SYNTHETIC_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=name):
+        synthetic_documents(100, **kwargs)
+    if set(kwargs) <= set(VOCABULARY_ARGUMENTS):
+        # before any draw: the caller's generator is left as it was
+        rng = np.random.default_rng(0)
+        lengths = {key: value for key, value in kwargs.items() if key != "n_types"}
+        with pytest.raises(ValueError, match=name):
+            synthetic_vocabulary(kwargs.get("n_types", 10), rng, **lengths)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+

@@ -49,8 +49,18 @@ it must hold no (batch, dim) array. Its bias sums come from bincount and
 must equal the grouped sums it replaced. The text export formats a row
 at a time and must write the bytes that formatting each numpy scalar
 wrote.
+
+The synthetic vocabulary is decoded from blocks of raw 32-bit draws by
+replaying numpy's bounded draw on them. It must give the words and
+leave the generator in the state of the per-word loop it replaced, for
+every bit generator, with half of a 64-bit draw pending and at any
+block size. Its documents must equal those of the sampler that searched
+both CDFs. The decoder must also redraw the values numpy's bounded draw
+redraws, which no seed reaches in practice, as a plain transcription of
+that draw does.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -67,7 +77,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrdrift import cli, glove, overlap, util, word2vec
+from ocrdrift import cli, glove, overlap, synthetic, util, word2vec
 from ocrdrift.config import load_config
 from ocrdrift.cooccur import Weighting, count_cooccurrences
 from ocrdrift.corpus import PAD, Version, load_corpus, save_paired_files
@@ -100,7 +110,7 @@ from ocrdrift.preprocess import (
     preprocess_corpus,
     window_pairs,
 )
-from ocrdrift.synthetic import noisy_corpus, synthetic_documents
+from ocrdrift.synthetic import _bounded_draws, _decode_words, noisy_corpus, synthetic_documents, synthetic_vocabulary
 from ocrdrift.util import _group_csr
 from ocrdrift.word2vec import (
     NEGATIVE_POWER,
@@ -1551,3 +1561,248 @@ def test_export_matches_per_value_format(tmp_path, dtype):
     save_embeddings(emb, tmp_path / "fast")
     reference_export(emb, tmp_path / "reference.txt")
     assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# synthetic corpora: the vocabulary decoded from blocks of 32-bit draws
+# ----------------------------------------------------------------------
+
+def reference_synthetic_vocabulary(n_types, rng, min_len=3, max_len=9):
+    """The per-word loop: two `integers` calls and one join per word."""
+    words: list[str] = []
+    seen: set[str] = set()
+    while len(words) < n_types:
+        length = int(rng.integers(min_len, max_len + 1))
+        word = "".join(chr(97 + c) for c in rng.integers(0, 26, size=length))
+        if word not in seen:
+            seen.add(word)
+            words.append(word)
+    return words
+
+
+def reference_synthetic_documents(total_chars, seed=0, n_types=1200, n_topics=8, doc_chars=1300,
+                                  topic_affinity=0.65, min_len=3, max_len=9):
+    """The sampler that searched both CDFs and chose with np.where."""
+    rng = np.random.default_rng(seed)
+    words = reference_synthetic_vocabulary(n_types, rng, min_len=min_len, max_len=max_len)
+    global_weights = 1.0 / np.arange(1, n_types + 1) ** 1.05
+    global_weights /= global_weights.sum()
+    global_cdf = np.cumsum(global_weights)
+
+    topic_of_word = np.arange(n_types) % n_topics
+    topic_cdfs = []
+    for t in range(n_topics):
+        w = np.where(topic_of_word == t, global_weights, 0.0)
+        topic_cdfs.append(np.cumsum(w / w.sum()))
+
+    word_lengths = np.array([len(w) for w in words])
+    batch = max(16, int(doc_chars / (word_lengths.mean() + 1) * 1.3))
+
+    documents: list[str] = []
+    produced = 0
+    while produced < total_chars:
+        topic_cdf = topic_cdfs[int(rng.integers(0, n_topics))]
+        tokens: list[str] = []
+        length = 0
+        while length < doc_chars:
+            from_topic = rng.random(batch) < topic_affinity
+            u = rng.random(batch)
+            ids = np.where(
+                from_topic,
+                np.searchsorted(topic_cdf, u, side="right"),
+                np.searchsorted(global_cdf, u, side="right"),
+            )
+            np.minimum(ids, n_types - 1, out=ids)  # guard the cdf's float tail
+            stop = np.searchsorted(np.cumsum(word_lengths[ids] + 1), doc_chars - length)
+            take = ids[: stop + 1]
+            tokens.extend(words[i] for i in take)
+            length += int((word_lengths[take] + 1).sum())
+        doc = " ".join(tokens)
+        documents.append(doc)
+        produced += len(doc)
+    return documents
+
+
+BENCHMARK_CORPORA = {
+    # perfbench's desk-train and wide-eval documents at seed 901, and the
+    # SHA-256 of "\n".join(documents) they had before the block decoder
+    "desk-train": (dict(total_chars=260_000, n_types=600, n_topics=30, doc_chars=3600, topic_affinity=0.75,
+                        min_len=2, max_len=4),
+                   "f54708e7302bcec8e8477f4fb55df58d53a041330686e5063133fa81145e21cd"),
+    "wide-eval": (dict(total_chars=400_000, n_types=8000, n_topics=40, doc_chars=6000),
+                  "66e6e33da846a6677762ecb58ad95e3ac696bb1b6ae0b6be7173ba3aeb01da84"),
+}
+
+VOCABULARY_SHAPES = {
+    "desk-train": (600, 2, 4),
+    "wide-eval": (8000, 3, 9),
+    "one length": (300, 5, 5),
+    "every one-letter word": (26, 1, 1),
+    "every word of one and two letters": (702, 1, 2),
+    "lengths 1..3": (1000, 1, 3),
+}
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def generator(bit_generator, seed, pending):
+    """A seeded Generator; `pending` leaves half of a 64-bit draw buffered
+    for the next 32-bit one, as a prior bounded draw does."""
+    rng = np.random.Generator(bit_generator(seed))
+    if pending:
+        rng.integers(0, 26)
+    return rng
+
+
+def same_state(a, b):
+    """Bit generator states equal, arrays (MT19937's key, Philox's
+    counter) compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+class TestSyntheticVocabulary:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CORPORA))
+    def test_benchmark_corpora(self, name):
+        sizes, digest = BENCHMARK_CORPORA[name]
+        docs = synthetic_documents(seed=901, **sizes)
+        assert docs == reference_synthetic_documents(seed=901, **sizes)
+        assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("shape", sorted(VOCABULARY_SHAPES))
+    def test_words_and_generator_state(self, shape, bit_generator, pending):
+        n_types, min_len, max_len = VOCABULARY_SHAPES[shape]
+        for seed in range(3):
+            rng = generator(bit_generator, seed, pending)
+            ref = generator(bit_generator, seed, pending)
+            words = synthetic_vocabulary(n_types, rng, min_len=min_len, max_len=max_len)
+            assert words == reference_synthetic_vocabulary(n_types, ref, min_len=min_len, max_len=max_len)
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state), seed
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("block", [1, 10, 1000])
+    @pytest.mark.parametrize("shape", ["desk-train", "every one-letter word", "lengths 1..3"])
+    def test_words_across_blocks(self, monkeypatch, shape, block):
+        """Blocks too small for one word, or for every word: a word that
+        runs past a block's end is decoded again with the next block."""
+        monkeypatch.setattr(synthetic, "_BLOCK", block)
+        n_types, min_len, max_len = VOCABULARY_SHAPES[shape]
+        rng, ref = generator(np.random.PCG64, 7, True), generator(np.random.PCG64, 7, True)
+        words = synthetic_vocabulary(n_types, rng, min_len=min_len, max_len=max_len)
+        assert words == reference_synthetic_vocabulary(n_types, ref, min_len=min_len, max_len=max_len)
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("shape", ["one length", "every one-letter word", "lengths 1..3"])
+    def test_documents(self, shape):
+        n_types, min_len, max_len = VOCABULARY_SHAPES[shape]
+        for seed in range(3):
+            sizes = dict(total_chars=20_000, seed=seed, n_types=n_types, n_topics=min(n_types, 8),
+                         doc_chars=700, min_len=min_len, max_len=max_len)
+            assert synthetic_documents(**sizes) == reference_synthetic_documents(**sizes), seed
+
+
+class Stream:
+    """A given list of 32-bit values, read one at a time."""
+
+    def __init__(self, values):
+        self.values = [int(v) for v in values]
+        self.used = 0
+        self.redraws = 0
+
+    def next32(self):
+        value = self.values[self.used]  # IndexError past the end
+        self.used += 1
+        return value
+
+
+def reference_bounded(stream, span):
+    """numpy's buffered_bounded_lemire_uint32 for the range [0, span),
+    transcribed; a span of 1 draws nothing, as numpy's rng == 0 path."""
+    if span == 1:
+        return 0
+    rng = span - 1
+    m = stream.next32() * span
+    leftover = m & 0xFFFFFFFF
+    if leftover < span:
+        threshold = (0xFFFFFFFF - rng) % span
+        while leftover < threshold:
+            stream.redraws += 1
+            m = stream.next32() * span
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+def reference_decode(values, min_len, max_len):
+    """The per-word draw on a given stream: its complete words and the
+    values read once each was done."""
+    stream = Stream(values)
+    words, ends = [], []
+    while True:
+        try:
+            length = min_len + reference_bounded(stream, max_len - min_len + 1)
+            word = "".join(chr(97 + reference_bounded(stream, 26)) for _ in range(length))
+        except IndexError:
+            return words, ends, stream.redraws
+        words.append(word)
+        ends.append(stream.used)
+
+
+def rejected_values(span):
+    """Every 32-bit value whose low word of value * span is below
+    2**32 % span, the values numpy's bounded draw redraws."""
+    threshold = 2**32 % span
+    return sorted((k * 2**32 + low) // span for k in range(span) for low in range(threshold)
+                  if (k * 2**32 + low) % span == 0)
+
+
+class TestDecodeWords:
+    @pytest.mark.parametrize("span", [3, 7, 26])
+    def test_rejected_values(self, span):
+        values = rejected_values(span)
+        assert len(values) >= 1 and 0 in values
+        draws, accepted = _bounded_draws(np.array(values, dtype=np.uint32), span)
+        assert not accepted.any()
+        accept = 2**31 + 12345
+        for value in values:
+            stream = Stream([value, accept])
+            assert reference_bounded(stream, span) == (accept * span) >> 32 and stream.redraws == 1
+
+    @pytest.mark.parametrize("span", [2, 5, 7, 26, 1000])
+    def test_transcription_matches_numpy(self, span):
+        for seed in range(3):
+            raw = np.random.default_rng(seed).integers(0, 2**32, size=3000, dtype=np.uint32)
+            stream = Stream(raw)
+            expected = np.random.default_rng(seed).integers(0, span, size=2000)
+            assert [reference_bounded(stream, span) for _ in range(2000)] == expected.tolist()
+            draws, accepted = _bounded_draws(raw[:2000], span)
+            assert accepted.all() and draws.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("min_len, max_len", [(3, 9), (2, 4), (1, 1), (5, 5), (1, 3)])
+    @pytest.mark.parametrize("share", [0.0, 0.05, 0.4, 0.95])
+    def test_crafted_streams(self, min_len, max_len, share):
+        """Random values with a share replaced by values that the length
+        draw or the letter draw rejects, alone and in runs, also at the
+        stream's start and end."""
+        crafted = np.array(rejected_values(26) + rejected_values(max_len - min_len + 1)
+                           if max_len > min_len else rejected_values(26), dtype=np.uint32)
+        total_redraws = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            values = rng.integers(0, 2**32, size=400, dtype=np.uint32)
+            swap = rng.random(400) < share
+            swap[:3] = swap[-3:] = share > 0
+            values[swap] = rng.choice(crafted, size=int(swap.sum()))
+            words, ends, redraws = reference_decode(values, min_len, max_len)
+            assert _decode_words(values, min_len, max_len) == (words, ends), seed
+            total_redraws += redraws
+        assert (total_redraws > 0) == (share > 0)
+
+    def test_short_streams(self):
+        values = np.random.default_rng(4).integers(0, 2**32, size=12, dtype=np.uint32)
+        for n in range(len(values) + 1):
+            for min_len, max_len in ((3, 9), (1, 1)):
+                words, ends, _ = reference_decode(values[:n], min_len, max_len)
+                assert _decode_words(values[:n], min_len, max_len) == (words, ends), (n, min_len)
